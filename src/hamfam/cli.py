@@ -30,7 +30,8 @@ from .integrate import (NumericParams, SingularityError,
                         richardson_order, write_trajectory_csv)
 from .poly import LaurentPoly
 from .symmetry import (autonomous_map, iterate_map, jacobian_determinant,
-                       map_order, nonautonomous_map, verify_invariance)
+                       make_map, map_order, nonautonomous_map,
+                       verify_invariance)
 
 SCHEMA_VERSION = 1
 
@@ -216,12 +217,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_symmetry(args) -> int:
     sys_ = make_system(args.family, args.n_int)
-    if args.map == "s-nonauto":
-        m = nonautonomous_map(args.branch)
-    elif args.map.startswith("s-auto"):
-        m = autonomous_map(sys_)
-    else:
-        raise UsageError(f"unknown map {args.map!r}")
+    m = make_map(args.map, args.branch, sys_)
     params = parse_params(args.params)
     if abs(args.q0) < 1e-8:
         raise UsageError("q0 inside the singularity floor: the map divides by q")
@@ -265,15 +261,34 @@ def _emit(payload: dict, path: str | None):
 
 # -- argument plumbing -----------------------------------------------------------
 
-def _load_config(path: str) -> dict[str, str]:
+def _config_args(path: str, argv: list[str],
+                 parser: argparse.ArgumentParser) -> list[str]:
+    """Flags for the config entries that argv does not set itself.  A switch
+    (store_true flag) takes an INI boolean and is added only when true."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise UsageError(f"cannot read config file {path!r}")
-    flat = {}
-    for section in cp.sections():
-        for key, value in cp.items(section):
-            flat[key] = value
-    return flat
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    actions = commands[argv[0]]._actions if argv[0] in commands else []
+    switches = {flag for a in actions
+                if isinstance(a, argparse._StoreTrueAction)
+                for flag in a.option_strings}
+    flat = {k: v for sec in cp.sections() for k, v in cp.items(sec)}
+    extra = []
+    for key, value in flat.items():
+        flag = f"--{key.replace('_', '-')}"
+        if flag in argv:
+            continue
+        if flag not in switches:
+            extra += [flag, value]
+            continue
+        state = cp.BOOLEAN_STATES.get(value.lower())
+        if state is None:
+            raise UsageError(f"config {key} = {value!r} is not a boolean")
+        if state:
+            extra.append(flag)
+    return extra
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,22 +351,10 @@ def main(argv: list[str] | None = None) -> int:
         # config file supplies defaults; explicit command-line flags win
         if "--config" in argv:
             cfg_path = argv[argv.index("--config") + 1]
-            defaults = _load_config(cfg_path)
-            extra = []
-            for key, value in defaults.items():
-                flag = f"--{key.replace('_', '-')}"
-                if flag not in argv:
-                    extra.extend([flag, value])
-            argv = argv[:1] + extra + argv[1:]
+            argv = argv[:1] + _config_args(cfg_path, argv, parser) + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, SingularityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

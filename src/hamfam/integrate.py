@@ -1,9 +1,10 @@
 """Numerical integration of the complex-valued Hamilton equations.
 
 The symbolic fields are compiled once (parameters bound to complex numbers)
-and then stepped with classical RK4 or an embedded Fehlberg 4(5) pair with
-PI step-size control.  Along the way the Hamiltonian is sampled so drift can
-be monitored: for the autonomous families H is a first integral and the drift
+and then stepped by one explicit Runge-Kutta engine driven by a Butcher
+tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair
+with PI step-size control.  Along the way the Hamiltonian is sampled so drift
+can be monitored: for the autonomous families H is a first integral and the drift
 is a direct error measure; for the non-autonomous family dH/dt = q^3 p + a2 q^2
 is nonzero and is checked against finite differences instead.
 
@@ -13,9 +14,11 @@ q = 0 is a genuine singular locus of the dynamics; integration stops cleanly
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -138,7 +141,7 @@ def compile_field(sys: HamSystem, params: NumericParams) -> CompiledField:
 
 
 def _guard(t, q):
-    if not (np.isfinite(q.real) and np.isfinite(q.imag)):
+    if not cmath.isfinite(q):
         raise BlowupError(f"non-finite q at t = {t}")
     if abs(q) < SINGULARITY_FLOOR:
         raise SingularityError(t, q)
@@ -146,54 +149,66 @@ def _guard(t, q):
         raise BlowupError(f"|q| = {abs(q):.3e} above overflow guard at t = {t}")
 
 
+@dataclass(frozen=True)
+class _Tableau:
+    """Explicit Butcher tableau.  The step propagates with weights b / div;
+    an embedded pair estimates its error with the weights b_err / div."""
+
+    a: tuple[tuple[float, ...], ...]
+    c: tuple[float, ...]
+    b: tuple[float, ...]
+    div: float = 1
+    b_err: tuple[float, ...] | None = None
+
+
+# classical RK4, weights over 6: the update is h/6*(k1 + 2k2 + 2k3 + k4)
+_RK4 = _Tableau(a=((), (1 / 2,), (0, 1 / 2), (0, 0, 1)),
+                c=(0, 1 / 2, 1 / 2, 1), b=(1, 2, 2, 1), div=6)
+# Fehlberg 4(5): 4th-order propagation, 5th-order error estimate
+_FEHLBERG45 = _Tableau(
+    a=((),
+       (1 / 4,),
+       (3 / 32, 9 / 32),
+       (1932 / 2197, -7200 / 2197, 7296 / 2197),
+       (439 / 216, -8, 3680 / 513, -845 / 4104),
+       (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40)),
+    c=(0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2),
+    b=(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0),
+    b_err=(16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55))
+_METHODS = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}
+
+
+def _rk_step(tab: _Tableau, q: complex, p: complex, t: float, h: float,
+             field: CompiledField, tol: float = 0.0):
+    """One explicit RK step: (q, p, err).  err is the RMS over q and p of
+    the embedded pair's error over tol*(1 + max(|old|, |new|)), else 0."""
+    kq, kp = [], []
+    for row, c in zip(tab.a, tab.c):
+        qi, pi = q, p
+        for a, dq, dp in zip(row, kq, kp):
+            if a:  # zeros add nothing; RK4 then matches its textbook form
+                qi += h * a * dq
+                pi += h * a * dp
+        _guard(t, qi)
+        dq, dp = field(qi, pi, t + c * h)
+        kq.append(dq)
+        kp.append(dp)
+    w = h / tab.div
+    qn = q + w * sum(map(mul, tab.b, kq))
+    pn = p + w * sum(map(mul, tab.b, kp))
+    if tab.b_err is None:
+        return qn, pn, 0.0
+    qe = q + w * sum(map(mul, tab.b_err, kq))
+    pe = p + w * sum(map(mul, tab.b_err, kp))
+    eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))
+    ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))
+    return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2)
+
+
 def step_rk4(state: tuple[complex, complex], t: float, h: float,
              field: CompiledField) -> tuple[complex, complex]:
     """One classical 4th-order Runge-Kutta step over complex state."""
-    q, p = state
-    _guard(t, q)
-    k1q, k1p = field(q, p, t)
-    _guard(t, q + h / 2 * k1q)
-    k2q, k2p = field(q + h / 2 * k1q, p + h / 2 * k1p, t + h / 2)
-    _guard(t, q + h / 2 * k2q)
-    k3q, k3p = field(q + h / 2 * k2q, p + h / 2 * k2p, t + h / 2)
-    _guard(t, q + h * k3q)
-    k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
-    return (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
-            p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-
-
-# Fehlberg 4(5) tableau: 4th-order propagation, 5th-order error estimate.
-_FEHLBERG_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_FEHLBERG_C = (0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2)
-_FEHLBERG_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
-_FEHLBERG_B5 = (16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-
-
-def _step_rkf45(state, t, h, field):
-    """Embedded 4(5) step; returns (new_state, error_estimate_per_component)."""
-    q, p = state
-    kq, kp = [], []
-    for i in range(6):
-        qi, pi = q, p
-        for j, a in enumerate(_FEHLBERG_A[i]):
-            qi += h * a * kq[j]
-            pi += h * a * kp[j]
-        _guard(t, qi)
-        dq, dp = field(qi, pi, t + _FEHLBERG_C[i] * h)
-        kq.append(dq)
-        kp.append(dp)
-    q4 = q + h * sum(b * k for b, k in zip(_FEHLBERG_B4, kq))
-    p4 = p + h * sum(b * k for b, k in zip(_FEHLBERG_B4, kp))
-    q5 = q + h * sum(b * k for b, k in zip(_FEHLBERG_B5, kq))
-    p5 = p + h * sum(b * k for b, k in zip(_FEHLBERG_B5, kp))
-    return (q4, p4), (abs(q5 - q4), abs(p5 - p4))
+    return _rk_step(_RK4, *state, t, h, field)[:2]
 
 
 def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
@@ -201,10 +216,15 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
               method: str = "fixed-rk4") -> Trajectory:
     """Integrate the Hamilton equations over a finite time span.
 
-    Samples (t, q, p, H) at every accepted step.  Stops cleanly (with the
-    reason recorded) at the |q| singularity floor, on numeric overflow, or on
-    adaptive step underflow.
+    fixed-rk4 takes steps of h, the last one ending exactly at t1;
+    adaptive-rk45 sizes them by PI control.  Samples (t, q, p, H) at every
+    accepted step.  Stops cleanly (with the reason recorded) at the |q|
+    singularity floor, on numeric overflow, or on adaptive step underflow.
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    tab = _METHODS[method]
+    adaptive = tab.b_err is not None
     t0, t1 = t_span
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 >= t0):
         raise ValueError(f"bad time span {t_span}")
@@ -212,77 +232,52 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
         raise SingularityError(t0, q0)
     field = compile_field(sys, params)
 
-    times = [t0]
-    qs = [complex(q0)]
-    ps = [complex(p0)]
-    hs = [field.H(q0, p0, t0)]
-    termination = "completed"
-
-    def record(t, q, p):
-        times.append(t)
-        qs.append(q)
-        ps.append(p)
-        hs.append(field.H(q, p, t))
-
     t, q, p = t0, complex(q0), complex(p0)
-    if method == "fixed-rk4":
-        while t < t1 - 1e-15 * max(1.0, abs(t1)):
-            step = min(h, t1 - t)
-            try:
-                q, p = step_rk4((q, p), t, step, field)
-            except SingularityError:
-                termination = "singularity"
-                break
-            except (BlowupError, OverflowError):
-                termination = "overflow"
-                break
+    times, qs, ps, hs = [t], [q], [p], [field.H(q, p, t)]
+    termination = "completed"
+    span = t1 - t0
+    h_min, h_max = 1e-12, max(span / 10, 1e-12)
+    step = min(h, h_max) if span > 0 else 0.0
+    safety, p_order = 0.9, 5.0
+    err_prev = 1.0
+    # bound on the rounding each summed step leaves in t
+    t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
+    while t < t1 - 1e-15 * max(1.0, abs(t1)):
+        if adaptive:
+            step = min(step, t1 - t)
+        else:  # end on t1 rather than leave a rounding-level sliver
+            step = t1 - t if t1 - t <= h + len(times) * t_ulp else h
+        try:
+            qn, pn, err = _rk_step(tab, q, p, t, step, field, tol)
+        except SingularityError:
+            termination = "singularity"
+            break
+        except (BlowupError, OverflowError):
+            termination = "overflow"
+            break
+        if err <= 1.0:  # accept (a fixed step has err = 0)
             t += step
-            if not (np.isfinite(q.real) and np.isfinite(q.imag)
-                    and np.isfinite(p.real) and np.isfinite(p.imag)) \
+            q, p = qn, pn
+            if not (cmath.isfinite(q) and cmath.isfinite(p)) \
                     or abs(q) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
                 termination = "overflow"
                 break
-            record(t, q, p)
-    elif method == "adaptive-rk45":
-        span = t1 - t0
-        h_min, h_max = 1e-12, max(span / 10, 1e-12)
-        step = min(h, h_max) if span > 0 else 0.0
-        safety, p_order = 0.9, 5.0
-        err_prev = 1.0
-        while t < t1 - 1e-15 * max(1.0, abs(t1)):
-            step = min(step, t1 - t)
-            try:
-                (qn, pn), (eq, ep) = _step_rkf45((q, p), t, step, field)
-            except SingularityError:
-                termination = "singularity"
-                break
-            except (BlowupError, OverflowError):
-                termination = "overflow"
-                break
-            scale_q = tol + tol * max(abs(q), abs(qn))
-            scale_p = tol + tol * max(abs(p), abs(pn))
-            err = math.sqrt(((eq / scale_q) ** 2 + (ep / scale_p) ** 2) / 2)
-            if err <= 1.0:  # accept
-                t += step
-                q, p = qn, pn
-                if not (np.isfinite(q.real) and np.isfinite(q.imag)
-                        and np.isfinite(p.real) and np.isfinite(p.imag)) \
-                        or abs(q) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
-                    termination = "overflow"
-                    break
-                record(t, q, p)
-                # PI controller
-                fac = safety * (err + 1e-16) ** (-0.7 / p_order) \
-                    * (err_prev + 1e-16) ** (0.4 / p_order)
-                err_prev = err
-            else:
-                fac = max(0.1, safety * err ** (-1 / p_order))
-            step = min(max(step * min(5.0, fac), h_min), h_max)
-            if step <= h_min and err > 1.0:
-                termination = "step-underflow"
-                break
-    else:
-        raise ValueError(f"unknown method {method!r}")
+            times.append(t)
+            qs.append(q)
+            ps.append(p)
+            hs.append(field.H(q, p, t))
+        if not adaptive:
+            continue
+        if err <= 1.0:  # PI controller
+            fac = safety * (err + 1e-16) ** (-0.7 / p_order) \
+                * (err_prev + 1e-16) ** (0.4 / p_order)
+            err_prev = err
+        else:
+            fac = max(0.1, safety * err ** (-1 / p_order))
+        step = min(max(step * min(5.0, fac), h_min), h_max)
+        if step <= h_min and err > 1.0:
+            termination = "step-underflow"
+            break
 
     return Trajectory(np.array(times), np.array(qs), np.array(ps),
                       np.array(hs), termination)
@@ -343,13 +338,9 @@ def richardson_order(sys: HamSystem, params: NumericParams, q0: complex,
             raise RuntimeError(f"sweep run at h={h} ended with "
                                f"{traj.termination}")
         finals.append((traj.q[-1], traj.p[-1]))
-    diffs = []
-    for (qa, pa), (qb, pb) in zip(finals, finals[1:]):
-        diffs.append(math.hypot(abs(qa - qb), abs(pa - pb)))
-    rates = []
-    for (h1, d1), (h2, d2) in zip(zip(hs, diffs), zip(hs[1:], diffs[1:])):
-        rates.append(math.log(d1 / d2) / math.log(h1 / h2))
-    return sum(rates) / len(rates)
+    diffs = [math.hypot(abs(qa - qb), abs(pa - pb))
+             for (qa, pa), (qb, pb) in zip(finals, finals[1:])]
+    return measure_order(list(zip(hs, diffs)))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -173,6 +173,35 @@ class TestConfig:
         assert run(["verify", "--family", "nonautonomous3", "--config",
                     str(cfg)]) == 1
 
+    @staticmethod
+    def _symmetry_config(tmp_path, check_trajectory):
+        cfg = tmp_path / "sym.ini"
+        cfg.write_text("[symmetry]\n"
+                       "family = nonautonomous3\n"
+                       "map = s-nonauto\n"
+                       "params = a1=1,a2=1,a3=1\n"
+                       "q0 = 1\n"
+                       "p0 = -1.5\n"
+                       "t1 = 0.05\n"
+                       f"check_trajectory = {check_trajectory}\n")
+        return cfg
+
+    @pytest.mark.parametrize("value,checked", [("true", True), ("yes", True),
+                                               ("false", False), ("0", False)])
+    def test_boolean_switch(self, tmp_path, value, checked):
+        cfg = self._symmetry_config(tmp_path, value)
+        report = tmp_path / "sym.json"
+        assert run(["symmetry", "--config", str(cfg), "--out",
+                    str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert ("trajectory_residual" in doc) == checked
+
+    def test_bad_boolean(self, tmp_path, capsys):
+        cfg = self._symmetry_config(tmp_path, "maybe")
+        assert run(["symmetry", "--config", str(cfg)]) == 2
+        assert "check_trajectory = 'maybe' is not a boolean" \
+            in capsys.readouterr().err
+
     def test_missing_config(self):
         assert run(["verify", "--family", "autonomous5",
                     "--config", "/nonexistent.ini"]) == 2

@@ -6,7 +6,8 @@ from scipy.integrate import solve_ivp
 
 from hamfam.hamiltonian import (HamSystem, hamilton_equations,
                                 make_autonomous5, make_nonautonomous3)
-from hamfam.integrate import (NumericParams, SingularityError, Trajectory,
+from hamfam.integrate import (_FEHLBERG45, _RK4, NumericParams,
+                              SingularityError, Trajectory,
                               check_symmetry_on_trajectory, compile_field,
                               integrate, measure_order, richardson_order,
                               step_rk4, write_trajectory_csv)
@@ -114,6 +115,33 @@ class TestStepRK4:
         with pytest.raises(SingularityError):
             step_rk4((1e-10 + 0j, 0j), 0.0, 1e-3, field)
 
+    def test_matches_textbook_step_bit_for_bit(self, rng):
+        field = compile_field(A5, PARAMS5)
+        for _ in range(100):
+            q = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+            p = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            t, h = rng.uniform(0, 1), rng.uniform(1e-4, 1e-2)
+            k1q, k1p = field(q, p, t)
+            k2q, k2p = field(q + h / 2 * k1q, p + h / 2 * k1p, t + h / 2)
+            k3q, k3p = field(q + h / 2 * k2q, p + h / 2 * k2p, t + h / 2)
+            k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
+            expected = (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
+                        p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+            assert step_rk4((q, p), t, h, field) == expected
+
+
+class TestTableaus:
+    @pytest.mark.parametrize("tab", [_RK4, _FEHLBERG45],
+                             ids=["rk4", "fehlberg45"])
+    def test_consistent(self, tab):
+        assert len(tab.a) == len(tab.c) == len(tab.b)
+        for i, (row, c) in enumerate(zip(tab.a, tab.c)):
+            assert len(row) == i
+            assert abs(sum(row) - c) <= 1e-15
+        assert abs(sum(tab.b) / tab.div - 1) <= 1e-15
+        if tab.b_err is not None:
+            assert abs(sum(tab.b_err) / tab.div - 1) <= 1e-15
+
 
 class TestIntegrate:
     def test_drift_small_on_short_span(self):
@@ -152,6 +180,18 @@ class TestIntegrate:
     def test_immediate_singularity(self):
         with pytest.raises(SingularityError):
             integrate(A5, PARAMS5, 1e-12, 0, (0, 1))
+
+    @pytest.mark.parametrize("t_span,h,samples", [((0, 0.3), 1e-4, 3001),
+                                                  ((0, 0.1), 1e-2, 11)],
+                             ids=["sliver-after", "short-by-rounding"])
+    def test_fixed_run_ends_exactly_at_t1(self, t_span, h, samples):
+        # summed steps fall short of t1 by rounding; the last step is
+        # stretched onto t1 instead of leaving a sliver step or a gap
+        traj = integrate(A5, PARAMS5, 1, -1.5, t_span, h=h)
+        assert traj.termination == "completed"
+        assert len(traj.times) == samples
+        assert traj.times[-1] == t_span[1]
+        assert np.min(np.diff(traj.times)) > h / 2
 
     def test_zero_length_span(self):
         traj = integrate(A5, PARAMS5, 1, 0.5, (0, 0), h=1e-3)
