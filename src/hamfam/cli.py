@@ -261,6 +261,18 @@ def _emit(payload: dict, path: str | None):
 
 # -- argument plumbing -----------------------------------------------------------
 
+def _config_path(argv: list[str]) -> str | None:
+    """The path given as '--config path' or '--config=path', else None."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise UsageError("--config needs a path")
+            return argv[i + 1]
+        if arg.startswith("--config="):
+            return arg.partition("=")[2]
+    return None
+
+
 def _config_args(path: str, argv: list[str],
                  parser: argparse.ArgumentParser) -> list[str]:
     """Flags for the config entries that argv does not set itself.  A switch
@@ -349,8 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         # config file supplies defaults; explicit command-line flags win
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
+        cfg_path = _config_path(argv)
+        if cfg_path is not None:
             argv = argv[:1] + _config_args(cfg_path, argv, parser) + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)

@@ -217,12 +217,16 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     """Integrate the Hamilton equations over a finite time span.
 
     fixed-rk4 takes steps of h, the last one ending exactly at t1;
-    adaptive-rk45 sizes them by PI control.  Samples (t, q, p, H) at every
+    adaptive-rk45 sizes them by PI control.  h and tol must be finite and
+    positive (fixed-rk4 ignores tol).  Samples (t, q, p, H) at every
     accepted step.  Stops cleanly (with the reason recorded) at the |q|
     singularity floor, on numeric overflow, or on adaptive step underflow.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
+    for name, value in (("h", h), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     tab = _METHODS[method]
     adaptive = tab.b_err is not None
     t0, t1 = t_span
@@ -288,32 +292,28 @@ def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,
     """Finite-difference defect of the transformed path against the
     transformed system's field; small residual confirms invariance numerically.
 
-    Transforms every sample by the map, central-differences (Q, P) against the
-    (possibly complex) transformed time grid, and compares with the compiled
-    field of the system at the mapped parameters.  Returns the max defect.
+    Maps all samples at once with the compiled map rules, central-differences
+    (Q, P) against the (possibly complex) transformed time grid, and compares
+    with the compiled field of the system at the mapped parameters.  Returns
+    the max defect.
     """
     params.check_complete(sys)
-    for qk in traj.q:
-        if abs(qk) < SINGULARITY_FLOOR:
-            raise SingularityError(float("nan"), qk)
-    pts = []
-    mapped_params = None
-    for tk, qk, pk in zip(traj.times, traj.q, traj.p):
-        coords, mapped_params = m.apply_numeric(
-            {"q": qk, "p": pk, "t": complex(tk)}, params.values)
-        pts.append(coords)
-    field = compile_field(sys, NumericParams(sys.name, mapped_params, sys.n))
-    worst = 0.0
-    for k in range(1, len(pts) - 1):
-        Qm, Pm, Tm = pts[k - 1]
-        Qk, Pk, Tk = pts[k]
-        Qp, Pp, Tp = pts[k + 1]
-        dT = Tp - Tm
-        fq, fp = field(Qk, Pk, Tk)
-        worst = max(worst,
-                    abs((Qp - Qm) / dT - fq),
-                    abs((Pp - Pm) / dT - fp))
-    return worst
+    near = np.abs(traj.q) < SINGULARITY_FLOOR
+    if near.any():
+        raise SingularityError(float("nan"), traj.q[near.argmax()])
+    if len(traj.times) < 3:
+        return 0.0
+    q, p, t = traj.q, traj.p, traj.times.astype(complex)
+    compiled = lambda rule: CompiledPoly(rule, params.values)
+    mapped = {name: compiled(r)(0, 0, 0) for name, r in m.param_rules.items()}
+    # a rule free of q, p and t evaluates to one number: spread it per sample
+    Q, P, T = (np.broadcast_to(compiled(r)(q, p, t), q.shape)
+               for r in (m.q_rule, m.p_rule, m.t_rule))
+    field = compile_field(sys, NumericParams(sys.name, mapped, sys.n))
+    fq, fp = field(Q[1:-1], P[1:-1], T[1:-1])
+    dT = T[2:] - T[:-2]
+    return float(max(np.abs((Q[2:] - Q[:-2]) / dT - fq).max(),
+                     np.abs((P[2:] - P[:-2]) / dT - fp).max()))
 
 
 def measure_order(errors_by_h: list[tuple[float, float]]) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,18 @@ class TestIntegrate:
                     "--params", "a=1,e1=1,e2=1", "--q0", "1e-12",
                     "--t1", "0.01"]) == 2
 
+    def test_zero_step_is_usage_error(self):
+        # as a subprocess with a timeout, so a step that never advances
+        # fails the test instead of hanging it
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "hamfam.cli", "integrate", "--family",
+             "autonomous5", "--params", "a=1,e1=1,e2=1", "--h", "0"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 2
+        assert "h must be finite and positive" in done.stderr
+
 
 class TestSymmetry:
     def test_autonomous_map_point(self, capsys):
@@ -205,3 +221,20 @@ class TestConfig:
     def test_missing_config(self):
         assert run(["verify", "--family", "autonomous5",
                     "--config", "/nonexistent.ini"]) == 2
+
+    def test_config_without_path(self, capsys):
+        assert run(["verify", "--family", "autonomous5", "--config"]) == 2
+        assert "--config needs a path" in capsys.readouterr().err
+
+    def test_config_equals_path(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[integrate]\n"
+                       "family = autonomous5\n"
+                       "params = a=1,e1=1,e2=1\n"
+                       "p0 = 0.3\n"
+                       "t1 = 0.05\n")
+        summary = tmp_path / "s.json"
+        # --family is required, so this passes only if the file is read
+        assert run(["integrate", f"--config={cfg}",
+                    "--summary-out", str(summary)]) == 0
+        assert json.loads(summary.read_text())["termination"] == "completed"

@@ -232,6 +232,20 @@ class TestIntegrate:
             integrate(A5, PARAMS5, 1, 0, (0, 1), method="leapfrog")
 
 
+class TestStepAndTolValidation:
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+    def test_bad_h(self, method, h):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            integrate(A5, PARAMS5, 1, 0, (0, 0.01), h=h, method=method)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            integrate(A5, PARAMS5, 1, 0, (0, 0.01), tol=tol,
+                      method="adaptive-rk45")
+
+
 class TestRichardsonOrder:
     def test_order_in_window(self):
         order = richardson_order(A5, PARAMS5, 1, 0, (0, 0.03))
@@ -273,6 +287,76 @@ class TestTrajectorySymmetry:
         ident = identity_map(A5.table, A5.params)
         res = check_symmetry_on_trajectory(traj, ident, A5, PARAMS5)
         assert res <= 1e-5
+
+
+def scalar_symmetry_defect(traj, m, sys, params):
+    """The per-sample route: apply_numeric on every sample, then one scalar
+    field call per interior sample."""
+    pts, mapped = [], None
+    for tk, qk, pk in zip(traj.times, traj.q, traj.p):
+        coords, mapped = m.apply_numeric({"q": qk, "p": pk, "t": complex(tk)},
+                                         params.values)
+        pts.append(coords)
+    field = compile_field(sys, NumericParams(sys.name, mapped, sys.n))
+    worst = 0.0
+    for (Qm, Pm, Tm), (Qk, Pk, Tk), (Qp, Pp, Tp) in zip(pts, pts[1:],
+                                                        pts[2:]):
+        fq, fp = field(Qk, Pk, Tk)
+        dT = Tp - Tm
+        worst = max(worst, abs((Qp - Qm) / dT - fq), abs((Pp - Pm) / dT - fp))
+    return worst
+
+
+class TestSymmetryCheckMatchesScalarRoute:
+    @pytest.fixture(scope="class")
+    def trajs(self):
+        return {sys.name: integrate(sys, params, 1, -1.5, (0, 0.3), h=1e-4)
+                for sys, params in ((A5, PARAMS5), (NA3, PARAMS3))}
+
+    @pytest.mark.parametrize("case", ["shear", "identity", "order8-branch1",
+                                      "order8-branch7"])
+    def test_agrees_with_per_sample_route(self, trajs, case):
+        sys, params, m = {
+            "shear": (A5, PARAMS5, autonomous_map(A5)),
+            "identity": (A5, PARAMS5, identity_map(A5.table, A5.params)),
+            "order8-branch1": (NA3, PARAMS3, nonautonomous_map(1)),
+            "order8-branch7": (NA3, PARAMS3, nonautonomous_map(7)),
+        }[case]
+        traj = trajs[sys.name]
+        assert traj.termination == "completed" and len(traj.times) == 3001
+        got = check_symmetry_on_trajectory(traj, m, sys, params)
+        want = scalar_symmetry_defect(traj, m, sys, params)
+        assert abs(got - want) <= 1e-10
+        assert got < 1e-5
+
+    def test_constant_rule_broadcasts(self, trajs):
+        # a rule without q, p or t still yields one value per sample
+        tbl = A5.table
+        ident = identity_map(tbl, A5.params)
+        m = type(ident)("const-p", tbl, ident.q_rule,
+                        LaurentPoly.const(tbl, 2), ident.t_rule,
+                        ident.param_rules)
+        traj = trajs[A5.name]
+        got = check_symmetry_on_trajectory(traj, m, A5, PARAMS5)
+        want = scalar_symmetry_defect(traj, m, A5, PARAMS5)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-10)
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_short_trajectory_gives_zero(self, samples):
+        traj = integrate(A5, PARAMS5, 1, -1.5, (0, 1e-3 * (samples - 1)),
+                         h=1e-3)
+        assert len(traj.times) == samples
+        assert check_symmetry_on_trajectory(traj, autonomous_map(A5), A5,
+                                            PARAMS5) == 0.0
+
+    def test_sample_inside_floor_raises(self):
+        q = np.array([1, 1e-9, 1], dtype=complex)
+        traj = Trajectory(np.array([0.0, 1e-3, 2e-3]), q,
+                          np.zeros(3, dtype=complex),
+                          np.zeros(3, dtype=complex), "completed")
+        with pytest.raises(SingularityError):
+            check_symmetry_on_trajectory(traj, autonomous_map(A5), A5,
+                                         PARAMS5)
 
 
 class TestCsv:
