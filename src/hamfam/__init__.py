@@ -8,8 +8,9 @@ from .hamiltonian import (HamSystem, SecondOrderODE, eliminate_momentum,
                           make_general_n, make_nonautonomous3, make_system,
                           reference_ode, second_order_form,
                           time_derivative_of_H, verify_equivalence)
-from .symmetry import (BirationalMap, autonomous_map, compose, identity_map,
-                       iterate_map, jacobian_determinant, make_map, map_order,
+from .symmetry import (BirationalMap, autonomous_map, certificate_battery,
+                       compose, identity_map, iterate_map,
+                       jacobian_determinant, make_map, map_order,
                        nonautonomous_map, pushforward_H, resolve_inverse,
                        verify_invariance)
 from .integrate import (NumericParams, SingularityError, Trajectory,

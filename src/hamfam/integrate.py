@@ -60,8 +60,10 @@ class NumericParams:
 
     def check_complete(self, sys: HamSystem):
         missing = [p for p in sys.params if p not in self.values]
-        if missing:
-            raise ValueError(f"unbound parameters: {missing}")
+        unknown = [p for p in self.values if p not in sys.params]
+        if missing or unknown:
+            raise ValueError(f"{sys.name} takes {', '.join(sys.params)}: "
+                             f"unbound {missing}, unknown {unknown}")
 
 
 @dataclass

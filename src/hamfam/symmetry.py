@@ -9,15 +9,17 @@ Two maps are provided:
   fourth roots of -1 and shears p, with an affine action on (a1, a2, a3).
 
 All properties (invariance, unit Jacobian, group order) are certified by
-exact zero residuals in Q(z8).
+exact zero residuals in Q(z8); ``certificate_battery`` runs all a family owes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cyclo import CycloRat, fourth_root_of_minus_one
-from .hamiltonian import HamSystem, hamilton_equations, make_nonautonomous3
+from .hamiltonian import (HamSystem, hamilton_equations, make_nonautonomous3,
+                          reference_ode, time_derivative_of_H,
+                          verify_equivalence)
 from .poly import LaurentError, LaurentPoly, VarTable
 
 
@@ -120,6 +122,9 @@ def make_map(name: str, branch: int = 1,
             raise ValueError("s-auto map needs its family")
         return autonomous_map(sys)
     if name == "s-nonauto":
+        if sys is not None and sys.name != "nonautonomous3":
+            raise ValueError(f"s-nonauto is a map of nonautonomous3, "
+                             f"not of {sys.name}")
         return nonautonomous_map(branch)
     raise ValueError(f"unknown map {name!r}")
 
@@ -229,3 +234,64 @@ def jacobian_determinant(m: BirationalMap) -> LaurentPoly:
     """dQ/dq * dP/dp - dQ/dp * dP/dq; equal to 1 exactly for symplectic maps."""
     return (m.q_rule.diff("q") * m.p_rule.diff("p")
             - m.q_rule.diff("p") * m.p_rule.diff("q"))
+
+
+# -- the certificate battery ---------------------------------------------------
+
+def _flip_first_term(poly: LaurentPoly) -> LaurentPoly:
+    """poly with the sign of its first term (in exponent order) flipped."""
+    first = min(poly.terms)
+    return LaurentPoly(poly.table, {**poly.terms, first: -poly.terms[first]})
+
+
+def certificate_battery(sys: HamSystem,
+                        mutate: str | None = None) -> list[dict]:
+    """Every exact certificate the family owes, as report entries
+    ``{check, family, status[, residual]}``: the second-order form, dH/dt,
+    then invariance, unit Jacobian and group order of each symmetry map.
+
+    ``mutate`` is the vacuous-pass control: 'ode', 'hamiltonian' or 'map'
+    flips the sign of the first term of the reference second-order form, of
+    H in the equivalence check, or of each map's p-rule.
+    """
+    if mutate not in (None, "ode", "hamiltonian", "map"):
+        raise ValueError(f"unknown mutation {mutate!r}")
+    entries = []
+
+    def record(check: str, residual=(), ok: bool | None = None):
+        # PASS iff the residual polynomial (or each of a pair) is zero, or ok
+        polys = residual if isinstance(residual, tuple) else (residual,)
+        ok = all(r.is_zero() for r in polys) if ok is None else ok
+        entries.append({"check": check, "family": sys.name,
+                        "status": "PASS" if ok else "FAIL"})
+        if not ok:
+            entries[-1]["residual"] = "; ".join(r.serialize() for r in polys)
+
+    target = reference_ode(sys)
+    if mutate == "ode":
+        target = replace(target, rhs=_flip_first_term(target.rhs))
+    checked = replace(sys, H=_flip_first_term(sys.H)) \
+        if mutate == "hamiltonian" else sys
+    record("second-order form equivalence", verify_equivalence(checked, target))
+    dH = time_derivative_of_H(sys)
+    if sys.autonomous:
+        record("dH/dt = 0 (first integral)", dH)
+        maps = [("s-auto", autonomous_map(sys))]
+        order, order_note = 2, ""
+    else:
+        v = lambda name, e=1: LaurentPoly.var(sys.table, name, e)
+        record("dH/dt = q^3*p + a2*q^2 (not conserved)",
+               dH - (v("q", 3) * v("p") + v("a2") * v("q", 2)))
+        maps = [("s-nonauto[z]", nonautonomous_map(1)),
+                ("s-nonauto[z^7]", nonautonomous_map(7))]
+        order, order_note = 8, " (s^8 = identity)"
+    for label, m in maps:
+        if mutate == "map":
+            m = replace(m, p_rule=_flip_first_term(m.p_rule))
+        record(f"invariance under {label}", verify_invariance(m, sys))
+        record(f"unit Jacobian of {label}",
+               jacobian_determinant(m) - LaurentPoly.const(sys.table, 1))
+        # map_order is the least k with m^k = id: no lower power is the id
+        record(f"{label} order = {order}{order_note}",
+               ok=map_order(m, order + 2) == order)
+    return entries

@@ -5,8 +5,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
 import numpy as np
+import pytest
 
-from hamfam.cyclo import CycloRat
 from hamfam.hamiltonian import (HamSystem, SecondOrderODE, make_autonomous5,
                                 make_general_n, make_nonautonomous3,
                                 reference_ode, time_derivative_of_H,
@@ -15,12 +15,14 @@ from hamfam.integrate import (NumericParams, CompiledPoly,
                               check_symmetry_on_trajectory, integrate,
                               richardson_order)
 from hamfam.poly import LaurentPoly
-from hamfam.symmetry import (BirationalMap, autonomous_map, iterate_map,
-                             jacobian_determinant, map_order,
+from hamfam.symmetry import (BirationalMap, autonomous_map,
+                             certificate_battery, iterate_map,
                              nonautonomous_map, pushforward_H,
                              verify_invariance)
 
 N_RANGE = range(2, 9)
+AUTONOMOUS = ["autonomous5"] + [f"general:{n}" for n in N_RANGE]
+NONAUTO_MAPS = ("s-nonauto[z]", "s-nonauto[z^7]")
 
 
 def _report(num, label, ok):
@@ -34,28 +36,57 @@ def _residual_zero(res):
     return res.is_zero()
 
 
-def test_criterion_1_exact_equivalence():
+@pytest.fixture(scope="module")
+def batteries():
+    """The certificate battery (the one ``hamfam verify`` runs) by family."""
     systems = [make_autonomous5(), make_nonautonomous3()]
     systems += [make_general_n(n) for n in N_RANGE]
-    ok = all(verify_equivalence(s, reference_ode(s)).is_zero()
-             for s in systems)
+    return {s.name: certificate_battery(s) for s in systems}
+
+
+def _passed(batteries, family, check):
+    """The family's battery holds ``check`` exactly once, and it passed."""
+    return [e["status"] for e in batteries[family]
+            if e["check"] == check] == ["PASS"]
+
+
+def test_battery_check_names(batteries):
+    # criteria 1-4 read their verdicts from the battery, so it must keep
+    # every certificate they need, under these names and in this order
+    auto = ["second-order form equivalence", "dH/dt = 0 (first integral)",
+            "invariance under s-auto", "unit Jacobian of s-auto",
+            "s-auto order = 2"]
+    nonauto = ["second-order form equivalence",
+               "dH/dt = q^3*p + a2*q^2 (not conserved)"]
+    for label in NONAUTO_MAPS:
+        nonauto += [f"invariance under {label}", f"unit Jacobian of {label}",
+                    f"{label} order = 8 (s^8 = identity)"]
+    expected = {**{name: auto for name in AUTONOMOUS},
+                "nonautonomous3": nonauto}
+    assert {name: [e["check"] for e in entries]
+            for name, entries in batteries.items()} == expected
+    assert all(e["family"] == name for name, entries in batteries.items()
+               for e in entries)
+
+
+def test_criterion_1_exact_equivalence(batteries):
+    ok = len(batteries) == 9 and all(
+        _passed(batteries, name, "second-order form equivalence")
+        for name in batteries)
     _report(1, "exact ODE/Hamiltonian equivalence certificates "
                "(autonomous5, nonautonomous3, general n=2..8)", ok)
 
 
-def test_criterion_2_first_integrals():
-    ok = time_derivative_of_H(make_autonomous5()).is_zero()
-    ok = ok and all(time_derivative_of_H(make_general_n(n)).is_zero()
-                    for n in N_RANGE)
-    na = make_nonautonomous3()
-    expected = (LaurentPoly.var(na.table, "q", 3) * LaurentPoly.var(na.table, "p")
-                + LaurentPoly.var(na.table, "a2") * LaurentPoly.var(na.table, "q", 2))
-    ok = ok and time_derivative_of_H(na) == expected
+def test_criterion_2_first_integrals(batteries):
+    ok = all(_passed(batteries, name, "dH/dt = 0 (first integral)")
+             for name in AUTONOMOUS)
+    ok = ok and _passed(batteries, "nonautonomous3",
+                        "dH/dt = q^3*p + a2*q^2 (not conserved)")
     _report(2, "exact first-integral certificates; non-autonomous "
                "dH/dt = q^3*p + a2*q^2 exactly", ok)
 
 
-def test_criterion_3_symmetry_certificates():
+def test_criterion_3_symmetry_certificates(batteries):
     ok = True
     for n in N_RANGE:
         sys = make_general_n(n)
@@ -69,27 +100,24 @@ def test_criterion_3_symmetry_certificates():
             inner = inner - (LaurentPoly.var(sys.table, f"e{i}")
                              * LaurentPoly.var(sys.table, "q", n - 1 - i))
         ok = ok and pushed == inner * LaurentPoly.var(sys.table, "p")
-        ok = ok and verify_invariance(m, sys).is_zero()
-        ok = ok and jacobian_determinant(m) == LaurentPoly.const(sys.table, 1)
-    a5 = make_autonomous5()
-    ok = ok and verify_invariance(autonomous_map(a5), a5).is_zero()
-    na = make_nonautonomous3()
-    for branch in (1, 7):
-        m = nonautonomous_map(branch)
-        ok = ok and _residual_zero(verify_invariance(m, na))
-        ok = ok and jacobian_determinant(m) == LaurentPoly.const(m.table, 1)
+    maps = [(name, "s-auto") for name in AUTONOMOUS]
+    maps += [("nonautonomous3", label) for label in NONAUTO_MAPS]
+    for name, label in maps:
+        ok = ok and _passed(batteries, name, f"invariance under {label}")
+        ok = ok and _passed(batteries, name, f"unit Jacobian of {label}")
     _report(3, "pushforward proof chain n=2..8; zero invariance residuals; "
                "unit Jacobians for both maps", ok)
 
 
-def test_criterion_4_group_orders():
-    ok = True
-    for n in N_RANGE:
-        ok = ok and map_order(autonomous_map(make_general_n(n)), 4) == 2
-    ok = ok and map_order(autonomous_map(make_autonomous5()), 4) == 2
+def test_criterion_4_group_orders(batteries):
+    ok = all(_passed(batteries, name, "s-auto order = 2")
+             for name in AUTONOMOUS)
+    for label in NONAUTO_MAPS:
+        ok = ok and _passed(batteries, "nonautonomous3",
+                            f"{label} order = 8 (s^8 = identity)")
+    # independent of map_order: no proper power tried here is the identity
     for branch in (1, 7):
         m = nonautonomous_map(branch)
-        ok = ok and map_order(m, 10) == 8
         for k in (1, 2, 4):
             ok = ok and not iterate_map(m, k).is_identity()
     _report(4, "autonomous map is an involution; non-autonomous map has "

@@ -74,6 +74,12 @@ class TestVerify:
     def test_n_out_of_range(self, capsys):
         assert run(["verify", "--family", "general", "--n", "99"]) == 2
 
+    def test_empty_n_range(self, capsys):
+        # an empty range would otherwise report all_pass over no checks
+        assert run(["verify", "--family", "general", "--n", "5..3"]) == 2
+        captured = capsys.readouterr()
+        assert "empty n range" in captured.err and captured.out == ""
+
     def test_report_written(self, tmp_path):
         report = tmp_path / "verify.json"
         assert run(["verify", "--family", "autonomous5",
@@ -121,6 +127,11 @@ class TestIntegrate:
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1", "--t1", "0.01"]) == 2
 
+    def test_unknown_param(self, capsys):
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1,zz=3", "--t1", "0.01"]) == 2
+        assert "unknown ['zz']" in capsys.readouterr().err
+
     def test_immediate_singularity(self):
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1,e1=1,e2=1", "--q0", "1e-12",
@@ -157,6 +168,36 @@ class TestSymmetry:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["trajectory_residual"] <= 1e-5
+        assert doc["trajectory_termination"] == "completed"
+        assert doc["trajectory_samples"] == 51
+
+    def test_vacuous_trajectory_check_fails(self, tmp_path, capsys):
+        # the run overflows before a third sample, so no central difference
+        # exists: the check must not read as a zero residual
+        report = tmp_path / "sym.json"
+        rc = run(["symmetry", "--family", "autonomous5", "--map", "s-auto",
+                  "--params", "a=1,e1=1,e2=1", "--q0", "100", "--p0", "1",
+                  "--t1", "0.05", "--check-trajectory", "--out", str(report)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "trajectory check not run" in out and "overflow" in out
+        assert "trajectory residual" not in out
+        doc = json.loads(report.read_text())
+        assert doc["trajectory_residual"] is None
+        assert doc["trajectory_termination"] == "overflow"
+        assert doc["trajectory_samples"] < 3
+
+    def test_missing_params(self, capsys):
+        assert run(["symmetry", "--family", "autonomous5", "--map", "s-auto",
+                    "--params", "a=1"]) == 2
+        assert "unbound ['e1', 'e2']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--check-trajectory"]])
+    def test_map_of_other_family(self, extra, capsys):
+        assert run(["symmetry", "--family", "autonomous5",
+                    "--map", "s-nonauto", "--params", "a=1,e1=1,e2=1",
+                    *extra]) == 2
+        assert "map of nonautonomous3" in capsys.readouterr().err
 
     def test_singular_point_rejected(self):
         assert run(["symmetry", "--family", "nonautonomous3",

@@ -76,6 +76,11 @@ class TestCompileField:
         with pytest.raises(ValueError):
             compile_field(A5, NumericParams("autonomous5", {"a": 1}, 5))
 
+    def test_unknown_parameter(self):
+        values = {"a": 1, "e1": 1, "e2": 1, "zz": 3}
+        with pytest.raises(ValueError, match="unknown \\['zz'\\]"):
+            NumericParams("autonomous5", values, 5).check_complete(A5)
+
     def test_eta_zero_warns(self):
         with pytest.warns(UserWarning):
             NumericParams("autonomous5", {"a": 1, "e1": 0, "e2": 1}, 5)

@@ -2,12 +2,13 @@ import pytest
 
 from hamfam.cyclo import CycloRat, ZETA
 from hamfam.hamiltonian import (make_autonomous5, make_general_n,
-                                make_nonautonomous3)
+                                make_nonautonomous3, make_system)
 from hamfam.poly import LaurentPoly
-from hamfam.symmetry import (BirationalMap, autonomous_map, compose,
-                             identity_map, iterate_map, jacobian_determinant,
-                             make_map, map_order, nonautonomous_map,
-                             pushforward_H, resolve_inverse, verify_invariance)
+from hamfam.symmetry import (BirationalMap, autonomous_map,
+                             certificate_battery, compose, identity_map,
+                             iterate_map, jacobian_determinant, make_map,
+                             map_order, nonautonomous_map, pushforward_H,
+                             resolve_inverse, verify_invariance)
 
 N_RANGE = range(2, 9)
 
@@ -167,5 +168,38 @@ def test_make_map_dispatch():
     sys = make_autonomous5()
     assert make_map("s-auto:5", sys=sys).name == "s-auto:5"
     assert make_map("s-nonauto", branch=7).name == "s-nonauto(branch=7)"
+    assert make_map("s-nonauto", branch=7,
+                    sys=make_nonautonomous3()).name == "s-nonauto(branch=7)"
     with pytest.raises(ValueError):
         make_map("nope")
+    with pytest.raises(ValueError, match="map of nonautonomous3"):
+        make_map("s-nonauto", sys=sys)
+
+
+class TestCertificateBattery:
+    FAMILIES = ("autonomous5", "nonautonomous3", "general:4")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_all_pass(self, family):
+        entries = certificate_battery(make_system(family))
+        assert entries and all(e == {"check": e["check"], "family": family,
+                                     "status": "PASS"} for e in entries)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("mutate,broken", [
+        ("ode", "second-order form equivalence"),
+        ("hamiltonian", "second-order form equivalence"),
+        ("map", "invariance under s-")])
+    def test_mutation_fails_its_certificate(self, family, mutate, broken):
+        # each control breaks the certificate it targets, with a nonzero
+        # residual, and leaves every other certificate passing
+        entries = certificate_battery(make_system(family), mutate)
+        failed = [e for e in entries if e["status"] == "FAIL"]
+        assert failed and all(e["check"].startswith(broken) for e in failed)
+        assert all(e["residual"] not in ("", "0") for e in failed)
+        assert len(failed) == sum(e["check"].startswith(broken)
+                                  for e in entries)
+
+    def test_unknown_mutation(self):
+        with pytest.raises(ValueError, match="unknown mutation"):
+            certificate_battery(make_autonomous5(), "typo")
