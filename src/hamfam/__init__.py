@@ -2,7 +2,7 @@
 ODE families with birational symplectic symmetries."""
 
 from .cyclo import CycloRat, ZETA, fourth_root_of_minus_one
-from .poly import DegreeCapError, LaurentError, LaurentPoly, VarTable
+from .poly import LaurentError, LaurentPoly, VarTable
 from .hamiltonian import (HamSystem, SecondOrderODE, eliminate_momentum,
                           hamilton_equations, make_autonomous5,
                           make_general_n, make_nonautonomous3, make_system,

@@ -23,7 +23,7 @@ import sys
 import time
 
 from .hamiltonian import make_system
-from .integrate import (NumericParams, SingularityError,
+from .integrate import (SINGULARITY_FLOOR, NumericParams, SingularityError,
                         check_symmetry_on_trajectory, integrate,
                         richardson_order, write_trajectory_csv)
 from .symmetry import certificate_battery, make_map
@@ -78,6 +78,8 @@ def cmd_verify(args) -> int:
             if not 2 <= n <= 16:
                 raise UsageError(f"n = {n} outside the supported range 2..16")
             families.append(make_system("general", n))
+    elif args.n:
+        raise UsageError("--n applies only to --family general")
     else:
         families.append(make_system(args.family))
 
@@ -136,7 +138,7 @@ def cmd_integrate(args) -> int:
 def cmd_symmetry(args) -> int:
     sys_ = make_system(args.family, args.n_int)
     m = make_map(args.map, args.branch, sys_)
-    if abs(args.q0) < 1e-8:
+    if abs(args.q0) < SINGULARITY_FLOOR:
         raise UsageError("q0 inside the singularity floor: the map divides by q")
     params = NumericParams(sys_.name, parse_params(args.params), sys_.n)
     params.check_complete(sys_)

@@ -22,10 +22,6 @@ from .poly import LaurentPoly, LaurentError, VarTable
 COORD_VARS = ("q", "p", "qdot", "t")
 
 
-def _table(params: tuple[str, ...]) -> VarTable:
-    return VarTable(COORD_VARS + params, laurent=("q",))
-
-
 @dataclass(frozen=True)
 class HamSystem:
     """A Hamiltonian plus its variable roles and family metadata."""
@@ -63,7 +59,7 @@ class SecondOrderODE:
 def make_autonomous5() -> HamSystem:
     """H = (q^5 p + a q^4 + e1 q^3 + e2) p."""
     params = ("a", "e1", "e2")
-    tbl = _table(params)
+    tbl = VarTable(COORD_VARS + params)
     v = lambda n, e=1: LaurentPoly.var(tbl, n, e)
     inner = (v("q", 5) * v("p") + v("a") * v("q", 4)
              + v("e1") * v("q", 3) + v("e2"))
@@ -76,7 +72,7 @@ def make_general_n(n: int) -> HamSystem:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     params = ("a",) + tuple(f"e{i}" for i in range(1, n))
-    tbl = _table(params)
+    tbl = VarTable(COORD_VARS + params)
     v = lambda name, e=1: LaurentPoly.var(tbl, name, e)
     inner = v("q", n) * v("p") + v("a") * v("q", n - 1)
     for i in range(1, n):
@@ -88,7 +84,7 @@ def make_general_n(n: int) -> HamSystem:
 def make_nonautonomous3() -> HamSystem:
     """H = (q^5 p + (a1+1) q^4 + t q^3 + 1) p + a3 q^3 + a2 t q^2."""
     params = ("a1", "a2", "a3")
-    tbl = _table(params)
+    tbl = VarTable(COORD_VARS + params)
     v = lambda name, e=1: LaurentPoly.var(tbl, name, e)
     one = LaurentPoly.const(tbl, 1)
     inner = (v("q", 5) * v("p") + (v("a1") + one) * v("q", 4)
@@ -166,7 +162,7 @@ def time_derivative_of_H(sys: HamSystem) -> LaurentPoly:
 def autonomous5_reference_ode() -> SecondOrderODE:
     """qddot = (5/2q)(qdot+e2)(qdot-e2)
              + (q^2/2)(3 a^2 q^5 + 4 a e1 q^4 + e1^2 q^3 - 2 a e2 q - 4 e1 e2)."""
-    tbl = _table(("a", "e1", "e2"))
+    tbl = VarTable(COORD_VARS + ("a", "e1", "e2"))
     v = lambda name, e=1: LaurentPoly.var(tbl, name, e)
     half = Fraction(1, 2)
     rhs = (v("q", -1) * Fraction(5, 2)) * (v("qdot") + v("e2")) * (v("qdot") - v("e2"))
@@ -188,7 +184,7 @@ def general_reference_ode(n: int) -> SecondOrderODE:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    tbl = _table(("a",) + tuple(f"e{i}" for i in range(1, n)))
+    tbl = VarTable(COORD_VARS + ("a",) + tuple(f"e{i}" for i in range(1, n)))
     v = lambda name, e=1: LaurentPoly.var(tbl, name, e)
     en1 = v(f"e{n - 1}")
     A = v("a") * v("q", n - 1)
@@ -211,7 +207,7 @@ def general_reference_ode(n: int) -> SecondOrderODE:
 def nonautonomous3_reference_ode() -> SecondOrderODE:
     """qddot = (5/2q)(qdot+1)(qdot-1) + (3/2)(a1^2+2a1-4a3+1)q^7
              + 2(a1-2a2+1)t q^6 + (t^2/2)q^5 - a1 q^3 - 2t q^2."""
-    tbl = _table(("a1", "a2", "a3"))
+    tbl = VarTable(COORD_VARS + ("a1", "a2", "a3"))
     v = lambda name, e=1: LaurentPoly.var(tbl, name, e)
     one = LaurentPoly.const(tbl, 1)
     rhs = (v("q", -1) * Fraction(5, 2)) * (v("qdot") + one) * (v("qdot") - one)

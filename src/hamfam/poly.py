@@ -1,8 +1,11 @@
 """Sparse multivariate Laurent polynomials over Q(z8).
 
-Exponents are dense integer tuples indexed by a fixed variable table.  Only
-variables declared Laurent-capable (by default just ``q``) may carry negative
-exponents; every transformation in this package divides only by powers of q.
+Exponents are dense integer tuples indexed by a fixed variable table.  Only q
+may carry negative exponents; every transformation in this package divides
+only by powers of q.  Terms are checked where they enter from outside (the
+constructor, ``var``, ``const``) and where ``unit_inverse`` negates
+exponents; every other ring result is built from checked terms and is taken
+as it is.
 """
 
 from __future__ import annotations
@@ -14,30 +17,21 @@ from .cyclo import CycloRat, ONE, ZERO
 
 Coeff = Union[int, Fraction, CycloRat]
 
-DEFAULT_DEGREE_CAP = 64
-
-
-class DegreeCapError(ArithmeticError):
-    """Total degree of a term exceeded the table's cap (runaway expression)."""
-
 
 class LaurentError(ValueError):
     """Illegal negative exponent or impossible substitution/division."""
 
 
 class VarTable:
-    """Ordered variable names; marks which slots admit negative exponents."""
+    """Ordered variable names."""
 
-    __slots__ = ("names", "_index", "laurent", "degree_cap")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names: Iterable[str], laurent: Iterable[str] = ("q",),
-                 degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         self._index = {n: i for i, n in enumerate(self.names)}
-        self.laurent = frozenset(self._index[n] for n in laurent if n in self._index)
-        self.degree_cap = degree_cap
 
     def index(self, name: str) -> int:
         try:
@@ -65,6 +59,23 @@ def _as_cyclo(c: Coeff) -> CycloRat:
     return c if isinstance(c, CycloRat) else CycloRat(c)
 
 
+def _accumulate(pairs: Iterable[tuple[tuple, CycloRat]],
+                terms: dict | None = None) -> dict:
+    """Add the (exponents, nonzero coefficient) pairs into ``terms`` (a new
+    dict by default) and drop every term that cancels; returns the dict."""
+    if terms is None:
+        terms = {}
+    for exps, c in pairs:
+        s = terms.get(exps)
+        if s is not None:
+            c = s + c
+            if c.is_zero():
+                del terms[exps]
+                continue
+        terms[exps] = c
+    return terms
+
+
 class LaurentPoly:
     """Immutable sparse polynomial: map from exponent tuple to CycloRat."""
 
@@ -78,23 +89,24 @@ class LaurentPoly:
                 coeff = _as_cyclo(coeff)
                 if coeff.is_zero():
                     continue
-                self._check_exps(table, exps)
+                if len(exps) != len(table):
+                    raise LaurentError(f"exponent tuple of length "
+                                       f"{len(exps)} for {table}")
+                for name, e in zip(table.names, exps):
+                    if e < 0 and name != "q":
+                        raise LaurentError(
+                            f"negative exponent of {name!r} is not allowed")
                 clean[tuple(exps)] = coeff
         self.terms = clean
 
-    @staticmethod
-    def _check_exps(table: VarTable, exps: tuple):
-        if len(exps) != len(table):
-            raise LaurentError(f"exponent tuple of length {len(exps)} for {table}")
-        total = 0
-        for i, e in enumerate(exps):
-            if e < 0 and i not in table.laurent:
-                raise LaurentError(
-                    f"negative exponent of {table.names[i]!r} is not allowed")
-            total += abs(e)
-        if total > table.degree_cap:
-            raise DegreeCapError(
-                f"term degree {total} exceeds cap {table.degree_cap}")
+    @classmethod
+    def _trusted(cls, table: VarTable, terms: dict) -> "LaurentPoly":
+        """Wrap a dict of checked exponent tuples and nonzero CycloRat
+        coefficients as it is, without copying or checking it."""
+        new = object.__new__(cls)
+        new.table = table
+        new.terms = terms
+        return new
 
     # -- constructors ----------------------------------------------------
 
@@ -113,14 +125,6 @@ class LaurentPoly:
         exps[table.index(name)] = exp
         return cls(table, {tuple(exps): _as_cyclo(coeff)})
 
-    @classmethod
-    def monomial(cls, table: VarTable, exps: Mapping[str, int],
-                 coeff: Coeff = 1) -> "LaurentPoly":
-        vec = [0] * len(table)
-        for name, e in exps.items():
-            vec[table.index(name)] = e
-        return cls(table, {tuple(vec): _as_cyclo(coeff)})
-
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             if other.table != self.table:
@@ -134,14 +138,8 @@ class LaurentPoly:
 
     def __add__(self, other):
         o = self._coerce(other)
-        terms = dict(self.terms)
-        for exps, c in o.terms.items():
-            s = terms.get(exps, ZERO) + c
-            if s.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        return LaurentPoly(self.table, terms)
+        return LaurentPoly._trusted(
+            self.table, _accumulate(o.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -152,26 +150,21 @@ class LaurentPoly:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloRat)):
             c = _as_cyclo(other)
             if c.is_zero():
                 return LaurentPoly.zero(self.table)
-            return LaurentPoly(self.table,
-                               {e: k * c for e, k in self.terms.items()})
+            # Q(z8) is a field: no product of nonzero coefficients vanishes
+            return LaurentPoly._trusted(
+                self.table, {e: k * c for e, k in self.terms.items()})
         o = self._coerce(other)
-        terms: dict[tuple, CycloRat] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exps, ZERO) + c1 * c2
-                if s.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = s
-        return LaurentPoly(self.table, terms)
+        return LaurentPoly._trusted(self.table, _accumulate(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in o.terms.items()))
 
     __rmul__ = __mul__
 
@@ -200,20 +193,9 @@ class LaurentPoly:
     def diff(self, name: str) -> "LaurentPoly":
         """Formal partial derivative; d(x^k)/dx = k*x^(k-1) for any integer k."""
         i = self.table.index(name)
-        terms: dict[tuple, CycloRat] = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            new = list(exps)
-            new[i] = k - 1
-            exps2 = tuple(new)
-            s = terms.get(exps2, ZERO) + c * k
-            if s.is_zero():
-                terms.pop(exps2, None)
-            else:
-                terms[exps2] = s
-        return LaurentPoly(self.table, terms)
+        return LaurentPoly._trusted(self.table, _accumulate(
+            (exps[:i] + (exps[i] - 1,) + exps[i + 1:], c * exps[i])
+            for exps, c in self.terms.items() if exps[i]))
 
     def substitute(self, bindings: Mapping[str, "LaurentPoly | Coeff"]) -> "LaurentPoly":
         """Simultaneous substitution, fully expanded.
@@ -224,10 +206,8 @@ class LaurentPoly:
         """
         if not bindings:
             return self
-        bound: dict[int, LaurentPoly] = {}
-        for name, value in bindings.items():
-            idx = self.table.index(name)
-            bound[idx] = self._coerce(value)
+        bound = {self.table.index(name): self._coerce(value)
+                 for name, value in bindings.items()}
         power_cache: dict[tuple[int, int], LaurentPoly] = {}
 
         def powered(idx: int, e: int) -> LaurentPoly:
@@ -241,10 +221,11 @@ class LaurentPoly:
                         f"division by a non-monomial") from exc
             return power_cache[key]
 
-        result = LaurentPoly.zero(self.table)
+        unit = (0,) * len(self.table)
+        terms: dict[tuple, CycloRat] = {}
         for exps, coeff in self.terms.items():
             residual = [0] * len(exps)
-            factor = LaurentPoly.const(self.table, coeff)
+            factor = LaurentPoly._trusted(self.table, {unit: coeff})
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
@@ -253,9 +234,10 @@ class LaurentPoly:
                 else:
                     residual[i] = e
             if any(residual):
-                factor = factor * LaurentPoly(self.table, {tuple(residual): ONE})
-            result = result + factor
-        return result
+                factor = factor * LaurentPoly._trusted(
+                    self.table, {tuple(residual): ONE})
+            _accumulate(factor.terms.items(), terms)
+        return LaurentPoly._trusted(self.table, terms)
 
     # -- numerics -----------------------------------------------------------
 
@@ -338,7 +320,7 @@ class LaurentPoly:
             k = stripped[i]
             stripped[i] = 0
             out.setdefault(k, {})[tuple(stripped)] = c
-        return {k: LaurentPoly(self.table, t) for k, t in out.items()}
+        return {k: LaurentPoly._trusted(self.table, t) for k, t in out.items()}
 
     def min_exponent(self, name: str) -> int:
         i = self.table.index(name)

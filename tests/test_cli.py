@@ -80,6 +80,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "empty n range" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("family,n", [("autonomous5", "2..4"),
+                                          ("nonautonomous3", "3")])
+    def test_n_needs_general(self, family, n, capsys):
+        # --n selects nothing outside the general family
+        assert run(["verify", "--family", family, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert "--n applies only to --family general" in captured.err
+        assert captured.out == ""
+
     def test_report_written(self, tmp_path):
         report = tmp_path / "verify.json"
         assert run(["verify", "--family", "autonomous5",

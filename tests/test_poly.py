@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hamfam.cyclo import CycloRat, ZETA
-from hamfam.poly import DegreeCapError, LaurentError, LaurentPoly, VarTable
+from hamfam.hamiltonian import make_system
+from hamfam.poly import LaurentError, LaurentPoly, VarTable
+from hamfam.symmetry import certificate_battery
 
-TBL = VarTable(("q", "p", "t", "a"), laurent=("q",))
+TBL = VarTable(("q", "p", "t", "a"))
 
 
 def v(name, exp=1, coeff=1):
@@ -47,11 +49,11 @@ class TestMul:
         assert product == (v("q", 5) * v("p", 2) + v("a") * v("q", 4) * v("p")
                            + v("q", 3) * v("p") + v("p", 2 - 1) * 2)
 
-    def test_degree_cap(self):
-        small = VarTable(("x",), laurent=(), degree_cap=8)
-        x = LaurentPoly.var(small, "x")
-        with pytest.raises(DegreeCapError):
-            (x ** 4) * (x ** 5)
+    def test_no_degree_cap(self):
+        # general:32 has terms of total degree 65; the family is certified
+        # for every n >= 2
+        entries = certificate_battery(make_system("general", 32))
+        assert [e["status"] for e in entries] == ["PASS"] * 5
 
 
 class TestDiff:
@@ -135,6 +137,17 @@ class TestInvariants:
     def test_no_negative_exponents_outside_q(self):
         with pytest.raises(LaurentError):
             LaurentPoly.var(TBL, "p", -1)
+        with pytest.raises(LaurentError):
+            LaurentPoly(TBL, {(0, -1, 0, 0): 1})
+
+    def test_wrong_length_exponents(self):
+        with pytest.raises(LaurentError):
+            LaurentPoly(TBL, {(1, 0, 0): 1})
+
+    def test_unit_inverse_checks_exponents(self):
+        # the only ring operation that negates exponents
+        with pytest.raises(LaurentError):
+            v("p") ** -1
 
     def test_zero_is_empty(self):
         assert (v("q") - v("q")).terms == {}

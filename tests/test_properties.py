@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hamfam.cyclo import CycloRat, ONE, ZETA
 from hamfam.poly import LaurentPoly, VarTable
 
-TBL = VarTable(("q", "p", "t"), laurent=("q",))
+TBL = VarTable(("q", "p", "t"))
 
 rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
                          max_denominator=6)
@@ -59,6 +59,21 @@ def test_ring_axioms(a, b, c):
 @given(polys(), polys(), st.sampled_from(("q", "p", "t")))
 def test_leibniz(a, b, var):
     assert (a * b).diff(var) == a.diff(var) * b + a * b.diff(var)
+
+
+@settings(max_examples=60)
+@given(polys(), polys(), cyclos, st.sampled_from(("q", "p", "t")))
+def test_ring_results_are_canonical(a, b, c, var):
+    # ring results skip the constructor's checks, so each must already be
+    # what the checked constructor builds from its terms, in the same order
+    inversion = LaurentPoly.var(TBL, "q", -1, coeff=-ZETA)
+    results = [a + b, a - b, -a, a * b, a * c, a.diff(var),
+               a.substitute({"q": inversion}), a.substitute({"p": b}),
+               *a.collect(var).values()]
+    for r in results:
+        assert not any(k.is_zero() for k in r.terms.values())
+        rebuilt = LaurentPoly(TBL, r.terms)
+        assert rebuilt == r and list(rebuilt.terms) == list(r.terms)
 
 
 @settings(max_examples=40)
