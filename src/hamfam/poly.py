@@ -2,7 +2,8 @@
 
 Exponents are dense integer tuples indexed by a fixed variable table.  Only q
 may carry negative exponents; every transformation in this package divides
-only by powers of q.  Terms are checked where they enter from outside (the
+only by powers of q.  Terms are checked (int exponents, the tuple length,
+negative exponents only in q) where they enter from outside (the
 constructor, ``var``, ``const``) and where ``unit_inverse`` negates
 exponents; every other ring result is built from checked terms and is taken
 as it is.
@@ -11,6 +12,7 @@ as it is.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .cyclo import CycloRat, ONE, ZERO
@@ -93,6 +95,9 @@ class LaurentPoly:
                     raise LaurentError(f"exponent tuple of length "
                                        f"{len(exps)} for {table}")
                 for name, e in zip(table.names, exps):
+                    if type(e) is not int:
+                        raise LaurentError(
+                            f"exponent {e!r} of {name!r} is not an int")
                     if e < 0 and name != "q":
                         raise LaurentError(
                             f"negative exponent of {name!r} is not allowed")
@@ -163,7 +168,7 @@ class LaurentPoly:
                 self.table, {e: k * c for e, k in self.terms.items()})
         o = self._coerce(other)
         return LaurentPoly._trusted(self.table, _accumulate(
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            (tuple(map(add, e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in o.terms.items()))
 
     __rmul__ = __mul__

@@ -74,6 +74,19 @@ class TestVerify:
     def test_n_out_of_range(self, capsys):
         assert run(["verify", "--family", "general", "--n", "99"]) == 2
 
+    def test_n_limit_passes(self, capsys):
+        assert run(["verify", "--family", "general", "--n", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "general:64" in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("n", ["65", "60..65", "1..3"])
+    def test_n_past_limit(self, n, capsys):
+        # the range is checked before any system is built or certified
+        assert run(["verify", "--family", "general", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert "outside the supported range 2..64" in captured.err
+        assert captured.out == ""
+
     def test_empty_n_range(self, capsys):
         # an empty range would otherwise report all_pass over no checks
         assert run(["verify", "--family", "general", "--n", "5..3"]) == 2

@@ -144,6 +144,16 @@ class TestInvariants:
         with pytest.raises(LaurentError):
             LaurentPoly(TBL, {(1, 0, 0): 1})
 
+    @pytest.mark.parametrize("e", [0.5, 1.0, Fraction(1, 2), True, "1"])
+    def test_constructor_rejects_non_int_exponents(self, e):
+        with pytest.raises(LaurentError, match="is not an int"):
+            LaurentPoly(TBL, {(e, 0, 0, 0): 1})
+
+    @pytest.mark.parametrize("e", [0.5, -1.0, Fraction(3, 2)])
+    def test_var_rejects_non_int_exponents(self, e):
+        with pytest.raises(LaurentError, match="is not an int"):
+            LaurentPoly.var(TBL, "q", e)
+
     def test_unit_inverse_checks_exponents(self):
         # the only ring operation that negates exponents
         with pytest.raises(LaurentError):

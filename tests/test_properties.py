@@ -1,8 +1,10 @@
-"""Property-based checks of the algebra kernel: ring axioms, Leibniz rule,
-substitution round-trips through the symmetry maps, and the evaluation
-homomorphism."""
+"""Property-based checks of the algebra kernel: CycloRat against a Fraction
+reference, ring axioms, Leibniz rule, substitution round-trips through the
+symmetry maps, and the evaluation homomorphism."""
 
+import cmath
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,104 @@ TBL = VarTable(("q", "p", "t"))
 rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
                          max_denominator=6)
 cyclos = st.builds(CycloRat, rationals, rationals, rationals, rationals)
+
+
+# -- reference: Q(z8) as 4-tuples of Fractions, z^4 = -1 ---------------------
+
+def ref_mul(a, b):
+    acc = [Fraction(0)] * 4
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            k = i + j
+            if k >= 4:
+                acc[k - 4] -= x * y
+            else:
+                acc[k] += x * y
+    return tuple(acc)
+
+
+def ref_galois(a, k):
+    acc = [Fraction(0)] * 4
+    for i, x in enumerate(a):
+        m = (i * k) % 8
+        if m >= 4:
+            acc[m - 4] -= x
+        else:
+            acc[m] += x
+    return tuple(acc)
+
+
+def ref_inverse(a):
+    conj = ref_mul(ref_mul(ref_galois(a, 3), ref_galois(a, 5)),
+                   ref_galois(a, 7))
+    norm = ref_mul(a, conj)
+    assert norm[1:] == (0, 0, 0)
+    return tuple(c / norm[0] for c in conj)
+
+
+def ref_str(a):
+    parts = []
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        if i == 0:
+            parts.append(str(x))
+        else:
+            sym = "z" if i == 1 else f"z^{i}"
+            head = sym if abs(x) == 1 else f"{abs(x)}*{sym}"
+            if not parts:
+                parts.append(head if x > 0 else "-" + head)
+            else:
+                parts.append(("+" if x > 0 else "-") + head)
+    return "".join(parts) if parts else "0"
+
+
+def ref_complex(a):
+    z = cmath.exp(1j * cmath.pi / 4)
+    return complex(a[0]) + complex(a[1]) * z \
+        + complex(a[2]) * z ** 2 + complex(a[3]) * z ** 3
+
+
+def as_fractions(x):
+    return tuple(Fraction(n, x.d) for n in x.n)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+wide = st.one_of(st.integers(-10 ** 9, 10 ** 9),
+                 st.fractions(min_value=-1000, max_value=1000,
+                              max_denominator=10 ** 6))
+wide4 = st.tuples(wide, wide, wide, wide)
+
+
+def assert_normal(x):
+    assert x.d > 0 and gcd(*x.n, x.d) == 1
+
+
+@settings(max_examples=300)
+@given(wide4, wide4, st.sampled_from((1, 3, 5, 7)))
+def test_cyclo_matches_fraction_reference(ca, cb, k):
+    a, b = CycloRat(*ca), CycloRat(*cb)
+    ra, rb = tuple(map(Fraction, ca)), tuple(map(Fraction, cb))
+    results = {"a": (a, ra), "+": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+               "-": (a - b, tuple(x - y for x, y in zip(ra, rb))),
+               "neg": (-a, tuple(-x for x in ra)), "*": (a * b, ref_mul(ra, rb)),
+               "galois": (a.galois(k), ref_galois(ra, k))}
+    if any(ra):
+        results["inverse"] = (a.inverse(), ref_inverse(ra))
+    for label, (x, r) in results.items():
+        assert as_fractions(x) == r, label
+        assert_normal(x)
+        assert str(x) == ref_str(r), label
+        assert bits(complex(x)) == bits(ref_complex(r)), label
+        assert x.is_zero() == (not any(r))
+    assert (a == b) == (ra == rb)
+    assert (a == ra[0]) == (ra[1:] == (0, 0, 0))
+    # equal values built along different paths: equal forms, equal hashes
+    for x, y in (((a + b) - b, a), (a * b, b * a), (a.galois(k).galois(k), a)):
+        assert x == y and hash(x) == hash(y) and x.n == y.n and x.d == y.d
 
 
 @st.composite
