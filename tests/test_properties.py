@@ -97,9 +97,11 @@ def assert_normal(x):
 def test_cyclo_matches_fraction_reference(ca, cb, k):
     a, b = CycloRat(*ca), CycloRat(*cb)
     ra, rb = tuple(map(Fraction, ca)), tuple(map(Fraction, cb))
-    results = {"a": (a, ra), "+": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+    results = {"a": (a, ra),
+               "+": (a + b, tuple(x + y for x, y in zip(ra, rb))),
                "-": (a - b, tuple(x - y for x, y in zip(ra, rb))),
-               "neg": (-a, tuple(-x for x in ra)), "*": (a * b, ref_mul(ra, rb)),
+               "neg": (-a, tuple(-x for x in ra)),
+               "*": (a * b, ref_mul(ra, rb)),
                "galois": (a.galois(k), ref_galois(ra, k))}
     if any(ra):
         results["inverse"] = (a.inverse(), ref_inverse(ra))
