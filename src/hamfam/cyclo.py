@@ -52,6 +52,10 @@ class CycloRat:
         if all(type(c) is int for c in cs):
             self.n, self.d = cs, 1
             return
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"CycloRat takes int or Fraction, not "
+                                f"{type(c).__name__}")
         fs = [Fraction(c) for c in cs]
         d = 1
         for f in fs:

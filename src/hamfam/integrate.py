@@ -1,7 +1,12 @@
 """Numerical integration of the complex-valued Hamilton equations.
 
-The symbolic fields are compiled once (parameters bound to complex numbers)
-and then stepped by one explicit Runge-Kutta engine driven by a Butcher
+Each symbolic field is compiled once per (system, parameter values) pair:
+the parameters are bound to complex numbers and the polynomials become one
+straight-line Python function, generated with a single ``exec``, that does
+the term-by-term operations of a plain evaluation loop in the same order, so
+every float matches that loop.  ``compile_field`` keeps the fields in a
+bounded cache keyed by the system's value and each parameter's exact bits.
+The field is stepped by one explicit Runge-Kutta engine driven by a Butcher
 tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair
 with PI step-size control.  Along the way the Hamiltonian is sampled so drift
 can be monitored: for the autonomous families H is a first integral and the drift
@@ -15,6 +20,7 @@ q = 0 is a genuine singular locus of the dynamics; integration stops cleanly
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -87,59 +93,113 @@ class Trajectory:
             if len(self.H_values) else 0.0
 
 
-class CompiledPoly:
-    """A LaurentPoly with parameters bound, reduced to (coeff, eq, ep, et) terms."""
+def _bind(poly: LaurentPoly, params: dict[str, complex]) -> list:
+    """The (c, eq, ep, et) terms of ``poly`` with its parameters bound:
+    one term per (q, p, t) exponent triple, zero coefficients left out."""
+    tbl = poly.table
+    iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
+    pidx = {tbl.index(k): complex(v) for k, v in params.items()}
+    merged: dict[tuple[int, int, int], complex] = {}
+    for exps, coeff in poly.terms.items():
+        c = complex(coeff)
+        for i, e in enumerate(exps):
+            if e and i not in (iq, ip, it):
+                if i not in pidx:
+                    raise ValueError(f"unbound parameter {tbl.names[i]!r}")
+                c *= pidx[i] ** e
+        key = (exps[iq], exps[ip], exps[it])
+        merged[key] = merged.get(key, 0j) + c
+    return [(c, eq, ep, et) for (eq, ep, et), c in merged.items() if c != 0]
 
-    __slots__ = ("spans",)
+
+# terms per generated statement: one expression of a few thousand terms
+# exceeds the compiler's recursion limit
+_TERMS_PER_LINE = 200
+
+
+def _kernel(*polys: list):
+    """One straight-line function (q, p, t) -> the value of each bound
+    polynomial (a tuple for more than one), built with a single ``exec``.
+
+    Each term is ((c*q**eq)*p**ep)*t**et with zero exponents left out, and a
+    polynomial's terms are summed left to right from 0j, so q, p and t may
+    be complex scalars or numpy arrays.  Each power is computed once, into a
+    local that every term using it reads.  The coefficients enter as
+    arguments of a factory function; the source text holds only local names
+    and the int exponents."""
+    coeffs, powers, lines = [], {}, []
+    for k, spans in enumerate(polys):
+        terms = []
+        for c, *exps in spans:
+            factors = [f"c{len(coeffs)}"]
+            coeffs.append(c)
+            for v, e in zip("qpt", exps):
+                if e:
+                    name = f"{v}{e}" if e > 0 else f"{v}m{-e}"
+                    powers[name] = f"{v}**{e}"
+                    factors.append(name)
+            terms.append("*".join(factors))
+        total = "0j"
+        for i in range(0, max(len(terms), 1), _TERMS_PER_LINE):
+            lines.append(f"s{k} = " + " + ".join(
+                [total] + terms[i:i + _TERMS_PER_LINE]))
+            total = f"s{k}"
+    lines = [f"{name} = {power}" for name, power in powers.items()] + lines
+    lines.append("return " + ", ".join(f"s{k}" for k in range(len(polys))))
+    args = ", ".join(f"c{i}" for i in range(len(coeffs)))
+    source = (f"def factory({args}):\n    def kernel(q, p, t):\n"
+              + "".join(f"        {line}\n" for line in lines)
+              + "    return kernel\n")
+    namespace = {}
+    exec(compile(source, "<hamfam kernel>", "exec"), namespace)
+    # popped, so that the kernel's globals do not hold the factory in a cycle
+    return namespace.pop("factory")(*coeffs)
+
+
+class CompiledPoly:
+    """A LaurentPoly with parameters bound, compiled to one straight-line
+    function of (q, p, t)."""
+
+    __slots__ = ("_kernel",)
 
     def __init__(self, poly: LaurentPoly, params: dict[str, complex]):
-        tbl = poly.table
-        iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
-        pidx = {tbl.index(k): complex(v) for k, v in params.items()}
-        merged: dict[tuple[int, int, int], complex] = {}
-        for exps, coeff in poly.terms.items():
-            c = complex(coeff)
-            for i, e in enumerate(exps):
-                if e and i not in (iq, ip, it):
-                    if i not in pidx:
-                        raise ValueError(
-                            f"unbound parameter {tbl.names[i]!r}")
-                    c *= pidx[i] ** e
-            key = (exps[iq], exps[ip], exps[it])
-            merged[key] = merged.get(key, 0j) + c
-        self.spans = [(c, eq, ep, et) for (eq, ep, et), c in merged.items()
-                      if c != 0]
+        self._kernel = _kernel(_bind(poly, params))
 
     def __call__(self, q: complex, p: complex, t: float | complex) -> complex:
-        total = 0j
-        for c, eq, ep, et in self.spans:
-            v = c
-            if eq:
-                v *= q ** eq
-            if ep:
-                v *= p ** ep
-            if et:
-                v *= t ** et
-            total += v
-        return total
+        return self._kernel(q, p, t)
 
 
 class CompiledField:
-    """Numeric vector field (q, p, t) -> (dq/dt, dp/dt) for one parameter set."""
+    """Numeric vector field (q, p, t) -> (dq/dt, dp/dt) for one parameter
+    set: one kernel for both components, and ``H`` for the Hamiltonian."""
 
-    def __init__(self, sys: HamSystem, params: NumericParams):
-        params.check_complete(sys)
+    __slots__ = ("_kernel", "H")
+
+    def __init__(self, sys: HamSystem, values: dict[str, complex]):
         f_q, f_p = hamilton_equations(sys)
-        self.f_q = CompiledPoly(f_q, params.values)
-        self.f_p = CompiledPoly(f_p, params.values)
-        self.H = CompiledPoly(sys.H, params.values)
+        self._kernel = _kernel(_bind(f_q, values), _bind(f_p, values))
+        self.H = _kernel(_bind(sys.H, values))
 
     def __call__(self, q: complex, p: complex, t) -> tuple[complex, complex]:
-        return self.f_q(q, p, t), self.f_p(q, p, t)
+        return self._kernel(q, p, t)
 
 
 def compile_field(sys: HamSystem, params: NumericParams) -> CompiledField:
-    return CompiledField(sys, params)
+    """The compiled field of ``sys`` at ``params``, which are checked on
+    every call.  Fields are cached by the system's value and the exact bits
+    of each parameter, so 0.0 and -0.0 never share a field."""
+    params.check_complete(sys)
+    values = {name: complex(v) for name, v in params.values.items()}
+    key = tuple((name, v.real.hex(), v.imag.hex())
+                for name, v in sorted(values.items()))
+    return _field_cache(sys, key)
+
+
+@functools.lru_cache(maxsize=32)
+def _field_cache(sys: HamSystem, key: tuple) -> CompiledField:
+    return CompiledField(sys, {name: complex(float.fromhex(re),
+                                             float.fromhex(im))
+                               for name, re, im in key})
 
 
 def _guard(t, q):
@@ -161,6 +221,13 @@ class _Tableau:
     b: tuple[float, ...]
     div: float = 1
     b_err: tuple[float, ...] | None = None
+    # per stage: its row's nonzero (j, a_j) pairs and its c
+    stages: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(
+            (tuple((j, a) for j, a in enumerate(row) if a), c)
+            for row, c in zip(self.a, self.c)))
 
 
 # classical RK4, weights over 6: the update is h/6*(k1 + 2k2 + 2k3 + k4)
@@ -185,13 +252,14 @@ def _rk_step(tab: _Tableau, q: complex, p: complex, t: float, h: float,
     """One explicit RK step: (q, p, err).  err is the RMS over q and p of
     the embedded pair's error over tol*(1 + max(|old|, |new|)), else 0."""
     kq, kp = [], []
-    for row, c in zip(tab.a, tab.c):
+    # zero a_j add nothing; RK4 then matches its textbook form
+    for pairs, c in tab.stages:
         qi, pi = q, p
-        for a, dq, dp in zip(row, kq, kp):
-            if a:  # zeros add nothing; RK4 then matches its textbook form
-                qi += h * a * dq
-                pi += h * a * dp
-        _guard(t, qi)
+        for j, a in pairs:
+            qi += h * a * kq[j]
+            pi += h * a * kp[j]
+        if not SINGULARITY_FLOOR <= abs(qi) <= OVERFLOW_GUARD:
+            _guard(t, qi)
         dq, dp = field(qi, pi, t + c * h)
         kq.append(dq)
         kp.append(dp)

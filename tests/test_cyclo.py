@@ -77,3 +77,20 @@ def test_str_forms():
     assert str(ZERO) == "0"
     assert str(CycloRat(1, -1)) == "1-z"
     assert str(CycloRat(0, 0, Fraction(1, 2))) == "1/2*z^2"
+
+
+NOT_RATIONAL = [0.1, "1/3", 1 + 2j]
+
+
+@pytest.mark.parametrize("c", NOT_RATIONAL, ids=["float", "str", "complex"])
+@pytest.mark.parametrize("slot", range(4))
+def test_rejects_non_rational_coefficients(c, slot):
+    cs = [0, 0, 0, 0]
+    cs[slot] = c
+    with pytest.raises(TypeError, match="int or Fraction"):
+        CycloRat(*cs)
+
+
+def test_accepts_what_coerce_accepts():
+    assert CycloRat(True) == ONE  # bool is an int, as in _coerce
+    assert CycloRat(Fraction(1, 3), 2).n == (1, 6, 0, 0)

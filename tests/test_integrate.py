@@ -1,16 +1,22 @@
+import dataclasses
 import math
+import struct
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from hamfam.hamiltonian import (HamSystem, hamilton_equations,
-                                make_autonomous5, make_nonautonomous3)
-from hamfam.integrate import (_FEHLBERG45, _RK4, NumericParams,
-                              SingularityError, Trajectory,
-                              check_symmetry_on_trajectory, compile_field,
-                              integrate, measure_order, richardson_order,
-                              step_rk4, write_trajectory_csv)
+from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
+                                make_autonomous5, make_general_n,
+                                make_nonautonomous3, time_derivative_of_H)
+from hamfam.integrate import (_FEHLBERG45, _RK4, CompiledPoly, NumericParams,
+                              SingularityError, Trajectory, _field_cache,
+                              _guard, _rk_step, check_symmetry_on_trajectory,
+                              compile_field, integrate, measure_order,
+                              richardson_order, step_rk4,
+                              write_trajectory_csv)
 from hamfam.poly import LaurentPoly
 from hamfam.symmetry import autonomous_map, identity_map, nonautonomous_map
 
@@ -84,6 +90,46 @@ class TestCompileField:
     def test_eta_zero_warns(self):
         with pytest.warns(UserWarning):
             NumericParams("autonomous5", {"a": 1, "e1": 0, "e2": 1}, 5)
+
+
+class TestFieldCache:
+    def test_same_system_and_values_give_the_same_field(self):
+        field = compile_field(A5, PARAMS5)
+        again = NumericParams("autonomous5",
+                              {"e2": 1.0, "a": 1 + 0j, "e1": 1}, 5)
+        assert compile_field(make_autonomous5(), again) is field
+
+    @pytest.mark.parametrize("zero", [complex(0.0, -0.0),
+                                      complex(-0.0, 0.0)],
+                             ids=["imag", "real"])
+    def test_signed_zero_gets_its_own_field(self, zero):
+        plus = NumericParams("autonomous5", {"a": 0j, "e1": 1, "e2": 1}, 5)
+        minus = NumericParams("autonomous5", {"a": zero, "e1": 1, "e2": 1}, 5)
+        assert compile_field(A5, plus) is not compile_field(A5, minus)
+
+    def test_mutated_hamiltonian_gets_its_own_field(self):
+        mutated = dataclasses.replace(A5, H=A5.H + A5.var("q"))
+        field, other = compile_field(A5, PARAMS5), compile_field(mutated,
+                                                                 PARAMS5)
+        assert other is not field
+        assert other(1 + 0j, 0j, 0.0) != field(1 + 0j, 0j, 0.0)
+
+    @pytest.mark.parametrize("values,match", [
+        ({"a": 1, "e1": 1}, "unbound \\['e2'\\]"),
+        ({"a": 1, "e1": 1, "e2": 1, "zz": 3}, "unknown \\['zz'\\]")],
+        ids=["missing", "unknown"])
+    def test_parameters_are_checked_on_every_call(self, values, match):
+        compile_field(A5, PARAMS5)  # a hit for the bound parameters
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                compile_field(A5, NumericParams("autonomous5", values, 5))
+
+    def test_size_stays_bounded(self):
+        maxsize = _field_cache.cache_info().maxsize
+        for k in range(maxsize + 5):
+            compile_field(A5, NumericParams("autonomous5",
+                                            {"a": k, "e1": 1, "e2": 1}, 5))
+        assert _field_cache.cache_info().currsize <= maxsize
 
 
 class TestStepRK4:
@@ -165,9 +211,6 @@ class TestIntegrate:
     def test_nonautonomous_dHdt_matches_symbolic(self):
         traj = integrate(NA3, PARAMS3, 1, 0, (0, 0.1), h=2.5e-4)
         assert traj.termination == "completed"
-        dHdt_sym = compile_field(NA3, PARAMS3)  # reuse compiled H pieces
-        from hamfam.hamiltonian import time_derivative_of_H
-        from hamfam.integrate import CompiledPoly
         dH = CompiledPoly(time_derivative_of_H(NA3), PARAMS3.values)
         ts, qs, ps, Hs = traj.times, traj.q, traj.p, traj.H_values
         worst = 0.0
@@ -390,3 +433,201 @@ class TestTrajectoryInvariants:
         z = np.zeros(2, dtype=complex)
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), z, z, z, "completed")
+
+
+# -- references: the per-term loop evaluator and the stage loop that the
+# generated kernels and the precomputed tableau rows replaced; both must
+# agree with them bit for bit, signed zeros included -----------------------
+
+class RefCompiledPoly:
+    """A LaurentPoly with parameters bound, reduced to (coeff, eq, ep, et)
+    terms and evaluated term by term."""
+
+    def __init__(self, poly, params):
+        tbl = poly.table
+        iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
+        pidx = {tbl.index(k): complex(v) for k, v in params.items()}
+        merged = {}
+        for exps, coeff in poly.terms.items():
+            c = complex(coeff)
+            for i, e in enumerate(exps):
+                if e and i not in (iq, ip, it):
+                    c *= pidx[i] ** e
+            key = (exps[iq], exps[ip], exps[it])
+            merged[key] = merged.get(key, 0j) + c
+        self.spans = [(c, eq, ep, et) for (eq, ep, et), c in merged.items()
+                      if c != 0]
+
+    def __call__(self, q, p, t):
+        total = 0j
+        for c, eq, ep, et in self.spans:
+            v = c
+            if eq:
+                v *= q ** eq
+            if ep:
+                v *= p ** ep
+            if et:
+                v *= t ** et
+            total += v
+        return total
+
+
+class RefField:
+    def __init__(self, sys, values):
+        f_q, f_p = hamilton_equations(sys)
+        self.f_q = RefCompiledPoly(f_q, values)
+        self.f_p = RefCompiledPoly(f_p, values)
+        self.H = RefCompiledPoly(sys.H, values)
+
+    def __call__(self, q, p, t):
+        return self.f_q(q, p, t), self.f_p(q, p, t)
+
+
+def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
+    kq, kp = [], []
+    for row, c in zip(tab.a, tab.c):
+        qi, pi = q, p
+        for a, dq, dp in zip(row, kq, kp):
+            if a:
+                qi += h * a * dq
+                pi += h * a * dp
+        _guard(t, qi)
+        dq, dp = field(qi, pi, t + c * h)
+        kq.append(dq)
+        kp.append(dp)
+    w = h / tab.div
+    qn = q + w * sum(map(mul, tab.b, kq))
+    pn = p + w * sum(map(mul, tab.b, kp))
+    if tab.b_err is None:
+        return qn, pn, 0.0
+    qe = q + w * sum(map(mul, tab.b_err, kq))
+    pe = p + w * sum(map(mul, tab.b_err, kp))
+    eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))
+    ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))
+    return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2)
+
+
+def bits(x):
+    """Bytes of a complex scalar or array; -0.0 and 0.0 differ."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    return struct.pack("<dd", x.real, x.imag)
+
+
+KERNEL_SYSTEMS = [A5, *(make_general_n(n) for n in range(2, 13)), NA3]
+zeros = st.sampled_from((0.0, -0.0))
+parts = st.one_of(zeros, st.floats(-1.5, 1.5))
+scalars = st.builds(complex, parts, parts)
+# |q| kept off 0: map rules carry negative powers of q
+nonzero = scalars.filter(lambda z: abs(z) > 0.25)
+real_axis = st.builds(complex, st.floats(0.25, 1.5) | st.floats(-1.5, -0.25),
+                      zeros)
+states = st.one_of(st.tuples(nonzero, scalars),
+                   st.tuples(real_axis, st.builds(complex, zeros, zeros)))
+times = st.one_of(zeros, st.floats(0, 1), scalars)
+
+
+def param_values(sys):
+    return st.fixed_dictionaries(dict.fromkeys(sys.params, scalars))
+
+
+def arrays(elements):
+    return st.lists(elements, min_size=5, max_size=5).map(
+        lambda zs: np.array(zs, dtype=complex))
+
+
+def assert_same(got, want):
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert bits(got) == bits(want)
+
+
+def map_rules(m):
+    return [m.q_rule, m.p_rule, m.t_rule, *m.param_rules.values()]
+
+
+# negative powers of q, parameter powers and rules free of q, p and t
+LAURENT_RULES = {"shear": map_rules(autonomous_map(A5)),
+                 "order8": map_rules(nonautonomous_map(3)),
+                 "dHdt": [time_derivative_of_H(NA3)]}
+
+
+# drawn parameters may be zero
+@pytest.mark.filterwarnings("ignore:parameter e")
+class TestKernelsMatchLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), states, times)
+    def test_scalars(self, sys, data, state, t):
+        values = data.draw(param_values(sys))
+        ref = RefField(sys, values)
+        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+        q, p = state
+        assert_same(field(q, p, t), ref(q, p, t))
+        assert_same(field.H(q, p, t), ref.H(q, p, t))
+        assert_same(CompiledPoly(sys.H, values)(q, p, t), ref.H(q, p, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), arrays(nonzero),
+           arrays(scalars), st.one_of(times, arrays(scalars)))
+    def test_arrays(self, sys, data, q, p, t):
+        values = data.draw(param_values(sys))
+        ref = RefField(sys, values)
+        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+        assert_same(field(q, p, t), ref(q, p, t))
+        assert_same(field.H(q, p, t), ref.H(q, p, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(),
+           st.one_of(states, st.tuples(arrays(nonzero), arrays(scalars))),
+           times)
+    def test_laurent_rules(self, which, data, state, t):
+        polys = LAURENT_RULES[which]
+        values = {name: data.draw(scalars) for name in polys[0].table.names
+                  if name not in COORD_VARS}
+        q, p = state
+        for poly in polys:
+            assert_same(CompiledPoly(poly, values)(q, p, t),
+                        RefCompiledPoly(poly, values)(q, p, t))
+
+    def test_longer_than_one_generated_line(self):
+        # 3000 terms, split over several generated statements
+        tbl = A5.table
+        terms = {}
+        for eq in range(-20, 80):
+            for ep in range(5):
+                for et in range(6):
+                    exps = [0] * len(tbl)
+                    exps[:4] = eq, ep, 0, et
+                    terms[tuple(exps)] = (eq + 2 * ep - et) or 1
+        poly = LaurentPoly(tbl, terms)
+        values = {"a": 1, "e1": 1, "e2": 1}
+        for q, p, t in ((1.01 - 0.02j, 0.3 + 0j, 0.5), (-1 + 0j, -0.0j, 1j)):
+            assert_same(CompiledPoly(poly, values)(q, p, t),
+                        RefCompiledPoly(poly, values)(q, p, t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([_RK4, _FEHLBERG45]),
+           st.sampled_from(KERNEL_SYSTEMS), st.data(),
+           st.one_of(states, st.tuples(st.sampled_from((1e-9 + 0j,
+                                                        5e11 + 0j)),
+                                       scalars)),
+           st.floats(0, 1), st.floats(1e-4, 1e-1),
+           st.sampled_from((1e-9, 1e-6)))
+    def test_rk_step(self, tab, sys, data, state, t, h, tol):
+        values = data.draw(param_values(sys))
+        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+        ref = RefField(sys, values)
+        q, p = state
+        try:
+            want = ref_rk_step(tab, q, p, t, h, ref, tol)
+        except (ArithmeticError, RuntimeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _rk_step(tab, q, p, t, h, field, tol)
+            assert str(got.value) == str(exc)
+            return
+        qn, pn, err = _rk_step(tab, q, p, t, h, field, tol)
+        assert_same((qn, pn), want[:2])
+        assert struct.pack("<d", err) == struct.pack("<d", want[2])

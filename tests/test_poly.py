@@ -154,6 +154,15 @@ class TestInvariants:
         with pytest.raises(LaurentError, match="is not an int"):
             LaurentPoly.var(TBL, "q", e)
 
+    @pytest.mark.parametrize("c", [0.1, "1/3", 1 + 2j],
+                             ids=["float", "str", "complex"])
+    def test_rejects_non_rational_coefficients(self, c):
+        for build in (lambda: LaurentPoly(TBL, {(1, 0, 0, 0): c}),
+                      lambda: LaurentPoly.const(TBL, c),
+                      lambda: LaurentPoly.var(TBL, "q", coeff=c)):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                build()
+
     def test_unit_inverse_checks_exponents(self):
         # the only ring operation that negates exponents
         with pytest.raises(LaurentError):
