@@ -136,7 +136,9 @@ def cmd_integrate(args) -> int:
           f"steps: {summary['steps']}  drift: {summary['drift']:.3e}")
     if "measured_order" in summary:
         print(f"measured order: {summary['measured_order']:.3f}")
-    _emit(summary, args.summary_out)
+    _emit(summary, args.summary_out, steps_attempted=traj.steps_attempted,
+          steps_rejected=traj.steps_rejected, field_evals=traj.field_evals,
+          min_step=traj.min_step)
     return 0
 
 
@@ -186,10 +188,13 @@ def _cstr(z) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
-def _emit(payload: dict, path: str | None):
+def _emit(payload: dict, path: str | None, **metadata):
+    """Write ``payload`` as JSON with a metadata block: the time, plus
+    ``metadata``, which is outside the compared payload."""
     doc = dict(payload)
     doc["metadata"] = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                     time.gmtime())}
+                                                     time.gmtime()),
+                       **metadata}
     if path:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

@@ -8,10 +8,14 @@ every float matches that loop.  ``compile_field`` keeps the fields in a
 bounded cache keyed by the system's value and each parameter's exact bits.
 The field is stepped by one explicit Runge-Kutta engine driven by a Butcher
 tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair
-with PI step-size control.  Along the way the Hamiltonian is sampled so drift
-can be monitored: for the autonomous families H is a first integral and the drift
-is a direct error measure; for the non-autonomous family dH/dt = q^3 p + a2 q^2
-is nonzero and is checked against finite differences instead.
+with PI step-size control.  Each tableau's step is generated the same way,
+once, as one straight-line function with its stages unrolled and the same
+operations in the same order as a stage loop.  Along the way the Hamiltonian
+is sampled so drift can be monitored: for the autonomous families H is a
+first integral and the drift is a direct error measure; for the
+non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
+against finite differences instead.  Map rules checked on a trajectory are
+compiled once per (rules, parameter bits) pair, like the fields.
 
 q = 0 is a genuine singular locus of the dynamics; integration stops cleanly
 (never NaN-propagates) when a trajectory approaches it or blows up.
@@ -24,9 +28,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import mul
-
-import numpy as np
 
 from .hamiltonian import HamSystem, hamilton_equations
 from .poly import LaurentPoly
@@ -74,16 +75,26 @@ class NumericParams:
 
 @dataclass
 class Trajectory:
-    """Time grid with complex (q, p) samples and conservation diagnostics."""
+    """Time grid with complex (q, p) samples and conservation diagnostics.
+
+    The run statistics (steps attempted and rejected, field evaluations of
+    the attempts that returned, the smallest accepted step, None if no step
+    was accepted) describe how the samples were made and take no part in
+    comparisons."""
 
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
     H_values: np.ndarray
     termination: str  # completed | singularity | overflow | step-underflow
+    steps_attempted: int = field(default=0, compare=False)
+    steps_rejected: int = field(default=0, compare=False)
+    field_evals: int = field(default=0, compare=False)
+    min_step: float | None = field(default=None, compare=False)
     drift: float = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
         if not (len(self.times) == len(self.q) == len(self.p)
                 == len(self.H_values)):
             raise ValueError("sample arrays must have equal length")
@@ -117,22 +128,35 @@ def _bind(poly: LaurentPoly, params: dict[str, complex]) -> list:
 _TERMS_PER_LINE = 200
 
 
+def _generate(signature: str, lines: list[str], args: dict):
+    """The function ``def fn{signature}`` with body ``lines``, built with a
+    single ``exec``.  The values in ``args`` enter as arguments of a factory
+    function that ``fn`` closes over, so the source text holds only names."""
+    source = (f"def factory({', '.join(args)}):\n    def fn{signature}:\n"
+              + "".join(f"        {line}\n" for line in lines)
+              + "    return fn\n")
+    namespace = {}
+    exec(compile(source, "<hamfam generated>", "exec"), namespace)
+    # popped, so that the function's globals do not hold the factory in a
+    # cycle
+    return namespace.pop("factory")(**args)
+
+
 def _kernel(*polys: list):
     """One straight-line function (q, p, t) -> the value of each bound
-    polynomial (a tuple for more than one), built with a single ``exec``.
+    polynomial (a tuple for more than one).
 
     Each term is ((c*q**eq)*p**ep)*t**et with zero exponents left out, and a
     polynomial's terms are summed left to right from 0j, so q, p and t may
     be complex scalars or numpy arrays.  Each power is computed once, into a
-    local that every term using it reads.  The coefficients enter as
-    arguments of a factory function; the source text holds only local names
-    and the int exponents."""
-    coeffs, powers, lines = [], {}, []
+    local that every term using it reads.  The source text holds only local
+    names and the int exponents."""
+    coeffs, powers, lines = {}, {}, []
     for k, spans in enumerate(polys):
         terms = []
         for c, *exps in spans:
             factors = [f"c{len(coeffs)}"]
-            coeffs.append(c)
+            coeffs[factors[0]] = c
             for v, e in zip("qpt", exps):
                 if e:
                     name = f"{v}{e}" if e > 0 else f"{v}m{-e}"
@@ -146,14 +170,7 @@ def _kernel(*polys: list):
             total = f"s{k}"
     lines = [f"{name} = {power}" for name, power in powers.items()] + lines
     lines.append("return " + ", ".join(f"s{k}" for k in range(len(polys))))
-    args = ", ".join(f"c{i}" for i in range(len(coeffs)))
-    source = (f"def factory({args}):\n    def kernel(q, p, t):\n"
-              + "".join(f"        {line}\n" for line in lines)
-              + "    return kernel\n")
-    namespace = {}
-    exec(compile(source, "<hamfam kernel>", "exec"), namespace)
-    # popped, so that the kernel's globals do not hold the factory in a cycle
-    return namespace.pop("factory")(*coeffs)
+    return _generate("(q, p, t)", lines, coeffs)
 
 
 class CompiledPoly:
@@ -184,22 +201,42 @@ class CompiledField:
         return self._kernel(q, p, t)
 
 
+def _bits(values: dict) -> tuple:
+    """(name, real bits, imaginary bits) of each value, in name order: a
+    cache key in which 0.0 and -0.0 differ."""
+    return tuple((name, z.real.hex(), z.imag.hex())
+                 for name, z in sorted((name, complex(v))
+                                       for name, v in values.items()))
+
+
+def _unbits(key: tuple) -> dict[str, complex]:
+    return {name: complex(float.fromhex(re), float.fromhex(im))
+            for name, re, im in key}
+
+
 def compile_field(sys: HamSystem, params: NumericParams) -> CompiledField:
     """The compiled field of ``sys`` at ``params``, which are checked on
     every call.  Fields are cached by the system's value and the exact bits
     of each parameter, so 0.0 and -0.0 never share a field."""
     params.check_complete(sys)
-    values = {name: complex(v) for name, v in params.values.items()}
-    key = tuple((name, v.real.hex(), v.imag.hex())
-                for name, v in sorted(values.items()))
-    return _field_cache(sys, key)
+    return _field_cache(sys, _bits(params.values))
 
 
 @functools.lru_cache(maxsize=32)
 def _field_cache(sys: HamSystem, key: tuple) -> CompiledField:
-    return CompiledField(sys, {name: complex(float.fromhex(re),
-                                             float.fromhex(im))
-                               for name, re, im in key})
+    return CompiledField(sys, _unbits(key))
+
+
+@functools.lru_cache(maxsize=32)
+def _map_cache(rules: tuple, key: tuple):
+    """A map's rules (q, p, t, ((name, rule), ...)) compiled at the
+    parameters of ``key``: the mapped parameter values, as (name, value)
+    pairs, and one kernel (q, p, t) -> (Q, P, T)."""
+    values = _unbits(key)
+    *coords, param_rules = rules
+    mapped = tuple((name, CompiledPoly(rule, values)(0, 0, 0))
+                   for name, rule in param_rules)
+    return mapped, _kernel(*(_bind(rule, values) for rule in coords))
 
 
 def _guard(t, q):
@@ -221,13 +258,53 @@ class _Tableau:
     b: tuple[float, ...]
     div: float = 1
     b_err: tuple[float, ...] | None = None
-    # per stage: its row's nonzero (j, a_j) pairs and its c
-    stages: tuple = field(init=False, repr=False, compare=False)
+    # step(q, p, t, h, f, tol) -> (q, p, err), generated from the entries
+    step: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(
-            (tuple((j, a) for j, a in enumerate(row) if a), c)
-            for row, c in zip(self.a, self.c)))
+        object.__setattr__(self, "step", _generate(
+            "(q, p, t, h, f, tol)", *_step_source(self)))
+
+
+def _step_source(tab: _Tableau) -> tuple[list[str], dict]:
+    """The body of one explicit RK step over the field f, and the values it
+    names.  err is the RMS over q and p of the embedded pair's error over
+    tol*(1 + max(|old|, |new|)), else 0.
+
+    Stage i starts from q + h*a_i0*k0 + h*a_i1*k1 + ..., summed left to
+    right over the nonzero a_ij (RK4 then matches its textbook form), and
+    stops at the |q| guard before it calls f.  The weights, zeros included,
+    are summed left to right from the int 0, as ``sum`` does."""
+    args = {"div": tab.div, "FLOOR": SINGULARITY_FLOOR,
+            "GUARD": OVERFLOW_GUARD, "guard": _guard, "sqrt": math.sqrt}
+    lines = []
+    for i, (row, c) in enumerate(zip(tab.a, tab.c)):
+        for v in "qp":
+            shifts = []
+            for j, a in enumerate(row):
+                if a:
+                    args[f"a{i}_{j}"] = a
+                    shifts.append(f" + h * a{i}_{j} * k{v}{j}")
+            lines.append(f"{v}i = {v}" + "".join(shifts))
+        args[f"c{i}"] = c
+        lines += ["if not FLOOR <= abs(qi) <= GUARD:", "    guard(t, qi)",
+                  f"kq{i}, kp{i} = f(qi, pi, t + c{i} * h)"]
+
+    def weighted(prefix, weights, k):
+        args.update((f"{prefix}{j}", w) for j, w in enumerate(weights))
+        return " + ".join(["0"] + [f"{prefix}{j} * {k}{j}"
+                                   for j in range(len(weights))])
+    lines += ["w = h / div",
+              f"qn = q + w * ({weighted('b', tab.b, 'kq')})",
+              f"pn = p + w * ({weighted('b', tab.b, 'kp')})"]
+    if tab.b_err is None:
+        return lines + ["return qn, pn, 0.0"], args
+    return lines + [
+        f"qe = q + w * ({weighted('e', tab.b_err, 'kq')})",
+        f"pe = p + w * ({weighted('e', tab.b_err, 'kp')})",
+        "eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))",
+        "ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))",
+        "return qn, pn, sqrt((eq ** 2 + ep ** 2) / 2)"], args
 
 
 # classical RK4, weights over 6: the update is h/6*(k1 + 2k2 + 2k3 + k4)
@@ -248,37 +325,15 @@ _METHODS = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}
 
 
 def _rk_step(tab: _Tableau, q: complex, p: complex, t: float, h: float,
-             field: CompiledField, tol: float = 0.0):
-    """One explicit RK step: (q, p, err).  err is the RMS over q and p of
-    the embedded pair's error over tol*(1 + max(|old|, |new|)), else 0."""
-    kq, kp = [], []
-    # zero a_j add nothing; RK4 then matches its textbook form
-    for pairs, c in tab.stages:
-        qi, pi = q, p
-        for j, a in pairs:
-            qi += h * a * kq[j]
-            pi += h * a * kp[j]
-        if not SINGULARITY_FLOOR <= abs(qi) <= OVERFLOW_GUARD:
-            _guard(t, qi)
-        dq, dp = field(qi, pi, t + c * h)
-        kq.append(dq)
-        kp.append(dp)
-    w = h / tab.div
-    qn = q + w * sum(map(mul, tab.b, kq))
-    pn = p + w * sum(map(mul, tab.b, kp))
-    if tab.b_err is None:
-        return qn, pn, 0.0
-    qe = q + w * sum(map(mul, tab.b_err, kq))
-    pe = p + w * sum(map(mul, tab.b_err, kp))
-    eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))
-    ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))
-    return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2)
+             field, tol: float = 0.0):
+    """One explicit RK step of ``tab``: (q, p, err)."""
+    return tab.step(q, p, t, h, field, tol)
 
 
 def step_rk4(state: tuple[complex, complex], t: float, h: float,
              field: CompiledField) -> tuple[complex, complex]:
     """One classical 4th-order Runge-Kutta step over complex state."""
-    return _rk_step(_RK4, *state, t, h, field)[:2]
+    return _RK4.step(*state, t, h, field, 0.0)[:2]
 
 
 def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
@@ -292,6 +347,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     accepted step.  Stops cleanly (with the reason recorded) at the |q|
     singularity floor, on numeric overflow, or on adaptive step underflow.
     """
+    import numpy as np
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     for name, value in (("h", h), ("tol", tol)):
@@ -305,10 +361,14 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     if abs(q0) < SINGULARITY_FLOOR:
         raise SingularityError(t0, q0)
     field = compile_field(sys, params)
+    f, H, advance = field._kernel, field.H, tab.step
 
     t, q, p = t0, complex(q0), complex(p0)
-    times, qs, ps, hs = [t], [q], [p], [field.H(q, p, t)]
+    times, qs, ps, hs = [t], [q], [p], [H(q, p, t)]
+    add_t, add_q, add_p, add_h = times.append, qs.append, ps.append, hs.append
     termination = "completed"
+    returned = raised = rejected = 0
+    min_step = math.inf
     span = t1 - t0
     h_min, h_max = 1e-12, max(span / 10, 1e-12)
     step = min(h, h_max) if span > 0 else 0.0
@@ -316,19 +376,21 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     err_prev = 1.0
     # bound on the rounding each summed step leaves in t
     t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
-    while t < t1 - 1e-15 * max(1.0, abs(t1)):
+    t_end = t1 - 1e-15 * max(1.0, abs(t1))
+    while t < t_end:
         if adaptive:
             step = min(step, t1 - t)
         else:  # end on t1 rather than leave a rounding-level sliver
             step = t1 - t if t1 - t <= h + len(times) * t_ulp else h
         try:
-            qn, pn, err = _rk_step(tab, q, p, t, step, field, tol)
+            qn, pn, err = advance(q, p, t, step, f, tol)
         except SingularityError:
-            termination = "singularity"
+            termination, raised = "singularity", 1
             break
         except (BlowupError, OverflowError):
-            termination = "overflow"
+            termination, raised = "overflow", 1
             break
+        returned += 1
         if err <= 1.0:  # accept (a fixed step has err = 0)
             t += step
             q, p = qn, pn
@@ -336,10 +398,12 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
                     or abs(q) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
                 termination = "overflow"
                 break
-            times.append(t)
-            qs.append(q)
-            ps.append(p)
-            hs.append(field.H(q, p, t))
+            add_t(t)
+            add_q(q)
+            add_p(p)
+            add_h(H(q, p, t))
+            if step < min_step:
+                min_step = step
         if not adaptive:
             continue
         if err <= 1.0:  # PI controller
@@ -347,6 +411,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
                 * (err_prev + 1e-16) ** (0.4 / p_order)
             err_prev = err
         else:
+            rejected += 1
             fac = max(0.1, safety * err ** (-1 / p_order))
         step = min(max(step * min(5.0, fac), h_min), h_max)
         if step <= h_min and err > 1.0:
@@ -354,7 +419,11 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
             break
 
     return Trajectory(np.array(times), np.array(qs), np.array(ps),
-                      np.array(hs), termination)
+                      np.array(hs), termination,
+                      steps_attempted=returned + raised,
+                      steps_rejected=rejected,
+                      field_evals=len(tab.c) * returned,
+                      min_step=min_step if min_step < math.inf else None)
 
 
 def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,
@@ -367,19 +436,20 @@ def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,
     with the compiled field of the system at the mapped parameters.  Returns
     the max defect.
     """
+    import numpy as np
     params.check_complete(sys)
     near = np.abs(traj.q) < SINGULARITY_FLOOR
     if near.any():
         raise SingularityError(float("nan"), traj.q[near.argmax()])
     if len(traj.times) < 3:
         return 0.0
+    mapped, coords = _map_cache(
+        (m.q_rule, m.p_rule, m.t_rule, tuple(m.param_rules.items())),
+        _bits(params.values))
     q, p, t = traj.q, traj.p, traj.times.astype(complex)
-    compiled = lambda rule: CompiledPoly(rule, params.values)
-    mapped = {name: compiled(r)(0, 0, 0) for name, r in m.param_rules.items()}
     # a rule free of q, p and t evaluates to one number: spread it per sample
-    Q, P, T = (np.broadcast_to(compiled(r)(q, p, t), q.shape)
-               for r in (m.q_rule, m.p_rule, m.t_rule))
-    field = compile_field(sys, NumericParams(sys.name, mapped, sys.n))
+    Q, P, T = (np.broadcast_to(v, q.shape) for v in coords(q, p, t))
+    field = compile_field(sys, NumericParams(sys.name, dict(mapped), sys.n))
     fq, fp = field(Q[1:-1], P[1:-1], T[1:-1])
     dT = T[2:] - T[:-2]
     return float(max(np.abs((Q[2:] - Q[:-2]) / dT - fq).max(),

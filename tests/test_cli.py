@@ -135,6 +135,23 @@ class TestIntegrate:
         assert doc["termination"] == "completed"
         assert doc["drift"] < 1e-8
 
+    def test_summary_metadata_holds_run_statistics(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert run(["integrate", "--family", "autonomous5",
+                        "--params", "a=1,e1=1,e2=1", "--q0", "1",
+                        "--t1", "0.2", "--method", "adaptive-rk45",
+                        "--summary-out", str(path)]) == 0
+        a, b = (json.loads(path.read_text()) for path in paths)
+        meta = a.pop("metadata")
+        b.pop("metadata")
+        assert a == b
+        assert a["termination"] == "step-underflow"
+        assert meta["steps_attempted"] == a["steps"] + meta["steps_rejected"]
+        assert meta["steps_rejected"] >= 1
+        assert meta["field_evals"] == 6 * meta["steps_attempted"]
+        assert 0 < meta["min_step"] < 1e-3
+
     def test_sweep_reports_order(self, tmp_path):
         summary = tmp_path / "sweep.json"
         rc = run(["integrate", "--family", "autonomous5",
@@ -170,6 +187,22 @@ class TestIntegrate:
             text=True, timeout=60)
         assert done.returncode == 2
         assert "h must be finite and positive" in done.stderr
+
+
+def test_exact_work_does_not_import_numpy():
+    # numpy is imported only where a trajectory is made or checked
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from hamfam import certificate_battery, make_system\n"
+            "from hamfam.cli import main\n"
+            "certificate_battery(make_system('autonomous5'))\n"
+            "assert 'numpy' not in sys.modules, 'battery'\n"
+            "assert main(['verify', '--family', 'autonomous5']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'verify'\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestSymmetry:

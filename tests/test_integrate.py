@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import importlib
 import math
 import struct
 from operator import mul
@@ -11,15 +13,18 @@ from scipy.integrate import solve_ivp
 from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
                                 make_autonomous5, make_general_n,
                                 make_nonautonomous3, time_derivative_of_H)
-from hamfam.integrate import (_FEHLBERG45, _RK4, CompiledPoly, NumericParams,
-                              SingularityError, Trajectory, _field_cache,
-                              _guard, _rk_step, check_symmetry_on_trajectory,
+from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD, BlowupError,
+                              CompiledPoly, NumericParams, SingularityError,
+                              Trajectory, _field_cache, _guard, _map_cache,
+                              _rk_step, check_symmetry_on_trajectory,
                               compile_field, integrate, measure_order,
                               richardson_order, step_rk4,
                               write_trajectory_csv)
 from hamfam.poly import LaurentPoly
 from hamfam.symmetry import autonomous_map, identity_map, nonautonomous_map
 
+# the module, which the package's integrate function shadows as an attribute
+integrate_module = importlib.import_module("hamfam.integrate")
 A5 = make_autonomous5()
 NA3 = make_nonautonomous3()
 PARAMS5 = NumericParams("autonomous5", {"a": 1, "e1": 1, "e2": 1}, 5)
@@ -407,6 +412,23 @@ class TestSymmetryCheckMatchesScalarRoute:
                                          PARAMS5)
 
 
+class TestMapRuleCache:
+    def test_second_call_generates_no_code(self, monkeypatch):
+        traj = integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3)
+        m = nonautonomous_map(3)
+        _map_cache.cache_clear()
+        generated = []
+        kernel = integrate_module._kernel
+        monkeypatch.setattr(integrate_module, "_kernel",
+                            lambda *polys: generated.append(polys)
+                            or kernel(*polys))
+        first = check_symmetry_on_trajectory(traj, m, NA3, PARAMS3)
+        count = len(generated)
+        second = check_symmetry_on_trajectory(traj, m, NA3, PARAMS3)
+        assert count > 0 and len(generated) == count
+        assert second.hex() == first.hex()
+
+
 class TestCsv:
     def test_format(self, tmp_path):
         traj = integrate(A5, PARAMS5, 1, 0.3, (0, 0.01), h=1e-3)
@@ -478,8 +500,10 @@ class RefField:
         self.f_q = RefCompiledPoly(f_q, values)
         self.f_p = RefCompiledPoly(f_p, values)
         self.H = RefCompiledPoly(sys.H, values)
+        self.calls = 0
 
     def __call__(self, q, p, t):
+        self.calls += 1
         return self.f_q(q, p, t), self.f_p(q, p, t)
 
 
@@ -505,6 +529,74 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
     eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))
     ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))
     return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2)
+
+
+def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
+    """The stepping loop of ``integrate`` that the generated steps replaced,
+    driven by ``ref_rk_step`` and ``RefField``, with its own count of the
+    run statistics: the field calls of the steps that returned, and the
+    smallest step whose sample was recorded."""
+    tab = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}[method]
+    adaptive = tab.b_err is not None
+    t0, t1 = t_span
+    field = RefField(sys, values)
+    t, q, p = t0, complex(q0), complex(p0)
+    times, qs, ps, hs = [t], [q], [p], [field.H(q, p, t)]
+    termination = "completed"
+    attempted = rejected = evals = 0
+    accepted_steps = []
+    span = t1 - t0
+    h_min, h_max = 1e-12, max(span / 10, 1e-12)
+    step = min(h, h_max) if span > 0 else 0.0
+    safety, p_order = 0.9, 5.0
+    err_prev = 1.0
+    t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
+    while t < t1 - 1e-15 * max(1.0, abs(t1)):
+        if adaptive:
+            step = min(step, t1 - t)
+        else:
+            step = t1 - t if t1 - t <= h + len(times) * t_ulp else h
+        attempted += 1
+        calls = field.calls
+        try:
+            qn, pn, err = ref_rk_step(tab, q, p, t, step, field, tol)
+        except SingularityError:
+            termination = "singularity"
+            break
+        except (BlowupError, OverflowError):
+            termination = "overflow"
+            break
+        evals += field.calls - calls
+        if err <= 1.0:
+            t += step
+            q, p = qn, pn
+            if not (cmath.isfinite(q) and cmath.isfinite(p)) \
+                    or abs(q) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
+                termination = "overflow"
+                break
+            times.append(t)
+            qs.append(q)
+            ps.append(p)
+            hs.append(field.H(q, p, t))
+            accepted_steps.append(step)
+        else:
+            rejected += 1
+        if not adaptive:
+            continue
+        if err <= 1.0:
+            fac = safety * (err + 1e-16) ** (-0.7 / p_order) \
+                * (err_prev + 1e-16) ** (0.4 / p_order)
+            err_prev = err
+        else:
+            fac = max(0.1, safety * err ** (-1 / p_order))
+        step = min(max(step * min(5.0, fac), h_min), h_max)
+        if step <= h_min and err > 1.0:
+            termination = "step-underflow"
+            break
+    return Trajectory(np.array(times), np.array(qs), np.array(ps),
+                      np.array(hs), termination, steps_attempted=attempted,
+                      steps_rejected=rejected, field_evals=evals,
+                      min_step=min(accepted_steps, default=None))
 
 
 def bits(x):
@@ -631,3 +723,67 @@ class TestKernelsMatchLoopReference:
         qn, pn, err = _rk_step(tab, q, p, t, h, field, tol)
         assert_same((qn, pn), want[:2])
         assert struct.pack("<d", err) == struct.pack("<d", want[2])
+
+
+def assert_same_run(got, want):
+    """Equal sample bytes, label and run statistics."""
+    for name in ("times", "q", "p", "H_values"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert got.termination == want.termination
+    for name in ("steps_attempted", "steps_rejected", "field_evals"):
+        assert getattr(got, name) == getattr(want, name), name
+    if want.min_step is None:
+        assert got.min_step is None
+    else:
+        assert got.min_step.hex() == want.min_step.hex()
+
+
+A5_PASS_THROUGH = {"a": 1, "e1": 1, "e2": -1}
+
+
+@pytest.mark.filterwarnings("ignore:parameter e")
+class TestIntegrateMatchesLoopReference:
+    # spans are short, so a run that never ends fails fast; starts scaled
+    # by 3 reach the movable singularities within the span
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), states,
+           st.sampled_from((1, 3)),
+           st.sampled_from(["fixed-rk4", "adaptive-rk45"]),
+           st.sampled_from((0.0, -0.0, 0.25)),
+           st.sampled_from((0, 0.05, 0.2)),
+           st.floats(1e-3, 2e-2), st.sampled_from((1e-9, 1e-6)))
+    def test_drawn_runs(self, sys, data, state, scale, method, t0, span, h,
+                        tol):
+        values = data.draw(param_values(sys))
+        params = NumericParams(sys.name, values, sys.n)
+        q0, p0 = state
+        # part by part, so a signed zero keeps its sign
+        q0 = complex(q0.real * scale, q0.imag * scale)
+        t_span = (t0, t0 + span)
+        got = integrate(sys, params, q0, p0, t_span, h=h, tol=tol,
+                        method=method)
+        want = ref_integrate(sys, values, q0, p0, t_span, h, tol, method)
+        assert_same_run(got, want)
+
+    @pytest.mark.parametrize("values,q0,p0,t1,method,label", [
+        (PARAMS5.values, 1, 0.3, 0.05, "fixed-rk4", "completed"),
+        (PARAMS5.values, 1, 0.3, 0.05, "adaptive-rk45", "completed"),
+        # q passes through 0; fixed-rk4 stops at the |q| floor
+        (A5_PASS_THROUGH, 0.01, 0, 0.05, "fixed-rk4", "singularity"),
+        # the movable singularity at t* = 0.16164
+        (PARAMS5.values, 1, 0, 0.2, "fixed-rk4", "overflow"),
+        (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", "step-underflow")],
+        ids=["completed-fixed", "completed-adaptive", "singularity",
+             "overflow", "step-underflow"])
+    def test_each_label(self, values, q0, p0, t1, method, label):
+        params = NumericParams("autonomous5", values, 5)
+        got = integrate(A5, params, q0, p0, (0, t1), h=1e-3, tol=1e-9,
+                        method=method)
+        want = ref_integrate(A5, values, q0, p0, (0, t1), 1e-3, 1e-9, method)
+        assert got.termination == label
+        assert_same_run(got, want)
+
+    def test_statistics_take_no_part_in_comparison(self):
+        assert [f.name for f in dataclasses.fields(Trajectory)
+                if not f.compare] == ["steps_attempted", "steps_rejected",
+                                      "field_evals", "min_step"]
