@@ -14,8 +14,9 @@ operations in the same order as a stage loop.  Along the way the Hamiltonian
 is sampled so drift can be monitored: for the autonomous families H is a
 first integral and the drift is a direct error measure; for the
 non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
-against finite differences instead.  Map rules checked on a trajectory are
-compiled once per (rules, parameter bits) pair, like the fields.
+against finite differences instead.  A map's rules are compiled once per
+(rules, parameter bits) pair, like the fields, and serve both the trajectory
+check and ``BirationalMap.apply_numeric``.
 
 q = 0 is a genuine singular locus of the dynamics; integration stops cleanly
 (never NaN-propagates) when a trajectory approaches it or blows up.
@@ -28,10 +29,13 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .hamiltonian import HamSystem, hamilton_equations
 from .poly import LaurentPoly
-from .symmetry import BirationalMap
+
+if TYPE_CHECKING:
+    from .symmetry import BirationalMap
 
 SINGULARITY_FLOOR = 1e-8
 OVERFLOW_GUARD = 1e12
@@ -73,24 +77,24 @@ class NumericParams:
                              f"unbound {missing}, unknown {unknown}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Time grid with complex (q, p) samples and conservation diagnostics.
 
     The run statistics (steps attempted and rejected, field evaluations of
     the attempts that returned, the smallest accepted step, None if no step
-    was accepted) describe how the samples were made and take no part in
-    comparisons."""
+    was accepted) describe how the samples were made.  Trajectories compare
+    by identity: compare their arrays to compare their samples."""
 
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
     H_values: np.ndarray
     termination: str  # completed | singularity | overflow | step-underflow
-    steps_attempted: int = field(default=0, compare=False)
-    steps_rejected: int = field(default=0, compare=False)
-    field_evals: int = field(default=0, compare=False)
-    min_step: float | None = field(default=None, compare=False)
+    steps_attempted: int = 0
+    steps_rejected: int = 0
+    field_evals: int = 0
+    min_step: float | None = None
     drift: float = field(init=False)
 
     def __post_init__(self):
@@ -324,12 +328,6 @@ _FEHLBERG45 = _Tableau(
 _METHODS = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}
 
 
-def _rk_step(tab: _Tableau, q: complex, p: complex, t: float, h: float,
-             field, tol: float = 0.0):
-    """One explicit RK step of ``tab``: (q, p, err)."""
-    return tab.step(q, p, t, h, field, tol)
-
-
 def step_rk4(state: tuple[complex, complex], t: float, h: float,
              field: CompiledField) -> tuple[complex, complex]:
     """One classical 4th-order Runge-Kutta step over complex state."""
@@ -457,11 +455,19 @@ def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,
 
 
 def measure_order(errors_by_h: list[tuple[float, float]]) -> float:
-    """Richardson-style order estimate from (h, error) pairs, h halving."""
+    """Richardson-style order estimate from (h, error) pairs, h halving.
+    Each h and each error must be finite and positive, and successive h
+    must differ."""
     if len(errors_by_h) < 2:
         raise ValueError("need at least two (h, error) pairs")
     rates = []
     for (h1, e1), (h2, e2) in zip(errors_by_h, errors_by_h[1:]):
+        pair = f"(h, error) pairs {(h1, e1)} and {(h2, e2)}"
+        if h1 == h2:
+            raise ValueError(f"no order from {pair}: equal h")
+        if not all(math.isfinite(x) and x > 0 for x in (h1, e1, h2, e2)):
+            raise ValueError(f"no order from {pair}: each h and error must "
+                             f"be finite and positive")
         rates.append(math.log(e1 / e2) / math.log(h1 / h2))
     return sum(rates) / len(rates)
 

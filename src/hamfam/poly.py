@@ -244,7 +244,7 @@ class LaurentPoly:
             _accumulate(factor.terms.items(), terms)
         return LaurentPoly._trusted(self.table, terms)
 
-    # -- numerics -----------------------------------------------------------
+    # -- structure ----------------------------------------------------------
 
     def variables(self) -> set[str]:
         """Names that occur with a nonzero exponent."""
@@ -254,58 +254,6 @@ class LaurentPoly:
                 if e:
                     used.add(self.table.names[i])
         return used
-
-    def eval_numeric(self, point: Mapping[str, complex]) -> complex:
-        """Evaluate with z -> exp(i*pi/4); Horner accumulation per variable."""
-        used = sorted(self.table.index(n) for n in self.variables())
-        for i in used:
-            name = self.table.names[i]
-            if name not in point:
-                raise KeyError(f"unbound variable {name!r}")
-        values = {i: complex(point[self.table.names[i]]) for i in used}
-        items = [(exps, complex(c)) for exps, c in self.terms.items()]
-        return self._horner(items, used, values)
-
-    @staticmethod
-    def _horner(items, active, values) -> complex:
-        if not items:
-            return 0j
-        if not active:
-            return sum(c for _, c in items)
-        i, rest = active[0], active[1:]
-        x = values[i]
-        groups: dict[int, list] = {}
-        for exps, c in items:
-            groups.setdefault(exps[i], []).append((exps, c))
-        pos = sorted(e for e in groups if e >= 0)
-        neg = sorted((e for e in groups if e < 0), reverse=True)
-        total = 0j
-        if pos:
-            acc = 0j
-            prev = None
-            for e in reversed(pos):
-                if prev is not None:
-                    acc *= x ** (prev - e)
-                acc += LaurentPoly._horner(groups[e], rest, values)
-                prev = e
-            total += acc * x ** pos[0]
-        if neg:
-            if x == 0:
-                raise ZeroDivisionError(
-                    "evaluation at 0 with negative exponents")
-            u = 1 / x
-            negd = sorted(-e for e in neg)  # positive powers of 1/x, ascending
-            acc = 0j
-            prev = None
-            for d in reversed(negd):
-                if prev is not None:
-                    acc *= u ** (prev - d)
-                acc += LaurentPoly._horner(groups[-d], rest, values)
-                prev = d
-            total += acc * u ** negd[0]
-        return total
-
-    # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms

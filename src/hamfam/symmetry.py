@@ -20,6 +20,7 @@ from .cyclo import CycloRat, fourth_root_of_minus_one
 from .hamiltonian import (HamSystem, hamilton_equations, make_nonautonomous3,
                           reference_ode, time_derivative_of_H,
                           verify_equivalence)
+from .integrate import _bits, _map_cache
 from .poly import LaurentError, LaurentPoly, VarTable
 
 
@@ -57,14 +58,12 @@ class BirationalMap:
 
     def apply_numeric(self, point: dict[str, complex],
                       params: dict[str, complex]):
-        """Map a numeric phase point; returns ((Q, P, T), mapped params)."""
-        full = {**point, **params}
-        coords = (self.q_rule.eval_numeric(full),
-                  self.p_rule.eval_numeric(full),
-                  self.t_rule.eval_numeric(full))
-        mapped = {name: rule.eval_numeric(params)
-                  for name, rule in self.param_rules.items()}
-        return coords, mapped
+        """Map a numeric phase point; returns ((Q, P, T), mapped params).
+        Evaluates the same compiled rules as the trajectory check."""
+        mapped, coords = _map_cache(
+            (self.q_rule, self.p_rule, self.t_rule,
+             tuple(self.param_rules.items())), _bits(params))
+        return coords(point["q"], point["p"], point["t"]), dict(mapped)
 
 
 def identity_map(table: VarTable, params: tuple[str, ...]) -> BirationalMap:

@@ -162,6 +162,17 @@ class TestIntegrate:
         doc = json.loads(summary.read_text())
         assert 3.7 <= doc["measured_order"] <= 4.3
 
+    @pytest.mark.parametrize("t1,sweep", [("0", "1e-2,5e-3,2.5e-3"),
+                                          ("0.05", "1e-2,1e-2,1e-2")],
+                             ids=["zero-span", "equal-h"])
+    def test_coinciding_sweep_solutions_are_usage_error(self, t1, sweep,
+                                                        capsys):
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", "--t1", t1,
+                    "--sweep", sweep]) == 2
+        assert "error: no order from (h, error) pairs" in \
+            capsys.readouterr().err
+
     def test_missing_params(self):
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1", "--t1", "0.01"]) == 2

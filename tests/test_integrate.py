@@ -15,8 +15,8 @@ from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
                                 make_nonautonomous3, time_derivative_of_H)
 from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD, BlowupError,
                               CompiledPoly, NumericParams, SingularityError,
-                              Trajectory, _field_cache, _guard, _map_cache,
-                              _rk_step, check_symmetry_on_trajectory,
+                              Trajectory, _bits, _field_cache, _guard,
+                              _map_cache, check_symmetry_on_trajectory,
                               compile_field, integrate, measure_order,
                               richardson_order, step_rk4,
                               write_trajectory_csv)
@@ -49,6 +49,19 @@ def scipy_reference(sys, params, q0, p0, t_span, rtol=1e-12, atol=1e-12):
     return complex(y[0], y[1]), complex(y[2], y[3])
 
 
+def naive_eval(poly, point):
+    """Independent oracle: the sum over monomials of the coefficient times
+    each variable's power, parameters included, taken from ``point``."""
+    total = 0j
+    for exps, c in poly.terms.items():
+        term = complex(c)
+        for name, e in zip(poly.table.names, exps):
+            if e:
+                term *= point[name] ** e
+        total += term
+    return total
+
+
 class TestCompileField:
     def test_autonomous5_hand_values(self):
         field = compile_field(A5, PARAMS5)
@@ -78,8 +91,8 @@ class TestCompileField:
                   "t": rng.uniform(0, 1),
                   "a": 1, "e1": 1, "e2": 1}
             dq, dp = field(pt["q"], pt["p"], pt["t"])
-            eq = f_q.eval_numeric(pt)
-            ep = f_p.eval_numeric(pt)
+            eq = naive_eval(f_q, pt)
+            ep = naive_eval(f_p, pt)
             assert abs(dq - eq) <= 1e-12 * max(1.0, abs(eq))
             assert abs(dp - ep) <= 1e-12 * max(1.0, abs(ep))
 
@@ -304,6 +317,23 @@ class TestRichardsonOrder:
         order = richardson_order(A5, PARAMS5, 1, 0, (0, 0.03))
         assert 3.7 <= order <= 4.3
 
+    @pytest.mark.parametrize("pairs,message", [
+        ([(1e-2, 1e-8), (5e-3, 0.0)], "finite and positive"),
+        ([(1e-2, 0.0), (5e-3, 0.0)], "finite and positive"),
+        ([(1e-2, 1e-8), (5e-3, -1e-9)], "finite and positive"),
+        ([(1e-2, math.nan), (5e-3, 1e-9)], "finite and positive"),
+        ([(1e-2, 1e-8), (5e-3, math.inf)], "finite and positive"),
+        ([(1e-2, 1e-8), (-5e-3, 1e-9)], "finite and positive"),
+        ([(1e-2, 1e-8), (1e-2, 1e-9)], "equal h"),
+        ([(1e-2, 1e-8), (5e-3, 1e-9), (5e-3, 2e-10)], "equal h")],
+        ids=["zero", "both-zero", "negative", "nan", "inf", "negative-h",
+             "equal-h", "equal-h-later"])
+    def test_bad_pairs_raise(self, pairs, message):
+        bad = pairs[-2:]
+        with pytest.raises(ValueError, match=message) as err:
+            measure_order(pairs)
+        assert f"{bad[0]} and {bad[1]}" in str(err.value)
+
 
 class TestTrajectorySymmetry:
     def test_autonomous_pairing(self):
@@ -343,13 +373,15 @@ class TestTrajectorySymmetry:
 
 
 def scalar_symmetry_defect(traj, m, sys, params):
-    """The per-sample route: apply_numeric on every sample, then one scalar
-    field call per interior sample."""
-    pts, mapped = [], None
-    for tk, qk, pk in zip(traj.times, traj.q, traj.p):
-        coords, mapped = m.apply_numeric({"q": qk, "p": pk, "t": complex(tk)},
-                                         params.values)
-        pts.append(coords)
+    """The per-sample route: the naive evaluator on each rule at every
+    sample, then one scalar field call per interior sample."""
+    values = params.values
+    mapped = {name: naive_eval(rule, values)
+              for name, rule in m.param_rules.items()}
+    pts = [tuple(naive_eval(rule, {"q": complex(qk), "p": complex(pk),
+                                   "t": complex(tk), **values})
+                 for rule in (m.q_rule, m.p_rule, m.t_rule))
+           for tk, qk, pk in zip(traj.times, traj.q, traj.p)]
     field = compile_field(sys, NumericParams(sys.name, mapped, sys.n))
     worst = 0.0
     for (Qm, Pm, Tm), (Qk, Pk, Tk), (Qp, Pp, Tp) in zip(pts, pts[1:],
@@ -429,6 +461,48 @@ class TestMapRuleCache:
         assert second.hex() == first.hex()
 
 
+APPLY_CASES = {"shear-autonomous5": (A5, autonomous_map(A5)),
+               **{f"shear-general:{n}": (make_general_n(n),
+                                         autonomous_map(make_general_n(n)))
+                  for n in range(2, 9)},
+               "order8-branch1": (NA3, nonautonomous_map(1)),
+               "order8-branch7": (NA3, nonautonomous_map(7))}
+
+
+class TestApplyNumeric:
+    @pytest.mark.parametrize("case", list(APPLY_CASES))
+    def test_matches_naive_eval(self, case, rng):
+        sys, m = APPLY_CASES[case]
+        draw = lambda: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        for _ in range(100):
+            values = {name: draw() for name in sys.params}
+            q = cmath.rect(rng.uniform(0.5, 2), rng.uniform(-math.pi, math.pi))
+            point = {"q": q, "p": draw(), "t": draw()}
+            (Q, P, T), mapped = m.apply_numeric(point, values)
+            for got, rule in zip((Q, P, T), (m.q_rule, m.p_rule, m.t_rule)):
+                want = naive_eval(rule, {**point, **values})
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert list(mapped) == list(m.param_rules)
+            for name, rule in m.param_rules.items():
+                want = naive_eval(rule, values)
+                assert abs(mapped[name] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_same_bits_as_trajectory_check(self):
+        # the point map and the trajectory check share one compiled kernel
+        m = nonautonomous_map(1)
+        traj = integrate(NA3, PARAMS3, 1, -1.5, (0, 0.01), h=1e-3)
+        mapped, coords = _map_cache(
+            (m.q_rule, m.p_rule, m.t_rule, tuple(m.param_rules.items())),
+            _bits(PARAMS3.values))
+        Q, P, T = coords(traj.q, traj.p, traj.times.astype(complex))
+        for k, (tk, qk, pk) in enumerate(zip(traj.times, traj.q, traj.p)):
+            got, params = m.apply_numeric(
+                {"q": complex(qk), "p": complex(pk), "t": complex(tk)},
+                PARAMS3.values)
+            assert_same(got, (complex(Q[k]), complex(P[k]), complex(T[k])))
+            assert params == dict(mapped)
+
+
 class TestCsv:
     def test_format(self, tmp_path):
         traj = integrate(A5, PARAMS5, 1, 0.3, (0, 0.01), h=1e-3)
@@ -455,6 +529,12 @@ class TestTrajectoryInvariants:
         z = np.zeros(2, dtype=complex)
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), z, z, z, "completed")
+
+    def test_compare_by_identity(self):
+        a = integrate(A5, PARAMS5, 1, 0.3, (0, 0.01), h=1e-3)
+        b = integrate(A5, PARAMS5, 1, 0.3, (0, 0.01), h=1e-3)
+        assert a == a
+        assert (a == b) is False
 
 
 # -- references: the per-term loop evaluator and the stage loop that the
@@ -717,10 +797,10 @@ class TestKernelsMatchLoopReference:
             want = ref_rk_step(tab, q, p, t, h, ref, tol)
         except (ArithmeticError, RuntimeError) as exc:
             with pytest.raises(type(exc)) as got:
-                _rk_step(tab, q, p, t, h, field, tol)
+                tab.step(q, p, t, h, field, tol)
             assert str(got.value) == str(exc)
             return
-        qn, pn, err = _rk_step(tab, q, p, t, h, field, tol)
+        qn, pn, err = tab.step(q, p, t, h, field, tol)
         assert_same((qn, pn), want[:2])
         assert struct.pack("<d", err) == struct.pack("<d", want[2])
 
@@ -784,6 +864,6 @@ class TestIntegrateMatchesLoopReference:
         assert_same_run(got, want)
 
     def test_statistics_take_no_part_in_comparison(self):
-        assert [f.name for f in dataclasses.fields(Trajectory)
-                if not f.compare] == ["steps_attempted", "steps_rejected",
-                                      "field_evals", "min_step"]
+        # trajectories compare by identity, so no field takes part
+        assert Trajectory.__eq__ is object.__eq__
+        assert Trajectory.__hash__ is object.__hash__
