@@ -15,7 +15,7 @@ from .symmetry import (BirationalMap, autonomous_map, certificate_battery,
                        verify_invariance)
 from .integrate import (NumericParams, SingularityError, Trajectory,
                         check_symmetry_on_trajectory, compile_field,
-                        integrate, measure_order, richardson_order, step_rk4,
-                        write_trajectory_csv)
+                        compile_map, integrate, measure_order,
+                        richardson_order, write_trajectory_csv)
 
 __version__ = "0.1.0"

@@ -44,15 +44,6 @@ class SecondOrderODE:
     table: VarTable
     rhs: LaurentPoly
 
-    @property
-    def q_power(self) -> int:
-        """Exponent d such that numerator = rhs * q^d is polynomial in q."""
-        return max(0, -self.rhs.min_exponent("q"))
-
-    @property
-    def numerator(self) -> LaurentPoly:
-        return self.rhs * LaurentPoly.var(self.table, "q", self.q_power)
-
 
 # -- family constructors ----------------------------------------------------
 

@@ -4,8 +4,9 @@ Each symbolic field is compiled once per (system, parameter values) pair:
 the parameters are bound to complex numbers and the polynomials become one
 straight-line Python function, generated with a single ``exec``, that does
 the term-by-term operations of a plain evaluation loop in the same order, so
-every float matches that loop.  ``compile_field`` keeps the fields in a
-bounded cache keyed by the system's value and each parameter's exact bits.
+every float matches that loop.  There are two compile entries, each with a
+bounded cache keyed by exact parameter bits: ``compile_field`` for a
+system's field, and ``compile_map`` for a map's rules.
 The field is stepped by one explicit Runge-Kutta engine driven by a Butcher
 tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair
 with PI step-size control.  Each tableau's step is generated the same way,
@@ -14,9 +15,8 @@ operations in the same order as a stage loop.  Along the way the Hamiltonian
 is sampled so drift can be monitored: for the autonomous families H is a
 first integral and the drift is a direct error measure; for the
 non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
-against finite differences instead.  A map's rules are compiled once per
-(rules, parameter bits) pair, like the fields, and serve both the trajectory
-check and ``BirationalMap.apply_numeric``.
+against finite differences instead.  The compiled map rules serve both the
+trajectory check and ``BirationalMap.apply_numeric``.
 
 q = 0 is a genuine singular locus of the dynamics; integration stops cleanly
 (never NaN-propagates) when a trajectory approaches it or blows up.
@@ -110,8 +110,13 @@ class Trajectory:
 
 def _bind(poly: LaurentPoly, params: dict[str, complex]) -> list:
     """The (c, eq, ep, et) terms of ``poly`` with its parameters bound:
-    one term per (q, p, t) exponent triple, zero coefficients left out."""
+    one term per (q, p, t) exponent triple, zero coefficients left out.
+    A parameter name that is unbound, or not in the table, is a ValueError."""
     tbl = poly.table
+    for name in params:
+        if name not in tbl:
+            raise ValueError(f"unknown parameter {name!r}; table has "
+                             f"{tbl.names}")
     iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
     pidx = {tbl.index(k): complex(v) for k, v in params.items()}
     merged: dict[tuple[int, int, int], complex] = {}
@@ -177,19 +182,6 @@ def _kernel(*polys: list):
     return _generate("(q, p, t)", lines, coeffs)
 
 
-class CompiledPoly:
-    """A LaurentPoly with parameters bound, compiled to one straight-line
-    function of (q, p, t)."""
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, poly: LaurentPoly, params: dict[str, complex]):
-        self._kernel = _kernel(_bind(poly, params))
-
-    def __call__(self, q: complex, p: complex, t: float | complex) -> complex:
-        return self._kernel(q, p, t)
-
-
 class CompiledField:
     """Numeric vector field (q, p, t) -> (dq/dt, dp/dt) for one parameter
     set: one kernel for both components, and ``H`` for the Hamiltonian."""
@@ -231,14 +223,20 @@ def _field_cache(sys: HamSystem, key: tuple) -> CompiledField:
     return CompiledField(sys, _unbits(key))
 
 
+def compile_map(m: BirationalMap, values: dict[str, complex]):
+    """The rules of ``m`` compiled at the parameter ``values``: the mapped
+    parameter values, as (name, value) pairs, and one kernel (q, p, t) ->
+    (Q, P, T).  Cached like the fields, by the rules and the exact bits of
+    each value."""
+    return _map_cache((m.q_rule, m.p_rule, m.t_rule,
+                       tuple(m.param_rules.items())), _bits(values))
+
+
 @functools.lru_cache(maxsize=32)
 def _map_cache(rules: tuple, key: tuple):
-    """A map's rules (q, p, t, ((name, rule), ...)) compiled at the
-    parameters of ``key``: the mapped parameter values, as (name, value)
-    pairs, and one kernel (q, p, t) -> (Q, P, T)."""
     values = _unbits(key)
     *coords, param_rules = rules
-    mapped = tuple((name, CompiledPoly(rule, values)(0, 0, 0))
+    mapped = tuple((name, _kernel(_bind(rule, values))(0, 0, 0))
                    for name, rule in param_rules)
     return mapped, _kernel(*(_bind(rule, values) for rule in coords))
 
@@ -326,12 +324,6 @@ _FEHLBERG45 = _Tableau(
     b=(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0),
     b_err=(16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55))
 _METHODS = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}
-
-
-def step_rk4(state: tuple[complex, complex], t: float, h: float,
-             field: CompiledField) -> tuple[complex, complex]:
-    """One classical 4th-order Runge-Kutta step over complex state."""
-    return _RK4.step(*state, t, h, field, 0.0)[:2]
 
 
 def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
@@ -441,9 +433,7 @@ def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,
         raise SingularityError(float("nan"), traj.q[near.argmax()])
     if len(traj.times) < 3:
         return 0.0
-    mapped, coords = _map_cache(
-        (m.q_rule, m.p_rule, m.t_rule, tuple(m.param_rules.items())),
-        _bits(params.values))
+    mapped, coords = compile_map(m, params.values)
     q, p, t = traj.q, traj.p, traj.times.astype(complex)
     # a rule free of q, p and t evaluates to one number: spread it per sample
     Q, P, T = (np.broadcast_to(v, q.shape) for v in coords(q, p, t))
@@ -456,8 +446,9 @@ def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,
 
 def measure_order(errors_by_h: list[tuple[float, float]]) -> float:
     """Richardson-style order estimate from (h, error) pairs, h halving.
-    Each h and each error must be finite and positive, and successive h
-    must differ."""
+    Each h and each error must be finite and positive, successive h must
+    differ, and the ratios of successive h and errors must not underflow or
+    overflow."""
     if len(errors_by_h) < 2:
         raise ValueError("need at least two (h, error) pairs")
     rates = []
@@ -468,6 +459,9 @@ def measure_order(errors_by_h: list[tuple[float, float]]) -> float:
         if not all(math.isfinite(x) and x > 0 for x in (h1, e1, h2, e2)):
             raise ValueError(f"no order from {pair}: each h and error must "
                              f"be finite and positive")
+        if not (0 < e1 / e2 < math.inf and 0 < h1 / h2 < math.inf):
+            raise ValueError(f"no order from {pair}: a ratio leaves the "
+                             f"float range")
         rates.append(math.log(e1 / e2) / math.log(h1 / h2))
     return sum(rates) / len(rates)
 

@@ -20,7 +20,7 @@ from .cyclo import CycloRat, fourth_root_of_minus_one
 from .hamiltonian import (HamSystem, hamilton_equations, make_nonautonomous3,
                           reference_ode, time_derivative_of_H,
                           verify_equivalence)
-from .integrate import _bits, _map_cache
+from .integrate import compile_map
 from .poly import LaurentError, LaurentPoly, VarTable
 
 
@@ -60,9 +60,7 @@ class BirationalMap:
                       params: dict[str, complex]):
         """Map a numeric phase point; returns ((Q, P, T), mapped params).
         Evaluates the same compiled rules as the trajectory check."""
-        mapped, coords = _map_cache(
-            (self.q_rule, self.p_rule, self.t_rule,
-             tuple(self.param_rules.items())), _bits(params))
+        mapped, coords = compile_map(self, params)
         return coords(point["q"], point["p"], point["t"]), dict(mapped)
 
 

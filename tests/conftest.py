@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from hamfam.integrate import _bind, _kernel
+
 # HAMFAM_SEED pins every randomized (non-hypothesis) test for reproducibility.
 SEED = int(os.environ.get("HAMFAM_SEED", "20240811"))
 
@@ -11,6 +13,12 @@ SEED = int(os.environ.get("HAMFAM_SEED", "20240811"))
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+def compiled_poly(poly, values):
+    """``poly`` with the parameter ``values`` bound, compiled to one function
+    of (q, p, t): the kernel that compile_field and compile_map build on."""
+    return _kernel(_bind(poly, values))
 
 
 _stderr_fd = 2

@@ -7,13 +7,13 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 import numpy as np
 import pytest
 
+from conftest import compiled_poly
 from hamfam.hamiltonian import (HamSystem, SecondOrderODE, make_autonomous5,
                                 make_general_n, make_nonautonomous3,
                                 reference_ode, time_derivative_of_H,
                                 verify_equivalence)
-from hamfam.integrate import (NumericParams, CompiledPoly,
-                              check_symmetry_on_trajectory, integrate,
-                              richardson_order)
+from hamfam.integrate import (NumericParams, check_symmetry_on_trajectory,
+                              integrate, richardson_order)
 from hamfam.poly import LaurentPoly
 from hamfam.symmetry import (BirationalMap, autonomous_map,
                              certificate_battery, iterate_map,
@@ -147,7 +147,7 @@ def test_criterion_6_numerical_nonconservation():
     sys = make_nonautonomous3()
     params = NumericParams("nonautonomous3", {"a1": 1, "a2": 1, "a3": 1}, 5)
     traj = integrate(sys, params, 1, 0, (0, 0.1), h=2.5e-4)
-    dH = CompiledPoly(time_derivative_of_H(sys), params.values)
+    dH = compiled_poly(time_derivative_of_H(sys), params.values)
     ts, qs, ps, Hs = traj.times, traj.q, traj.p, traj.H_values
     worst = 0.0
     for k in range(1, len(ts) - 1):

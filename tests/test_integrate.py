@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from conftest import compiled_poly
 from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
                                 make_autonomous5, make_general_n,
                                 make_nonautonomous3, time_derivative_of_H)
 from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD, BlowupError,
-                              CompiledPoly, NumericParams, SingularityError,
-                              Trajectory, _bits, _field_cache, _guard,
-                              _map_cache, check_symmetry_on_trajectory,
-                              compile_field, integrate, measure_order,
-                              richardson_order, step_rk4,
-                              write_trajectory_csv)
+                              NumericParams, SingularityError, Trajectory,
+                              _field_cache, _guard, _map_cache,
+                              check_symmetry_on_trajectory, compile_field,
+                              compile_map, integrate, measure_order,
+                              richardson_order, write_trajectory_csv)
 from hamfam.poly import LaurentPoly
 from hamfam.symmetry import autonomous_map, identity_map, nonautonomous_map
 
@@ -154,7 +154,7 @@ class TestStepRK4:
     def test_zero_step(self):
         field = compile_field(A5, PARAMS5)
         state = (1.3 - 0.2j, 0.4 + 0.1j)
-        assert step_rk4(state, 0.0, 0.0, field) == state
+        assert _RK4.step(*state, 0.0, 0.0, field, 0.0) == (*state, 0.0)
 
     def test_constant_field_is_exact(self):
         # degenerate H = c*p gives qdot = c, pdot = 0; RK4 is exact
@@ -162,19 +162,20 @@ class TestStepRK4:
         H = LaurentPoly.var(tbl, "p")
         sys = HamSystem("degenerate", tbl, H, A5.params, True, 5)
         field = compile_field(sys, PARAMS5)
-        q, p = step_rk4((1 + 0j, 0j), 0.0, 0.25, field)
+        q, p, _ = _RK4.step(1 + 0j, 0j, 0.0, 0.25, field, 0.0)
         assert q == 1 + 0.25  # unit constant field
         assert p == 0j
         # scaled variant through the compiled path
         sys2 = HamSystem("degenerate2", tbl,
                          LaurentPoly.var(tbl, "p", coeff=3), A5.params, True, 5)
-        q2, _ = step_rk4((1 + 0j, 0j), 0.0, 0.25, compile_field(sys2, PARAMS5))
+        q2, _, _ = _RK4.step(1 + 0j, 0j, 0.0, 0.25,
+                             compile_field(sys2, PARAMS5), 0.0)
         assert q2 == 1 + 3 * 0.25
 
     def test_against_reference_solve(self):
         h = 1e-3
         field = compile_field(A5, PARAMS5)
-        q1, p1 = step_rk4((1 + 0j, 0j), 0.0, h, field)
+        q1, p1, _ = _RK4.step(1 + 0j, 0j, 0.0, h, field, 0.0)
         qr, pr = scipy_reference(A5, PARAMS5, 1, 0, (0.0, h))
         assert abs(q1 - qr) < 1e-10
         assert abs(p1 - pr) < 1e-10
@@ -182,7 +183,7 @@ class TestStepRK4:
     def test_singularity_guard(self):
         field = compile_field(A5, PARAMS5)
         with pytest.raises(SingularityError):
-            step_rk4((1e-10 + 0j, 0j), 0.0, 1e-3, field)
+            _RK4.step(1e-10 + 0j, 0j, 0.0, 1e-3, field, 0.0)
 
     def test_matches_textbook_step_bit_for_bit(self, rng):
         field = compile_field(A5, PARAMS5)
@@ -196,7 +197,7 @@ class TestStepRK4:
             k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
             expected = (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
                         p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-            assert step_rk4((q, p), t, h, field) == expected
+            assert _RK4.step(q, p, t, h, field, 0.0) == (*expected, 0.0)
 
 
 class TestTableaus:
@@ -229,7 +230,7 @@ class TestIntegrate:
     def test_nonautonomous_dHdt_matches_symbolic(self):
         traj = integrate(NA3, PARAMS3, 1, 0, (0, 0.1), h=2.5e-4)
         assert traj.termination == "completed"
-        dH = CompiledPoly(time_derivative_of_H(NA3), PARAMS3.values)
+        dH = compiled_poly(time_derivative_of_H(NA3), PARAMS3.values)
         ts, qs, ps, Hs = traj.times, traj.q, traj.p, traj.H_values
         worst = 0.0
         for k in range(1, len(ts) - 1):
@@ -325,9 +326,12 @@ class TestRichardsonOrder:
         ([(1e-2, 1e-8), (5e-3, math.inf)], "finite and positive"),
         ([(1e-2, 1e-8), (-5e-3, 1e-9)], "finite and positive"),
         ([(1e-2, 1e-8), (1e-2, 1e-9)], "equal h"),
-        ([(1e-2, 1e-8), (5e-3, 1e-9), (5e-3, 2e-10)], "equal h")],
+        ([(1e-2, 1e-8), (5e-3, 1e-9), (5e-3, 2e-10)], "equal h"),
+        ([(1e-2, 1e-300), (5e-3, 1e300)], "ratio leaves the float range"),
+        ([(1e-300, 1.0), (1e300, 2.0)], "ratio leaves the float range")],
         ids=["zero", "both-zero", "negative", "nan", "inf", "negative-h",
-             "equal-h", "equal-h-later"])
+             "equal-h", "equal-h-later", "error-ratio-underflow",
+             "h-ratio-underflow"])
     def test_bad_pairs_raise(self, pairs, message):
         bad = pairs[-2:]
         with pytest.raises(ValueError, match=message) as err:
@@ -487,13 +491,17 @@ class TestApplyNumeric:
                 want = naive_eval(rule, values)
                 assert abs(mapped[name] - want) <= 1e-12 * max(1.0, abs(want))
 
+    def test_unknown_parameter_raises(self):
+        m = autonomous_map(A5)
+        with pytest.raises(ValueError, match="unknown parameter 'zz'"):
+            m.apply_numeric({"q": 1, "p": 0, "t": 0},
+                            {"a": 1, "e1": 1, "e2": 1, "zz": 1})
+
     def test_same_bits_as_trajectory_check(self):
         # the point map and the trajectory check share one compiled kernel
         m = nonautonomous_map(1)
         traj = integrate(NA3, PARAMS3, 1, -1.5, (0, 0.01), h=1e-3)
-        mapped, coords = _map_cache(
-            (m.q_rule, m.p_rule, m.t_rule, tuple(m.param_rules.items())),
-            _bits(PARAMS3.values))
+        mapped, coords = compile_map(m, PARAMS3.values)
         Q, P, T = coords(traj.q, traj.p, traj.times.astype(complex))
         for k, (tk, qk, pk) in enumerate(zip(traj.times, traj.q, traj.p)):
             got, params = m.apply_numeric(
@@ -739,7 +747,7 @@ class TestKernelsMatchLoopReference:
         q, p = state
         assert_same(field(q, p, t), ref(q, p, t))
         assert_same(field.H(q, p, t), ref.H(q, p, t))
-        assert_same(CompiledPoly(sys.H, values)(q, p, t), ref.H(q, p, t))
+        assert_same(compiled_poly(sys.H, values)(q, p, t), ref.H(q, p, t))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), arrays(nonzero),
@@ -761,7 +769,7 @@ class TestKernelsMatchLoopReference:
                   if name not in COORD_VARS}
         q, p = state
         for poly in polys:
-            assert_same(CompiledPoly(poly, values)(q, p, t),
+            assert_same(compiled_poly(poly, values)(q, p, t),
                         RefCompiledPoly(poly, values)(q, p, t))
 
     def test_longer_than_one_generated_line(self):
@@ -777,7 +785,7 @@ class TestKernelsMatchLoopReference:
         poly = LaurentPoly(tbl, terms)
         values = {"a": 1, "e1": 1, "e2": 1}
         for q, p, t in ((1.01 - 0.02j, 0.3 + 0j, 0.5), (-1 + 0j, -0.0j, 1j)):
-            assert_same(CompiledPoly(poly, values)(q, p, t),
+            assert_same(compiled_poly(poly, values)(q, p, t),
                         RefCompiledPoly(poly, values)(q, p, t))
 
     @settings(max_examples=150, deadline=None)

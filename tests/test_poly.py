@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import compiled_poly
 from hamfam.cyclo import CycloRat, ZETA
 from hamfam.hamiltonian import make_system
-from hamfam.integrate import CompiledPoly
 from hamfam.poly import LaurentError, LaurentPoly, VarTable
 from hamfam.symmetry import certificate_battery
 
@@ -103,10 +103,10 @@ class TestSubstitute:
 class TestEvalNumeric:
     def test_plain(self):
         P = v("q", 5) * v("p", 2)
-        assert CompiledPoly(P, {})(1, 1, 0) == 1 + 0j
+        assert compiled_poly(P, {})(1, 1, 0) == 1 + 0j
 
     def test_zeta_constant(self):
-        got = CompiledPoly(const(ZETA), {})(0, 0, 0)
+        got = compiled_poly(const(ZETA), {})(0, 0, 0)
         root2 = 2 ** 0.5 / 2
         assert abs(got - complex(root2, root2)) < 1e-15
 
@@ -121,16 +121,16 @@ class TestEvalNumeric:
             for name, e in zip(TBL.names, exps):
                 term *= pt[name] ** e
             naive += term
-        got = CompiledPoly(P, {"a": pt["a"]})(pt["q"], pt["p"], pt["t"])
+        got = compiled_poly(P, {"a": pt["a"]})(pt["q"], pt["p"], pt["t"])
         assert abs(got - naive) <= 1e-12 * max(1.0, abs(naive))
 
     def test_unbound_variable(self):
         with pytest.raises(ValueError, match="unbound parameter 'a'"):
-            CompiledPoly(v("q") * v("a"), {})
+            compiled_poly(v("q") * v("a"), {})
 
     def test_laurent_at_zero(self):
         with pytest.raises(ZeroDivisionError):
-            CompiledPoly(v("q", -2), {})(0j, 0j, 0j)
+            compiled_poly(v("q", -2), {})(0j, 0j, 0j)
 
 
 class TestInvariants:

@@ -8,8 +8,8 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import compiled_poly
 from hamfam.cyclo import CycloRat, ONE, ZETA
-from hamfam.integrate import CompiledPoly
 from hamfam.poly import LaurentPoly, VarTable
 
 TBL = VarTable(("q", "p", "t"))
@@ -203,6 +203,6 @@ def test_eval_is_multiplicative(a, b, seed):
     r = random.Random(seed)
     pt = {n: complex(r.uniform(0.5, 1.5), r.uniform(-0.5, 0.5))
           for n in TBL.names}
-    at = lambda poly: CompiledPoly(poly, {})(pt["q"], pt["p"], pt["t"])
+    at = lambda poly: compiled_poly(poly, {})(pt["q"], pt["p"], pt["t"])
     va, vb, vab = at(a), at(b), at(a * b)
     assert abs(vab - va * vb) <= 1e-12 * max(1.0, abs(va * vb))
