@@ -62,7 +62,8 @@ def parse_params(text: str) -> dict[str, complex]:
 
 
 # the largest general:n that `verify --n` takes; the general:64 battery runs
-# in about 0.6 s
+# in about 0.23 s (best of 5 on a 2-core machine, Python 3.11), and
+# `verify --family general --n 2..64` in about 5 s
 N_MAX = 64
 
 

@@ -99,15 +99,25 @@ class CycloRat:
         return _trusted((-a0, -a1, -a2, -a3), self.d)
 
     def __mul__(self, other):
-        o = other if type(other) is CycloRat else self._coerce(other)
         a0, a1, a2, a3 = self.n
-        b0, b1, b2, b3 = o.n
-        # the 16-product convolution, reduced with z^4 = -1
-        n = (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-             a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
-        d = self.d * o.d
+        if type(other) is int:
+            n = (a0 * other, a1 * other, a2 * other, a3 * other)
+            d = self.d
+        else:
+            o = other if type(other) is CycloRat else self._coerce(other)
+            b0, b1, b2, b3 = o.n
+            # a rational factor scales the other's numerators; otherwise the
+            # 16-product convolution, reduced with z^4 = -1
+            if not (b1 or b2 or b3):
+                n = (a0 * b0, a1 * b0, a2 * b0, a3 * b0)
+            elif not (a1 or a2 or a3):
+                n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+            else:
+                n = (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                     a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+            d = self.d * o.d
         if d == 1:
             return _trusted(n, 1)
         return _normal(*n, d)

@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .hamiltonian import HamSystem, hamilton_equations
+from .hamiltonian import COORD_VARS, HamSystem, hamilton_equations
 from .poly import LaurentPoly
 
 if TYPE_CHECKING:
@@ -111,9 +111,12 @@ class Trajectory:
 def _bind(poly: LaurentPoly, params: dict[str, complex]) -> list:
     """The (c, eq, ep, et) terms of ``poly`` with its parameters bound:
     one term per (q, p, t) exponent triple, zero coefficients left out.
-    A parameter name that is unbound, or not in the table, is a ValueError."""
+    A parameter name that is unbound, a coordinate, or not in the table is a
+    ValueError."""
     tbl = poly.table
     for name in params:
+        if name in COORD_VARS:
+            raise ValueError(f"{name!r} is a coordinate, not a parameter")
         if name not in tbl:
             raise ValueError(f"unknown parameter {name!r}; table has "
                              f"{tbl.names}")

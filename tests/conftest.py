@@ -21,6 +21,19 @@ def compiled_poly(poly, values):
     return _kernel(_bind(poly, values))
 
 
+def reference_serialize(P):
+    """serialize() written on the decoded exponent tuples."""
+    terms = P.terms
+    parts = []
+    for exps in sorted(terms, reverse=True):
+        coeff = terms[exps]
+        mono = "*".join(n if e == 1 else f"{n}^{e}"
+                        for n, e in zip(P.table.names, exps) if e)
+        cs = str(coeff) if coeff.is_rational() else f"({coeff})"
+        parts.append(f"{cs}*{mono}" if mono else cs)
+    return " + ".join(parts) or "0"
+
+
 _stderr_fd = 2
 
 

@@ -497,6 +497,13 @@ class TestApplyNumeric:
             m.apply_numeric({"q": 1, "p": 0, "t": 0},
                             {"a": 1, "e1": 1, "e2": 1, "zz": 1})
 
+    @pytest.mark.parametrize("name", ["q", "qdot"])
+    def test_coordinate_named_parameter_raises(self, name):
+        m = autonomous_map(A5)
+        with pytest.raises(ValueError, match=f"'{name}' is a coordinate"):
+            m.apply_numeric({"q": 1, "p": 0, "t": 0},
+                            {"a": 1, "e1": 1, "e2": 1, name: 5})
+
     def test_same_bits_as_trajectory_check(self):
         # the point map and the trajectory check share one compiled kernel
         m = nonautonomous_map(1)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compiled_poly
+from conftest import compiled_poly, reference_serialize
 from hamfam.cyclo import CycloRat, ZETA
 from hamfam.hamiltonian import make_system
 from hamfam.poly import LaurentError, LaurentPoly, VarTable
@@ -177,6 +177,47 @@ class TestInvariants:
         assert a == b and hash(a) == hash(b)
 
 
+class TestPackedKeys:
+    def test_serialize_sorts_decoded_tuples(self, rng):
+        for _ in range(50):
+            P = _random_poly(rng, nterms=rng.randint(0, 8)) \
+                * _random_poly(rng, nterms=3)
+            assert P.serialize() == reference_serialize(P)
+
+    def test_unit_inverse_of_non_q_monomial_raises(self):
+        with pytest.raises(LaurentError, match="negative exponent of 'a'"):
+            (v("q", 2) * v("a")).unit_inverse()
+        assert v("q", 2, coeff=4).unit_inverse() \
+            == v("q", -2, coeff=Fraction(1, 4))
+
+
+class TestRangeGuard:
+    # keys hold each exponent as a signed digit, so every |exponent| stays
+    # below 2^62; a result that could leave the range raises, never wraps
+    def test_constructor(self):
+        with pytest.raises(LaurentError, match="outside"):
+            v("q", 2 ** 62)
+        with pytest.raises(LaurentError, match="outside"):
+            v("q", -2 ** 62)
+        assert v("q", 2 ** 62 - 1).terms == {(2 ** 62 - 1, 0, 0, 0): 1}
+
+    def test_product(self):
+        with pytest.raises(LaurentError, match="outside"):
+            v("q", 2 ** 61) * v("q", 2 ** 61)
+
+    def test_power(self):
+        with pytest.raises(LaurentError, match="outside"):
+            v("q") ** 2 ** 62
+
+    def test_largest_exponents_keep_their_order(self):
+        top, bottom = 2 ** 62 - 1, -(2 ** 62 - 1)
+        P = LaurentPoly(TBL, {(bottom, 0, 0, 0): 1, (top, 0, 0, 0): 2,
+                              (0, top, 0, top): 3, (0, 0, 0, 1): 4})
+        assert P.serialize() == reference_serialize(P)
+        assert set(P.terms) == {(bottom, 0, 0, 0), (top, 0, 0, 0),
+                                (0, top, 0, top), (0, 0, 0, 1)}
+
+
 class TestSerialize:
     def test_golden_forms(self):
         assert LaurentPoly.zero(TBL).serialize() == "0"
@@ -197,3 +238,4 @@ def _random_poly(rng, nterms=6):
         terms[exps] = CycloRat(rng.randint(-5, 5), rng.randint(-2, 2),
                                rng.randint(-2, 2), rng.randint(-2, 2))
     return LaurentPoly(TBL, terms)
+

@@ -8,7 +8,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import compiled_poly
+from conftest import compiled_poly, reference_serialize
 from hamfam.cyclo import CycloRat, ONE, ZETA
 from hamfam.poly import LaurentPoly, VarTable
 
@@ -177,6 +177,31 @@ def test_ring_results_are_canonical(a, b, c, var):
         assert not any(k.is_zero() for k in r.terms.values())
         rebuilt = LaurentPoly(TBL, r.terms)
         assert rebuilt == r and list(rebuilt.terms) == list(r.terms)
+        # the exponent bound that the range guard reads covers every term
+        assert all(abs(e) <= r._bound for exps in r.terms for e in exps)
+
+
+def exponent_tuples(limit):
+    """(q, p, t) exponents up to ``limit`` in magnitude; only q negative."""
+    return st.tuples(st.integers(-limit, limit), st.integers(0, limit),
+                     st.integers(0, limit))
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(exponent_tuples(2 ** 62 - 1), cyclos, max_size=6))
+def test_terms_roundtrip_through_keys(terms):
+    nonzero = {e: c for e, c in terms.items() if not c.is_zero()}
+    P = LaurentPoly(TBL, terms)
+    assert P.terms == nonzero and list(P.terms) == list(nonzero)
+    # keys sort as their exponent tuples do
+    assert P.serialize() == reference_serialize(P)
+
+
+@settings(max_examples=100)
+@given(exponent_tuples(2 ** 61 - 1), exponent_tuples(2 ** 61 - 1))
+def test_monomial_product_adds_exponents(e1, e2):
+    a, b = LaurentPoly(TBL, {e1: 1}), LaurentPoly(TBL, {e2: ZETA})
+    assert (a * b).terms == {tuple(x + y for x, y in zip(e1, e2)): ZETA}
 
 
 @settings(max_examples=40)
