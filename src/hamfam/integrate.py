@@ -4,9 +4,15 @@ Each symbolic field is compiled once per (system, parameter values) pair:
 the parameters are bound to complex numbers and the polynomials become one
 straight-line Python function, generated with a single ``exec``, that does
 the term-by-term operations of a plain evaluation loop in the same order, so
-every float matches that loop.  There are two compile entries, each with a
-bounded cache keyed by exact parameter bits: ``compile_field`` for a
-system's field, and ``compile_map`` for a map's rules.
+every float matches that loop.  Each power of q or p with exponent 1..100
+costs one complex multiply: the kernel shares the squares and partial
+products of the chain that CPython's ``z**k`` runs for such k, so on
+complex scalars every power has the bits of ``**`` and raises where ``**``
+raises, and on numpy arrays the same chain runs in numpy arithmetic.
+Powers of t, negative powers and exponents above 100 keep ``**``.  There
+are two compile entries, each with a bounded cache keyed by exact parameter
+bits: ``compile_field`` for a system's field, and ``compile_map`` for a
+map's rules.
 The field is stepped by one explicit Runge-Kutta engine driven by a Butcher
 tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair
 with PI step-size control.  Each tableau's step is generated the same way,
@@ -18,8 +24,10 @@ non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
 against finite differences instead.  The compiled map rules serve both the
 trajectory check and ``BirationalMap.apply_numeric``.
 
-q = 0 is a genuine singular locus of the dynamics; integration stops cleanly
-(never NaN-propagates) when a trajectory approaches it or blows up.
+Hamilton's equations are polynomial, so q = 0 is not a singularity of the
+dynamics; the |q| floor is the integrator's own guard, and integration
+stops cleanly there (never NaN-propagates), as it does when a trajectory
+blows up.
 """
 
 from __future__ import annotations
@@ -154,14 +162,74 @@ def _generate(signature: str, lines: list[str], args: dict):
     return namespace.pop("factory")(**args)
 
 
+# CPython computes z**k for an int 0 < k <= 100 by binary exponentiation
+# (c_powu in Objects/complexobject.c) and in polar form past 100
+_CHAIN_MAX = 100
+
+
+def _power_lines(powers: dict[str, tuple[str, int]]) -> tuple[list[str],
+                                                                dict]:
+    """Lines that set each local ``name`` of ``powers`` ({name: (v, k)}, in
+    the order the terms first use them) to v**k, and the values they name.
+
+    A power of q or p with 0 < k <= 100 follows the multiplications of
+    CPython's ``z**k`` for such k, shared across the kernel: the squares
+    v*v, (v*v)*(v*v), ... up to the highest set bit hb of the largest k are
+    computed once, and v^k = v^(k - hb) * v^hb with v^0 the constant 1+0j
+    (``1*z`` is not bitwise z), so each power costs one multiply and has the
+    bits of v**k, signed zeros, infinities and NaNs included.
+
+    ``**`` raises OverflowError where its result has an infinite part.  The
+    largest power of each variable is finite only if every smaller one is,
+    so when the largest powers are complex scalars one test of their sum
+    guards a line that evaluates every power with ``**`` in the terms'
+    order, and raises there what the ``**`` kernel raises.  On arrays the
+    chain follows numpy, which warns and goes on.  Powers of t (a float
+    t**k is libm pow), negative powers (``**`` raises ZeroDivisionError at
+    0) and k > 100 keep ``**``.
+    """
+    chains, kept = {"q": set(), "p": set()}, []
+    for name, (v, k) in powers.items():
+        if v in chains and 0 < k <= _CHAIN_MAX:
+            while k:  # v^k needs v^(k - hb), which needs ...
+                chains[v].add(k)
+                k -= 1 << k.bit_length() - 1
+        else:
+            kept.append(f"{name} = {v}**{k}")
+    lines, tops = [], []
+    for v, ks in chains.items():
+        if not ks:
+            continue
+        square = lambda hb: v if hb == 1 else f"{v}_{hb}"
+        top = max(ks)
+        for b in range(1, top.bit_length()):
+            lines.append(f"{square(1 << b)} = {square(1 << b - 1)} * "
+                         f"{square(1 << b - 1)}")
+        for k in sorted(ks):
+            hb = 1 << k.bit_length() - 1
+            low = f"{v}{k - hb}" if k > hb else "one"
+            lines.append(f"{v}{k} = {low} * {square(hb)}")
+        tops.append(f"{v}{top}")
+    if not tops:
+        return kept, {}
+    scalar = " and ".join(f"type({top}) is complex" for top in tops)
+    check = [f"if {scalar} and not isfinite({' + '.join(tops)}):",
+             "    " + ", ".join(f"{v}**{k}" for v, k in powers.values())]
+    return lines + check + kept, {"isfinite": cmath.isfinite, "one": 1 + 0j}
+
+
 def _kernel(*polys: list):
     """One straight-line function (q, p, t) -> the value of each bound
     polynomial (a tuple for more than one).
 
     Each term is ((c*q**eq)*p**ep)*t**et with zero exponents left out, and a
-    polynomial's terms are summed left to right from 0j, so q, p and t may
-    be complex scalars or numpy arrays.  Each power is computed once, into a
-    local that every term using it reads.  The source text holds only local
+    polynomial's terms are summed left to right from 0j.  q, p and t may be
+    complex scalars or numpy arrays.  Each power is computed once, into a
+    local that every term using it reads; ``_power_lines`` shares the
+    multiplications of the powers of q and p along CPython's chain for
+    ``**``, so with complex scalars every value and every exception is that
+    of a kernel that computes each power with ``**``, and arrays follow the
+    same chain in numpy arithmetic.  The source text holds only local
     names and the int exponents."""
     coeffs, powers, lines = {}, {}, []
     for k, spans in enumerate(polys):
@@ -172,7 +240,7 @@ def _kernel(*polys: list):
             for v, e in zip("qpt", exps):
                 if e:
                     name = f"{v}{e}" if e > 0 else f"{v}m{-e}"
-                    powers[name] = f"{v}**{e}"
+                    powers[name] = (v, e)
                     factors.append(name)
             terms.append("*".join(factors))
         total = "0j"
@@ -180,9 +248,10 @@ def _kernel(*polys: list):
             lines.append(f"s{k} = " + " + ".join(
                 [total] + terms[i:i + _TERMS_PER_LINE]))
             total = f"s{k}"
-    lines = [f"{name} = {power}" for name, power in powers.items()] + lines
+    power_lines, args = _power_lines(powers)
+    lines = power_lines + lines
     lines.append("return " + ", ".join(f"s{k}" for k in range(len(polys))))
-    return _generate("(q, p, t)", lines, coeffs)
+    return _generate("(q, p, t)", lines, {**coeffs, **args})
 
 
 class CompiledField:
@@ -278,19 +347,20 @@ def _step_source(tab: _Tableau) -> tuple[list[str], dict]:
 
     Stage i starts from q + h*a_i0*k0 + h*a_i1*k1 + ..., summed left to
     right over the nonzero a_ij (RK4 then matches its textbook form), and
-    stops at the |q| guard before it calls f.  The weights, zeros included,
+    stops at the |q| guard before it calls f.  Each h*a_ij is computed once
+    per stage, for q and p: h*a*k is (h*a)*k.  The weights, zeros included,
     are summed left to right from the int 0, as ``sum`` does."""
     args = {"div": tab.div, "FLOOR": SINGULARITY_FLOOR,
             "GUARD": OVERFLOW_GUARD, "guard": _guard, "sqrt": math.sqrt}
     lines = []
     for i, (row, c) in enumerate(zip(tab.a, tab.c)):
+        js = [j for j, a in enumerate(row) if a]
+        for j in js:
+            args[f"a{i}_{j}"] = row[j]
+            lines.append(f"ha{j} = h * a{i}_{j}")
         for v in "qp":
-            shifts = []
-            for j, a in enumerate(row):
-                if a:
-                    args[f"a{i}_{j}"] = a
-                    shifts.append(f" + h * a{i}_{j} * k{v}{j}")
-            lines.append(f"{v}i = {v}" + "".join(shifts))
+            lines.append(f"{v}i = {v}" + "".join(f" + ha{j} * k{v}{j}"
+                                                 for j in js))
         args[f"c{i}"] = c
         lines += ["if not FLOOR <= abs(qi) <= GUARD:", "    guard(t, qi)",
                   f"kq{i}, kp{i} = f(qi, pi, t + c{i} * h)"]

@@ -59,9 +59,12 @@ class BirationalMap:
     def apply_numeric(self, point: dict[str, complex],
                       params: dict[str, complex]):
         """Map a numeric phase point; returns ((Q, P, T), mapped params).
-        Evaluates the same compiled rules as the trajectory check."""
+        Evaluates the same compiled rules as the trajectory check, on the
+        point's q, p and t as complex numbers, so an int, float or complex
+        point gives the same mapped point."""
         mapped, coords = compile_map(self, params)
-        return coords(point["q"], point["p"], point["t"]), dict(mapped)
+        return coords(complex(point["q"]), complex(point["p"]),
+                      complex(point["t"])), dict(mapped)
 
 
 def identity_map(table: VarTable, params: tuple[str, ...]) -> BirationalMap:

@@ -7,7 +7,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import compiled_poly
@@ -16,7 +16,8 @@ from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
                                 make_nonautonomous3, time_derivative_of_H)
 from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD, BlowupError,
                               NumericParams, SingularityError, Trajectory,
-                              _field_cache, _guard, _map_cache,
+                              _field_cache, _generate, _guard, _kernel,
+                              _map_cache, _power_lines,
                               check_symmetry_on_trajectory, compile_field,
                               compile_map, integrate, measure_order,
                               richardson_order, write_trajectory_csv)
@@ -504,6 +505,19 @@ class TestApplyNumeric:
             m.apply_numeric({"q": 1, "p": 0, "t": 0},
                             {"a": 1, "e1": 1, "e2": 1, name: 5})
 
+    @pytest.mark.parametrize("case", list(APPLY_CASES))
+    def test_int_float_and_complex_points_agree(self, case):
+        sys, m = APPLY_CASES[case]
+        values = {name: 0.7 - 0.2j for name in sys.params}
+        for q, p, t in ((3, -2, 1), (1.1, 0.3, 0.25)):
+            want = m.apply_numeric({"q": complex(q), "p": complex(p),
+                                    "t": complex(t)}, values)
+            for point in ({"q": q, "p": p, "t": t},
+                          {"q": float(q), "p": float(p), "t": float(t)}):
+                got = m.apply_numeric(point, values)
+                assert_same(got[0], want[0])
+                assert got[1] == want[1]
+
     def test_same_bits_as_trajectory_check(self):
         # the point map and the trajectory check share one compiled kernel
         m = nonautonomous_map(1)
@@ -556,11 +570,38 @@ class TestTrajectoryInvariants:
 # generated kernels and the precomputed tableau rows replaced; both must
 # agree with them bit for bit, signed zeros included -----------------------
 
+def c_powu(z, k):
+    """z**k for an int 0 < k <= 100, written out as CPython computes it:
+    r = 1+0j, and for each bit of k from the lowest, r = r*z^(2^i) where the
+    bit is set, the square z^(2^i) squared once per bit.  A complex result
+    with an infinite part raises OverflowError, as ``**`` does; arrays go
+    on."""
+    r, square = 1 + 0j, z
+    while True:
+        if k & 1:
+            r = r * square
+        k >>= 1
+        if not k:
+            break
+        square = square * square
+    if type(r) is complex and (math.isinf(r.real) or math.isinf(r.imag)):
+        raise OverflowError("complex exponentiation")
+    return r
+
+
+def chain_power(z, k):
+    """z**k, with ``c_powu`` for 0 < k <= 100."""
+    return c_powu(z, k) if 0 < k <= 100 else z ** k
+
+
 class RefCompiledPoly:
     """A LaurentPoly with parameters bound, reduced to (coeff, eq, ep, et)
-    terms and evaluated term by term."""
+    terms and evaluated term by term.  Powers of q and p come from ``power``
+    (on arrays, ``chain_power`` makes the multiplications of the kernels'
+    power chain); powers of t always from ``**``."""
 
-    def __init__(self, poly, params):
+    def __init__(self, poly, params, power=chain_power):
+        self.power = power
         tbl = poly.table
         iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
         pidx = {tbl.index(k): complex(v) for k, v in params.items()}
@@ -580,9 +621,9 @@ class RefCompiledPoly:
         for c, eq, ep, et in self.spans:
             v = c
             if eq:
-                v *= q ** eq
+                v *= self.power(q, eq)
             if ep:
-                v *= p ** ep
+                v *= self.power(p, ep)
             if et:
                 v *= t ** et
             total += v
@@ -590,11 +631,11 @@ class RefCompiledPoly:
 
 
 class RefField:
-    def __init__(self, sys, values):
+    def __init__(self, sys, values, power=chain_power):
         f_q, f_p = hamilton_equations(sys)
-        self.f_q = RefCompiledPoly(f_q, values)
-        self.f_p = RefCompiledPoly(f_p, values)
-        self.H = RefCompiledPoly(sys.H, values)
+        self.f_q = RefCompiledPoly(f_q, values, power)
+        self.f_p = RefCompiledPoly(f_p, values, power)
+        self.H = RefCompiledPoly(sys.H, values, power)
         self.calls = 0
 
     def __call__(self, q, p, t):
@@ -818,6 +859,115 @@ class TestKernelsMatchLoopReference:
         qn, pn, err = tab.step(q, p, t, h, field, tol)
         assert_same((qn, pn), want[:2])
         assert struct.pack("<d", err) == struct.pack("<d", want[2])
+
+
+def outcome(fn, *args):
+    """The bits of what fn(*args) returns (each item of a tuple), or the type
+    and message of the ArithmeticError it raises."""
+    try:
+        got = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return "value", tuple(map(bits, got if isinstance(got, tuple) else (got,)))
+
+
+def quiet_nan(sign, payload):
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF8 << 48
+                                           | payload))[0]
+
+
+NAN_5 = quiet_nan(0, 5)
+# parts from the whole float range: signed zeros, subnormals, magnitudes
+# from 1e-320 to 1e301 (so some power of 1..100 overflows at every
+# magnitude above 1e3), infinities and NaNs, with payloads and either sign
+# (a sum of two NaNs keeps the payload of one of them, so operand order
+# shows)
+nans = st.builds(quiet_nan, st.integers(0, 1), st.integers(0, 2 ** 51 - 1))
+wide_parts = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf)),
+    nans,
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10),
+              st.integers(-320, 300)),
+    st.floats(allow_nan=True, allow_infinity=True))
+wide = st.builds(complex, wide_parts, wide_parts)
+chain_exponents = st.lists(st.integers(1, 100), max_size=3, unique=True)
+
+
+@pytest.mark.filterwarnings("ignore:parameter e")
+class TestPowerChain:
+    # 1*z and z*1 differ where z has an infinite part and a NaN, or two
+    # NaNs with different payloads
+    @example(complex(-math.inf, NAN_5), 0j, [1], [])
+    @example(complex(NAN_5, -math.nan), complex(math.nan, NAN_5), [3], [1])
+    @settings(max_examples=500, deadline=None)
+    @given(wide, wide, chain_exponents.filter(bool), chain_exponents)
+    def test_generated_powers_match_pow(self, z, w, qks, pks):
+        # the power lines of a kernel, on their own: same bits as **, and
+        # the same exception type and message
+        powers = {**{f"q{k}": ("q", k) for k in qks},
+                  **{f"p{k}": ("p", k) for k in pks}}
+        lines, args = _power_lines(powers)
+        fn = _generate("(q, p, t)", lines + [f"return ({', '.join(powers)},)"],
+                       args)
+        by_pow = lambda: tuple(z ** k for k in qks) + tuple(w ** k
+                                                            for k in pks)
+        assert outcome(fn, z, w, 0.0) == outcome(by_pow)
+
+    @settings(max_examples=500, deadline=None)
+    @given(wide, st.integers(1, 100))
+    def test_loop_reference_matches_pow(self, z, k):
+        assert outcome(c_powu, z, k) == outcome(pow, z, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), st.floats(-3, 70),
+           st.floats(-3, 170), st.floats(-math.pi, math.pi),
+           st.floats(-math.pi, math.pi), times)
+    def test_field_raises_where_pow_kernel_raises(self, sys, data, lq, lp,
+                                                   aq, ap, t):
+        values = data.draw(param_values(sys))
+        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+        ref = RefField(sys, values, power=pow)
+        q, p = cmath.rect(10 ** lq, aq), cmath.rect(10 ** lp, ap)
+        assert outcome(field, q, p, t) == outcome(ref, q, p, t)
+        assert outcome(field.H, q, p, t) == outcome(ref.H, q, p, t)
+
+    # f_p of autonomous5 has a p**2 term, which overflows past |p| ~ 1.3e154;
+    # at 1e155*(1 + 1j) both parts of p*p overflow and p**2 comes out NaN
+    # without an infinite part, so ** does not raise
+    @pytest.mark.parametrize("p, raises", [(1e150 + 0j, False),
+                                           (1e155 + 0j, True),
+                                           (1e155j, True),
+                                           (complex(1e155, 1e155), False),
+                                           (complex(0, math.nan), False)])
+    def test_field_overflow_on_large_p(self, p, raises):
+        field = compile_field(A5, PARAMS5)
+        ref = RefField(A5, PARAMS5.values, power=pow)
+        got = outcome(field, 1 + 0j, p, 0.0)
+        assert got == outcome(ref, 1 + 0j, p, 0.0)
+        assert (got == (OverflowError, "complex exponentiation")) == raises
+
+    def test_first_failing_power_in_term_order_raises(self):
+        # at q = 0, q**-1 raises ZeroDivisionError, and at p = 1e155, p**2
+        # raises OverflowError: the terms' order decides which, as with **
+        inv, square = (1 + 0j, -1, 0, 0), (1 + 0j, 0, 2, 0)
+        for spans, first in (([inv, square], lambda: 0j ** -1),
+                             ([square, inv], lambda: (1e155 + 0j) ** 2)):
+            assert outcome(_kernel(spans), 0j, 1e155 + 0j, 0.0) \
+                == outcome(first)
+
+    @pytest.mark.parametrize("var, k, point", [
+        ("t", 3, (1 + 0j, 1 + 0j, 0.3)),  # a float t**3 is libm pow
+        ("q", 101, (1.01 + 0.02j, 1 + 0j, 0.0)),  # polar form past 100
+        ("p", 150, (1 + 0j, 0.99 + 0.1j, 0.0)),
+        ("q", -3, (1.01 + 0.02j, 1 + 0j, 0.0)),
+        ("q", -3, (0j, 1 + 0j, 0.0))])  # ** raises ZeroDivisionError
+    def test_other_powers_keep_pow(self, var, k, point):
+        fn = compiled_poly(LaurentPoly.var(A5.table, var, k), {})
+        x = point["qpt".index(var)]
+        assert outcome(fn, *point) == outcome(lambda: 0j + (1 + 0j) * x ** k)
+        if k > 0:  # the chain would give other bits here
+            assert outcome(fn, *point) != outcome(
+                lambda: 0j + (1 + 0j) * c_powu(x, k))
 
 
 def assert_same_run(got, want):
