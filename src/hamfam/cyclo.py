@@ -30,15 +30,23 @@ def _normal(n0: int, n1: int, n2: int, n3: int, d: int) -> "CycloRat":
     g = gcd(n0, n1, n2, n3, d)
     if g != 1:
         n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
-    return _trusted((n0, n1, n2, n3), d)
+    new = _new(CycloRat)
+    new.n = (n0, n1, n2, n3)
+    new.d = d
+    return new
 
 
 def _trusted(n: tuple, d: int) -> "CycloRat":
     """Wrap numerators and denominator already in normal form."""
-    new = object.__new__(CycloRat)
+    new = _new(CycloRat)
     new.n = n
     new.d = d
     return new
+
+
+# the hot paths below build their results with it directly, not through a
+# chain of helper calls
+_new = object.__new__
 
 
 class CycloRat:
@@ -81,7 +89,10 @@ class CycloRat:
         da, db = self.d, o.d
         if da == db:
             if da == 1:
-                return _trusted((a0 + b0, a1 + b1, a2 + b2, a3 + b3), 1)
+                new = _new(CycloRat)
+                new.n = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                new.d = 1
+                return new
             return _normal(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
         return _normal(a0 * db + b0 * da, a1 * db + b1 * da,
                        a2 * db + b2 * da, a3 * db + b3 * da, da * db)
@@ -119,7 +130,10 @@ class CycloRat:
                      a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
             d = self.d * o.d
         if d == 1:
-            return _trusted(n, 1)
+            new = _new(CycloRat)
+            new.n = n
+            new.d = 1
+            return new
         return _normal(*n, d)
 
     __rmul__ = __mul__
@@ -160,17 +174,31 @@ class CycloRat:
         return _trusted(tuple(acc), self.d)
 
     def inverse(self) -> "CycloRat":
-        if self.is_zero():
+        n, d = self.n, self.d
+        nonzero = [i for i, a in enumerate(n) if a]
+        if not nonzero:
             raise ZeroDivisionError("inverse of zero in Q(z8)")
+        if len(nonzero) == 1:
+            # u/d inverts to d/u, and u*z^i/d (i > 0) to (d/u)*z^-i, where
+            # z^-i = -z^(4-i); gcd(u, d) = 1 in normal form, so only the sign
+            # of u moves to the numerator
+            i, = nonzero
+            u = n[i]
+            c = d if u > 0 else -d
+            out = [0, 0, 0, 0]
+            if i:
+                out[4 - i] = -c
+            else:
+                out[0] = c
+            return _trusted(tuple(out), abs(u))
         # for the integer numerator a, the product of its nontrivial Galois
         # conjugates gives a * conj = N, the field norm: an integer, and
         # positive, being |a|^2 * |galois(a, 3)|^2 under z -> exp(i*pi/4);
         # then (a/d)^-1 = d * conj / N
-        num = _trusted(self.n, 1)
+        num = _trusted(n, 1)
         conj = num.galois(3) * num.galois(5) * num.galois(7)
         norm = (num * conj).n
         assert norm[0] > 0 and norm[1] == 0 and norm[2] == 0 and norm[3] == 0
-        d = self.d
         return _normal(*(d * c for c in conj.n), norm[0])
 
     # -- predicates & conversions ---------------------------------------

@@ -85,21 +85,42 @@ def _as_cyclo(c: Coeff) -> CycloRat:
     return c if isinstance(c, CycloRat) else CycloRat(c)
 
 
-def _accumulate(pairs: Iterable[tuple[int, CycloRat]],
-                terms: dict | None = None) -> dict:
-    """Add the (key, nonzero coefficient) pairs into ``terms`` (a new dict by
-    default) and drop every term that cancels; returns the dict."""
-    if terms is None:
-        terms = {}
+def _accumulate(terms: dict, pairs: Iterable[tuple[int, CycloRat]]) -> None:
+    """Add the (key, nonzero coefficient) pairs into ``terms`` in place and
+    drop every term that cancels.  A sum updates its key where it stands; a
+    key that cancels and comes back is appended at the end."""
+    get = terms.get
     for key, c in pairs:
-        s = terms.get(key)
+        s = get(key)
         if s is not None:
             c = s + c
             if c.is_zero():
                 del terms[key]
                 continue
         terms[key] = c
-    return terms
+
+
+def _accumulate_product(terms: dict, shift: int, coeff: CycloRat,
+                        other: dict) -> None:
+    """``_accumulate`` of coeff * x^shift * other: the pairs
+    (shift + key, coeff * c) over the (key, c) of ``other``, in its order."""
+    get = terms.get
+    for key, c in other.items():
+        key += shift
+        c = coeff * c
+        s = get(key)
+        if s is not None:
+            c = s + c
+            if c.is_zero():
+                del terms[key]
+                continue
+        terms[key] = c
+
+
+def _check_bound(bound: int) -> None:
+    if bound >= _LIMIT:
+        raise LaurentError(f"an exponent may reach {bound}, outside "
+                           f"+-2^{_WIDTH - 2}")
 
 
 class LaurentPoly:
@@ -143,9 +164,7 @@ class LaurentPoly:
         """Wrap a dict of keys and nonzero CycloRat coefficients as it is,
         without copying it; ``bound`` bounds every |exponent| and is the one
         thing checked."""
-        if bound >= _LIMIT:
-            raise LaurentError(f"an exponent may reach {bound}, outside "
-                               f"+-2^{_WIDTH - 2}")
+        _check_bound(bound)
         new = object.__new__(cls)
         new.table = table
         new._terms = terms
@@ -189,9 +208,10 @@ class LaurentPoly:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return LaurentPoly._trusted(
-            self.table, _accumulate(o._terms.items(), dict(self._terms)),
-            max(self._bound, o._bound))
+        terms = dict(self._terms)
+        _accumulate(terms, o._terms.items())
+        return LaurentPoly._trusted(self.table, terms,
+                                    max(self._bound, o._bound))
 
     __radd__ = __add__
 
@@ -225,18 +245,30 @@ class LaurentPoly:
             (k1, c1), = a.items()
             terms = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
         else:
-            terms = _accumulate((k1 + k2, c1 * c2) for k1, c1 in a.items()
-                                for k2, c2 in b.items())
+            terms = {}
+            for k1, c1 in a.items():
+                _accumulate_product(terms, k1, c1, b)
         return LaurentPoly._trusted(self.table, terms,
                                     self._bound + o._bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        """The n-th power; a negative n inverts a monomial first.
+
+        The exponent range is checked before any product is formed: n times
+        the base's exponent bound must stay inside it, as the bound of the
+        power is exactly that.  A monomial c*x^e goes straight to
+        c^n*x^(n*e); any other base is raised by repeated squaring."""
         if n < 0:
             return self.unit_inverse() ** (-n)
         if n == 0:
             return LaurentPoly.const(self.table, 1)
+        bound = self._bound * n
+        _check_bound(bound)
+        if len(self._terms) == 1:
+            (key, c), = self._terms.items()
+            return LaurentPoly._trusted(self.table, {key * n: c ** n}, bound)
         result = None
         base = self
         while True:
@@ -325,8 +357,7 @@ class LaurentPoly:
             product = products.get(pattern)
             if product is None:
                 product = products[pattern] = product_of(pattern)
-            _accumulate(((k + rest, coeff * c)
-                         for k, c in product._terms.items()), terms)
+            _accumulate_product(terms, rest, coeff, product._terms)
         return LaurentPoly._trusted(
             tbl, terms, self._bound + max(
                 (p._bound for p in products.values()), default=0))

@@ -146,10 +146,25 @@ def compose(a: BirationalMap, b: BirationalMap) -> BirationalMap:
 
 
 def iterate_map(m: BirationalMap, k: int) -> BirationalMap:
-    out = identity_map(m.table, tuple(m.param_rules))
-    for _ in range(k):
-        out = compose(out, m)
-    return out
+    """m composed with itself k times; the identity map for k <= 0.
+
+    Repeated squaring takes O(log k) compositions instead of k.  Composition
+    is associative and every rule is a canonical polynomial (a dict of exact
+    normal-form coefficients), so any grouping of the k factors gives the
+    same rules.  The name is the linear chain's, "m∘m∘…∘identity"."""
+    if k <= 0:
+        return identity_map(m.table, tuple(m.param_rules))
+    name = "∘".join([m.name] * k + ["identity"])
+    result = None
+    base = m
+    while True:
+        if k & 1:
+            result = base if result is None else compose(result, base)
+        k >>= 1
+        if not k:
+            return replace(result, name=name,
+                           param_rules=dict(result.param_rules))
+        base = compose(base, base)
 
 
 def map_order(m: BirationalMap, max_order: int = 16) -> int | None:

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from hamfam.cyclo import CycloRat
 from hamfam.integrate import _bind, _kernel
+from hamfam.symmetry import compose, identity_map
 
 # HAMFAM_SEED pins every randomized (non-hypothesis) test for reproducibility.
 SEED = int(os.environ.get("HAMFAM_SEED", "20240811"))
@@ -32,6 +34,27 @@ def reference_serialize(P):
         cs = str(coeff) if coeff.is_rational() else f"({coeff})"
         parts.append(f"{cs}*{mono}" if mono else cs)
     return " + ".join(parts) or "0"
+
+
+def linear_iterate(m, k):
+    """m composed with itself k times by the linear chain: k compositions,
+    the first with the identity map."""
+    out = identity_map(m.table, tuple(m.param_rules))
+    for _ in range(k):
+        out = compose(out, m)
+    return out
+
+
+def norm_route_inverse(x):
+    """The inverse of a nonzero CycloRat by the field norm, for every
+    element: the integer numerator a times the product conj of its
+    nontrivial Galois conjugates is the norm N, a positive integer, and
+    (a/d)^-1 = d * conj / N."""
+    num = CycloRat(*x.n)
+    conj = num.galois(3) * num.galois(5) * num.galois(7)
+    norm = num * conj
+    assert norm.is_rational() and norm.rational > 0
+    return conj * CycloRat(x.d) * CycloRat(norm.rational ** -1)
 
 
 _stderr_fd = 2

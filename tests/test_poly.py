@@ -50,6 +50,22 @@ class TestMul:
         assert product == (v("q", 5) * v("p", 2) + v("a") * v("q", 4) * v("p")
                            + v("q", 3) * v("p") + v("p", 2 - 1) * 2)
 
+    @pytest.mark.parametrize("base", [
+        v("q", -2, coeff=ZETA + Fraction(1, 3)), v("a", coeff=-2) * v("p", 3),
+        const(ZETA ** 3), v("q") + 2, v("p") * v("q", -1) + v("t", coeff=ZETA)],
+        ids=["monomial-in-1/q", "monomial", "constant", "q+2", "p/q+zt"])
+    def test_power_is_the_product_of_copies(self, base):
+        product = const(1)
+        for n in range(8):
+            got = base ** n
+            assert got == product and list(got.terms) == list(product.terms)
+            product = product * base
+
+    def test_negative_power_of_a_monomial(self):
+        base = v("q", 3, coeff=ZETA + 1)
+        for n in range(1, 5):
+            assert base ** -n * base ** n == const(1)
+
     def test_no_degree_cap(self):
         # general:32 has terms of total degree 65; the family is certified
         # for every n >= 2
@@ -208,6 +224,20 @@ class TestRangeGuard:
     def test_power(self):
         with pytest.raises(LaurentError, match="outside"):
             v("q") ** 2 ** 62
+
+    @pytest.mark.parametrize("base", [
+        v("q", coeff=2), v("q", -1, coeff=ZETA + 3), v("q") + 2,
+        v("p", 2) * v("q", -1) + v("t", coeff=Fraction(1, 3))],
+        ids=["2q", "(z+3)/q", "q+2", "p^2/q+t/3"])
+    def test_power_is_checked_before_any_product(self, base):
+        # squaring a non-unit coefficient or a sum 62 times first would take
+        # all the memory there is; the range check must come first
+        with pytest.raises(LaurentError, match="outside"):
+            base ** 2 ** 62
+
+    def test_negative_power_is_checked_first(self):
+        with pytest.raises(LaurentError, match="outside"):
+            v("q", coeff=2) ** -(2 ** 62)
 
     def test_largest_exponents_keep_their_order(self):
         top, bottom = 2 ** 62 - 1, -(2 ** 62 - 1)

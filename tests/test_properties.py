@@ -6,10 +6,11 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import compiled_poly, reference_serialize
-from hamfam.cyclo import CycloRat, ONE, ZETA
+from conftest import compiled_poly, norm_route_inverse, reference_serialize
+from hamfam.cyclo import CycloRat, ONE, ZERO, ZETA
 from hamfam.poly import LaurentPoly, VarTable
 
 TBL = VarTable(("q", "p", "t"))
@@ -140,6 +141,41 @@ def test_cyclo_ring_axioms(a, b, c):
 def test_cyclo_field_inverse(a):
     if not a.is_zero():
         assert a * a.inverse() == ONE
+
+
+@st.composite
+def invertibles(draw):
+    """A nonzero element: a rational, +-u*z^i/d for i = 0..3, or any."""
+    kind = draw(st.sampled_from(("rational", "monomial", "general")))
+    if kind == "general":
+        return CycloRat(*draw(wide4.filter(any)))
+    cs = [0, 0, 0, 0]
+    cs[draw(st.integers(0, 3)) if kind == "monomial" else 0] = \
+        draw(wide.filter(bool))
+    return CycloRat(*cs)
+
+
+@settings(max_examples=400)
+@given(invertibles())
+@example(ONE)
+@example(CycloRat(-1))
+@example(ZETA)
+@example(-ZETA ** 2)
+@example(ZETA ** 3)
+@example(CycloRat(0, 0, 0, Fraction(-7, 3)))
+def test_cyclo_inverse_matches_norm_route(x):
+    inv = x.inverse()
+    ref = norm_route_inverse(x)
+    assert (inv.n, inv.d) == (ref.n, ref.d)
+    assert_normal(inv)
+    assert x * inv == ONE and inv * x == ONE
+
+
+def test_cyclo_inverse_of_zero_raises():
+    for zero in (ZERO, CycloRat(0, 0, 0, 0), ZETA - ZETA,
+                 CycloRat(Fraction(0, 3), 0, 0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
 
 
 def test_cyclo_root_identities():

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import linear_iterate
 from hamfam.cyclo import CycloRat, ZETA
 from hamfam.hamiltonian import (make_autonomous5, make_general_n,
                                 make_nonautonomous3, make_system)
@@ -162,6 +163,29 @@ class TestCompose:
         m = nonautonomous_map(1)
         s4 = iterate_map(m, 4)
         assert s4.q_rule == LaurentPoly.var(m.table, "q", coeff=CycloRat(-1))
+
+
+ITERATED = {f"s-nonauto[{b}]": nonautonomous_map(b) for b in (1, 3, 5, 7)}
+ITERATED.update((family, autonomous_map(make_system(family)))
+                for family in ("autonomous5", "general:2", "general:5",
+                               "general:12"))
+
+
+@pytest.mark.parametrize("label", ITERATED)
+def test_iterate_by_squaring_matches_the_linear_chain(label):
+    m = ITERATED[label]
+    for k in range(11):
+        got, want = iterate_map(m, k), linear_iterate(m, k)
+        assert got == want, f"{label}^{k}"
+        assert got.name == want.name
+        for rule, ref in zip((got.q_rule, got.p_rule, got.t_rule,
+                              *got.param_rules.values()),
+                             (want.q_rule, want.p_rule, want.t_rule,
+                              *want.param_rules.values())):
+            assert rule.serialize() == ref.serialize()
+            # the numeric kernels sum floats in term order
+            assert list(rule.terms) == list(ref.terms)
+        assert list(got.param_rules) == list(want.param_rules)
 
 
 def test_make_map_dispatch():
