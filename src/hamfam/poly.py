@@ -1,14 +1,24 @@
 """Sparse multivariate Laurent polynomials over Q(z8).
 
-A monomial's exponents over a fixed variable table of k names are packed into
-one int, its key: sum(e_i * 2^(W*(k-1-i))) with W = ``_WIDTH`` bits per
-signed digit, the first name most significant (Kronecker substitution).  The
-sum of two keys is the key of the product monomial, and keys order exactly
-as the exponent tuples do lexicographically.  A key decodes while every digit
-lies inside +-2^(W-1); each polynomial carries an upper bound on its
-|exponent|s, and a result whose bound reaches ``_LIMIT`` = 2^(W-2) raises
-``LaurentError`` instead of wrapping.  ``terms`` decodes the keys back into
-exponent tuples.
+A polynomial is a dict of nonzero int numerators over one int denominator
+den > 0, with gcd(den, every numerator) = 1, so equal polynomials have equal
+dicts and denominators.  A key packs the exponents over a fixed table of k
+names and the power j = 0..3 of z as signed digits of W = ``_WIDTH`` bits:
+sum(e_i * 2^(W*(k-i))) + j, the first name most significant and z lowest
+(Kronecker substitution).  Keys add under products, and a z-digit reaching
+4 drops by 4 and negates the numerator (z^4 = -1); keys order as (exponent
+tuple, j) does.  A key decodes while every digit lies inside +-2^(W-1): each
+polynomial bounds its |exponent|s, and a result whose bound reaches
+``_LIMIT`` = 2^(W-2) raises ``LaurentError`` instead of wrapping.
+
+``CycloRat`` is the scalar type at the boundary only: the constructor,
+``var`` and ``const`` take it, and ``terms`` and ``coefficient`` return one
+per monomial.  The certificates never put two powers of z on one monomial,
+so each monomial is one entry and keys sit in ``terms`` in the order the
+ring's loops first made them.  Int values make few objects the garbage
+collector tracks, so full collections become rare; CPython empties its tuple
+free lists only at a full collection, so the hot paths make no tuple per
+term or per call, which would pile up there.
 
 Only q may carry negative exponents; every transformation in this package
 divides only by powers of q.  Terms are checked (int exponents inside the
@@ -21,9 +31,10 @@ taken as it is.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from .cyclo import CycloRat, ONE, ZERO
+from .cyclo import CycloRat, ZERO, _normal
 
 Coeff = Union[int, Fraction, CycloRat]
 
@@ -31,6 +42,9 @@ _WIDTH = 64                      # bits per exponent digit of a key
 _HALF = 1 << (_WIDTH - 1)
 _MASK = (1 << _WIDTH) - 1
 _LIMIT = 1 << (_WIDTH - 2)       # every |exponent| stays below this
+_MONO = -4                       # key & _MONO clears the z-digit
+
+_tables: dict[tuple, "VarTable"] = {}
 
 
 class LaurentError(ValueError):
@@ -39,20 +53,27 @@ class LaurentError(ValueError):
 
 class VarTable:
     """Ordered variable names, and the packing of exponent tuples over
-    them."""
+    them.  Tables are interned: equal names give the same table."""
 
     __slots__ = ("names", "_index", "_shifts", "_places", "_offset")
 
-    def __init__(self, names: Iterable[str]):
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
+    def __new__(cls, names: Iterable[str]):
+        names = tuple(names)
+        table = _tables.get(names)
+        if table is not None:
+            return table
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        self._index = {n: i for i, n in enumerate(self.names)}
-        k = len(self.names)
-        self._shifts = tuple(_WIDTH * (k - 1 - i) for i in range(k))
-        self._places = tuple(1 << s for s in self._shifts)
+        table = object.__new__(cls)
+        table.names = names
+        table._index = {n: i for i, n in enumerate(names)}
+        k = len(names)
+        # digit 0, the lowest, holds the power of z
+        table._shifts = tuple(_WIDTH * (k - i) for i in range(k))
+        table._places = tuple(1 << s for s in table._shifts)
         # adding it makes every digit of a key non-negative
-        self._offset = _HALF * sum(self._places)
+        table._offset = _HALF * sum(table._places)
+        return _tables.setdefault(names, table)
 
     def index(self, name: str) -> int:
         try:
@@ -60,9 +81,15 @@ class VarTable:
         except KeyError:
             raise KeyError(f"unknown variable {name!r}; table has {self.names}") from None
 
+    def _digit(self, key: int, i: int) -> int:
+        return (((key + self._offset) >> self._shifts[i]) & _MASK) - _HALF
+
     def _unpack(self, key: int) -> tuple:
         u = key + self._offset
         return tuple(((u >> s) & _MASK) - _HALF for s in self._shifts)
+
+    def __reduce__(self):
+        return VarTable, (self.names,)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -85,36 +112,39 @@ def _as_cyclo(c: Coeff) -> CycloRat:
     return c if isinstance(c, CycloRat) else CycloRat(c)
 
 
-def _accumulate(terms: dict, pairs: Iterable[tuple[int, CycloRat]]) -> None:
-    """Add the (key, nonzero coefficient) pairs into ``terms`` in place and
-    drop every term that cancels.  A sum updates its key where it stands; a
-    key that cancels and comes back is appended at the end."""
-    get = terms.get
-    for key, c in pairs:
-        s = get(key)
-        if s is not None:
-            c = s + c
-            if c.is_zero():
-                del terms[key]
-                continue
-        terms[key] = c
-
-
-def _accumulate_product(terms: dict, shift: int, coeff: CycloRat,
+def _accumulate_product(terms: dict, shift: int, coeff: int,
                         other: dict) -> None:
-    """``_accumulate`` of coeff * x^shift * other: the pairs
-    (shift + key, coeff * c) over the (key, c) of ``other``, in its order."""
+    """Add coeff * x^shift * other into ``terms`` in place, in the order of
+    ``other``, and drop every term that cancels.  A sum updates its key where
+    it stands; a key that cancels and comes back is appended at the end."""
     get = terms.get
     for key, c in other.items():
         key += shift
-        c = coeff * c
+        if key & 4:     # z^4 = -1
+            key -= 4
+            c = -coeff * c
+        else:
+            c = coeff * c
         s = get(key)
         if s is not None:
-            c = s + c
-            if c.is_zero():
+            c += s
+            if not c:
                 del terms[key]
                 continue
         terms[key] = c
+
+
+def _checked(name: str, e: int) -> int:
+    """An exponent of ``name`` from outside: an int inside the range, and
+    negative only for q."""
+    if type(e) is not int:
+        raise LaurentError(f"exponent {e!r} of {name!r} is not an int")
+    if e < 0 and name != "q":
+        raise LaurentError(f"negative exponent of {name!r} is not allowed")
+    if abs(e) >= _LIMIT:
+        raise LaurentError(f"exponent of magnitude {abs(e)} is outside "
+                           f"+-2^{_WIDTH - 2}")
+    return e
 
 
 def _check_bound(bound: int) -> None:
@@ -124,76 +154,100 @@ def _check_bound(bound: int) -> None:
 
 
 class LaurentPoly:
-    """Immutable sparse polynomial: map from packed exponent key to CycloRat."""
+    """Immutable sparse polynomial: int numerators by packed key over one
+    denominator."""
 
-    __slots__ = ("table", "_terms", "_bound")
+    __slots__ = ("table", "_terms", "_den", "_bound")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, CycloRat] | None = None):
-        self.table = table
-        clean = {}
+        coeffs = {}
         bound = 0
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = _as_cyclo(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(exps) != len(table):
-                    raise LaurentError(f"exponent tuple of length "
-                                       f"{len(exps)} for {table}")
-                key = 0
-                for name, e, place in zip(table.names, exps, table._places):
-                    if type(e) is not int:
-                        raise LaurentError(
-                            f"exponent {e!r} of {name!r} is not an int")
-                    if e:
-                        if e < 0 and name != "q":
-                            raise LaurentError(f"negative exponent of "
-                                               f"{name!r} is not allowed")
-                        key += e * place
-                        bound = max(bound, abs(e))
-                clean[key] = coeff
-        if bound >= _LIMIT:
-            raise LaurentError(f"exponent of magnitude {bound} is outside "
-                               f"+-2^{_WIDTH - 2}")
-        self._terms = clean
+        for exps, coeff in (terms or {}).items():
+            coeff = _as_cyclo(coeff)
+            if coeff.is_zero():
+                continue
+            if len(exps) != len(table):
+                raise LaurentError(f"exponent tuple of length "
+                                   f"{len(exps)} for {table}")
+            key = 0
+            for name, e, place in zip(table.names, exps, table._places):
+                key += _checked(name, e) * place
+                bound = max(bound, abs(e))
+            coeffs[key] = coeff
+        # normal-form coefficients over the lcm of their denominators share
+        # no factor with it
+        den = lcm(*(c.d for c in coeffs.values()))
+        self.table = table
+        self._terms = {key + j: n * (den // c.d) for key, c in coeffs.items()
+                       for j, n in enumerate(c.n) if n}
+        self._den = den
         self._bound = bound
 
     @classmethod
-    def _trusted(cls, table: VarTable, terms: dict,
+    def _trusted(cls, table: VarTable, terms: dict, den: int,
                  bound: int) -> "LaurentPoly":
-        """Wrap a dict of keys and nonzero CycloRat coefficients as it is,
-        without copying it; ``bound`` bounds every |exponent| and is the one
+        """Wrap a dict of keys and nonzero int numerators over ``den`` > 0
+        without copying it, after dividing out the common factor of ``den``
+        and the numerators; ``bound`` bounds every |exponent| and is the one
         thing checked."""
         _check_bound(bound)
+        if den != 1:
+            g = den
+            for n in terms.values():
+                g = gcd(g, n)
+                if g == 1:
+                    break
+            else:
+                terms = {key: n // g for key, n in terms.items()}
+                den //= g
         new = object.__new__(cls)
         new.table = table
         new._terms = terms
+        new._den = den
         new._bound = bound
         return new
+
+    @classmethod
+    def _monomial(cls, table: VarTable, key: int, c: CycloRat,
+                  bound: int) -> "LaurentPoly":
+        """c * x^key for a key with a zero z-digit."""
+        terms = {key + j: n for j, n in enumerate(c.n) if n}
+        return cls._trusted(table, terms, c.d, bound)
+
+    def _coefficients(self) -> dict[int, CycloRat]:
+        """{key without its z-digit: coefficient}, in first-appearance
+        order."""
+        nums: dict[int, list] = {}
+        for key, n in self._terms.items():
+            nums.setdefault(key & _MONO, [0, 0, 0, 0])[key & 3] = n
+        den = self._den
+        return {mono: _normal(*ns, den) for mono, ns in nums.items()}
 
     @property
     def terms(self) -> dict[tuple, CycloRat]:
         """{exponent tuple: coefficient}, decoded into a fresh dict in
         insertion order."""
         unpack = self.table._unpack
-        return {unpack(key): c for key, c in self._terms.items()}
+        return {unpack(mono): c for mono, c in self._coefficients().items()}
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "LaurentPoly":
-        return cls(table)
+        return cls._trusted(table, {}, 1, 0)
 
     @classmethod
     def const(cls, table: VarTable, c: Coeff) -> "LaurentPoly":
-        return cls(table, {(0,) * len(table): _as_cyclo(c)})
+        return cls._monomial(table, 0, _as_cyclo(c), 0)
 
     @classmethod
     def var(cls, table: VarTable, name: str, exp: int = 1,
             coeff: Coeff = 1) -> "LaurentPoly":
-        exps = [0] * len(table)
-        exps[table.index(name)] = exp
-        return cls(table, {tuple(exps): _as_cyclo(coeff)})
+        place = table._places[table.index(name)]
+        c = _as_cyclo(coeff)
+        if c.is_zero():
+            return cls.zero(table)
+        return cls._monomial(table, _checked(name, exp) * place, c, abs(exp))
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -208,9 +262,12 @@ class LaurentPoly:
 
     def __add__(self, other):
         o = self._coerce(other)
-        terms = dict(self._terms)
-        _accumulate(terms, o._terms.items())
-        return LaurentPoly._trusted(self.table, terms,
+        den = lcm(self._den, o._den)
+        scale = den // self._den
+        terms = dict(self._terms) if scale == 1 else \
+            {key: n * scale for key, n in self._terms.items()}
+        _accumulate_product(terms, 0, den // o._den, o._terms)
+        return LaurentPoly._trusted(self.table, terms, den,
                                     max(self._bound, o._bound))
 
     __radd__ = __add__
@@ -223,32 +280,22 @@ class LaurentPoly:
 
     def __neg__(self):
         return LaurentPoly._trusted(
-            self.table, {key: -c for key, c in self._terms.items()},
-            self._bound)
+            self.table, {key: -n for key, n in self._terms.items()},
+            self._den, self._bound)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloRat)):
-            c = _as_cyclo(other)
-            if c.is_zero():
-                return LaurentPoly.zero(self.table)
-            # Q(z8) is a field: no product of nonzero coefficients vanishes
-            return LaurentPoly._trusted(
-                self.table, {key: k * c for key, k in self._terms.items()},
-                self._bound)
         o = self._coerce(other)
         a, b = self._terms, o._terms
-        # a product by a monomial shifts the keys: nothing collides
+        terms = {}
+        # a product by a single term shifts the keys: nothing collides, and
+        # no product of nonzero ints vanishes
         if len(b) == 1:
             (k2, c2), = b.items()
-            terms = {k1 + k2: c1 * c2 for k1, c1 in a.items()}
-        elif len(a) == 1:
-            (k1, c1), = a.items()
-            terms = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+            _accumulate_product(terms, k2, c2, a)
         else:
-            terms = {}
             for k1, c1 in a.items():
                 _accumulate_product(terms, k1, c1, b)
-        return LaurentPoly._trusted(self.table, terms,
+        return LaurentPoly._trusted(self.table, terms, self._den * o._den,
                                     self._bound + o._bound)
 
     __rmul__ = __mul__
@@ -258,8 +305,9 @@ class LaurentPoly:
 
         The exponent range is checked before any product is formed: n times
         the base's exponent bound must stay inside it, as the bound of the
-        power is exactly that.  A monomial c*x^e goes straight to
-        c^n*x^(n*e); any other base is raised by repeated squaring."""
+        power is exactly that.  A single term c*z^j*x^e goes straight to
+        c^n*z^(j*n)*x^(n*e); any other base is raised by repeated
+        squaring."""
         if n < 0:
             return self.unit_inverse() ** (-n)
         if n == 0:
@@ -268,7 +316,11 @@ class LaurentPoly:
         _check_bound(bound)
         if len(self._terms) == 1:
             (key, c), = self._terms.items()
-            return LaurentPoly._trusted(self.table, {key * n: c ** n}, bound)
+            wraps = (key & 3) * n >> 2       # times z^4 = -1 is crossed
+            c **= n
+            return LaurentPoly._trusted(
+                self.table, {key * n - 4 * wraps: -c if wraps & 1 else c},
+                self._den ** n, bound)
         result = None
         base = self
         while True:
@@ -281,16 +333,17 @@ class LaurentPoly:
 
     def unit_inverse(self) -> "LaurentPoly":
         """Inverse of a single invertible monomial; anything else raises."""
-        if len(self._terms) != 1:
+        if len(self) != 1:
             raise LaurentError("division requires a single-term monomial")
-        (key, coeff), = self._terms.items()
         tbl = self.table
-        for name, e in zip(tbl.names, tbl._unpack(key)):
-            if e and name != "q":
-                raise LaurentError(
-                    f"negative exponent of {name!r} is not allowed")
-        return LaurentPoly._trusted(tbl, {-key: coeff.inverse()},
-                                    self._bound)
+        mono = next(iter(self._terms)) & _MONO
+        i = tbl._index.get("q")
+        rest = mono if i is None else mono - tbl._digit(mono, i) * tbl._places[i]
+        if rest:
+            name = next(n for n, e in zip(tbl.names, tbl._unpack(rest)) if e)
+            raise LaurentError(f"negative exponent of {name!r} is not allowed")
+        return LaurentPoly._monomial(
+            tbl, -mono, self._coefficients()[mono].inverse(), self._bound)
 
     # -- calculus ---------------------------------------------------------
 
@@ -304,7 +357,7 @@ class LaurentPoly:
             e = (((key + offset) >> shift) & _MASK) - _HALF
             if e:
                 terms[key - place] = c * e
-        return LaurentPoly._trusted(tbl, terms, self._bound + 1)
+        return LaurentPoly._trusted(tbl, terms, self._den, self._bound + 1)
 
     def substitute(self, bindings: Mapping[str, "LaurentPoly | Coeff"]) -> "LaurentPoly":
         """Simultaneous substitution, fully expanded.
@@ -318,14 +371,21 @@ class LaurentPoly:
         tbl = self.table
         bound = {tbl.index(name): self._coerce(value)
                  for name, value in bindings.items()}
-        digits = [(i, tbl._shifts[i], tbl._places[i]) for i in sorted(bound)]
-        offset = tbl._offset
-        power_cache: dict[tuple[int, int], LaurentPoly] = {}
-        # the product of the bound powers, per bound-exponent pattern
-        products: dict[tuple, LaurentPoly] = {}
+        order = sorted(bound)
+        offset, shifts = tbl._offset, tbl._shifts
+        # a key's bound part is (key + offset) & mask - base: its bound
+        # digits, with every other digit zero
+        mask = base = 0
+        for i in order:
+            mask |= _MASK << shifts[i]
+            base |= _HALF << shifts[i]
+        # keyed by e * place, the bound part of a key holding x_i^e alone
+        power_cache: dict[int, LaurentPoly] = {}
+        # the product of the bound powers, per bound part of a key
+        products: dict[int, LaurentPoly] = {}
 
         def powered(i: int, e: int) -> LaurentPoly:
-            key = (i, e)
+            key = e * tbl._places[i]
             if key not in power_cache:
                 try:
                     power_cache[key] = bound[i] ** e
@@ -335,31 +395,35 @@ class LaurentPoly:
                         f"division by a non-monomial") from exc
             return power_cache[key]
 
-        def product_of(pattern: tuple) -> LaurentPoly:
+        def product_of(part: int) -> LaurentPoly:
             product = None
-            for (i, _, _), e in zip(digits, pattern):
+            for i in order:
+                e = (((part + offset) >> shifts[i]) & _MASK) - _HALF
                 if e:
                     factor = powered(i, e)
                     product = factor if product is None else product * factor
             if product is None:
-                product = LaurentPoly._trusted(tbl, {0: ONE}, 0)
+                product = LaurentPoly.const(tbl, 1)
             return product
 
-        terms: dict[int, CycloRat] = {}
-        for key, coeff in self._terms.items():
-            u = key + offset
-            pattern = tuple(((u >> shift) & _MASK) - _HALF
-                            for _, shift, _ in digits)
-            # the unbound variables' part of the key
-            rest = key
-            for (_, _, place), e in zip(digits, pattern):
-                rest -= e * place
-            product = products.get(pattern)
+        terms: dict[int, int] = {}
+        den = 1     # the common denominator of the products met so far
+        for key, c in self._terms.items():
+            part = ((key + offset) & mask) - base
+            product = products.get(part)
             if product is None:
-                product = products[pattern] = product_of(pattern)
-            _accumulate_product(terms, rest, coeff, product._terms)
+                product = products[part] = product_of(part)
+            pd = product._den
+            if pd != den:
+                if den % pd:
+                    grow = lcm(den, pd) // den
+                    for k, n in terms.items():
+                        terms[k] = n * grow
+                    den *= grow
+                c *= den // pd
+            _accumulate_product(terms, key - part, c, product._terms)
         return LaurentPoly._trusted(
-            tbl, terms, self._bound + max(
+            tbl, terms, self._den * den, self._bound + max(
                 (p._bound for p in products.values()), default=0))
 
     # -- structure ----------------------------------------------------------
@@ -386,7 +450,9 @@ class LaurentPoly:
             if abs(e) >= _LIMIT:
                 return ZERO  # no term reaches it
             key += e * tbl._places[tbl.index(name)]
-        return self._terms.get(key, ZERO)
+        get = self._terms.get
+        return _normal(get(key, 0), get(key + 1, 0), get(key + 2, 0),
+                       get(key + 3, 0), self._den)
 
     def collect(self, name: str) -> dict[int, "LaurentPoly"]:
         """Split into {exponent of `name`: cofactor polynomial}."""
@@ -397,28 +463,28 @@ class LaurentPoly:
         for key, c in self._terms.items():
             k = (((key + offset) >> shift) & _MASK) - _HALF
             out.setdefault(k, {})[key - k * place] = c
-        return {k: LaurentPoly._trusted(tbl, t, self._bound)
+        return {k: LaurentPoly._trusted(tbl, t, self._den, self._bound)
                 for k, t in out.items()}
 
     def min_exponent(self, name: str) -> int:
         tbl = self.table
         i = tbl.index(name)
-        if not self._terms:
-            return 0
-        return min(tbl._unpack(key)[i] for key in self._terms)
+        return min((tbl._digit(key, i) for key in self._terms), default=0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloRat)):
             other = LaurentPoly.const(self.table, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.table == other.table and self._terms == other._terms
+        return (self.table == other.table and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.table, frozenset(self._terms.items())))
+        return hash((self.table, self._den, frozenset(self._terms.items())))
 
     def __len__(self):
-        return len(self._terms)
+        """The number of monomials."""
+        return len({key & _MONO for key in self._terms})
 
     # -- canonical text form --------------------------------------------------
 
@@ -430,9 +496,10 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         names, unpack = self.table.names, self.table._unpack
+        coeffs = self._coefficients()
         parts = []
-        for key in sorted(self._terms, reverse=True):
-            coeff = self._terms[key]
+        for key in sorted(coeffs, reverse=True):
+            coeff = coeffs[key]
             mono = "*".join(
                 (n if e == 1 else f"{n}^{e}")
                 for n, e in zip(names, unpack(key)) if e != 0)

@@ -146,13 +146,16 @@ def compose(a: BirationalMap, b: BirationalMap) -> BirationalMap:
 
 
 def iterate_map(m: BirationalMap, k: int) -> BirationalMap:
-    """m composed with itself k times; the identity map for k <= 0.
+    """m composed with itself k times; the identity map for k = 0.  A
+    negative k raises ``ValueError``: no inverse is formed.
 
     Repeated squaring takes O(log k) compositions instead of k.  Composition
     is associative and every rule is a canonical polynomial (a dict of exact
     normal-form coefficients), so any grouping of the k factors gives the
     same rules.  The name is the linear chain's, "m∘m∘…∘identity"."""
-    if k <= 0:
+    if k < 0:
+        raise ValueError(f"iterate_map needs k >= 0, got {k}")
+    if k == 0:
         return identity_map(m.table, tuple(m.param_rules))
     name = "∘".join([m.name] * k + ["identity"])
     result = None
@@ -173,7 +176,8 @@ def map_order(m: BirationalMap, max_order: int = 16) -> int | None:
     for k in range(1, max_order + 1):
         if acc.is_identity():
             return k
-        acc = compose(acc, m)
+        if k < max_order:   # no composition that is never tested
+            acc = compose(acc, m)
     return None
 
 
@@ -195,7 +199,7 @@ def resolve_inverse(m: BirationalMap) -> dict[str, LaurentPoly]:
     lead = m.p_rule.diff("p")
     if len(lead) != 1 or lead.variables():
         raise LaurentError(f"p-rule not a constant-lead shear: {m.p_rule}")
-    A = next(iter(lead.terms.values()))
+    A = lead.coefficient({})
     B = m.p_rule - LaurentPoly.var(tbl, "p", coeff=A)
     B_new = B.substitute({"q": inv_q, "t": inv_t})
     inv_p = (LaurentPoly.var(tbl, "p") - B_new) * A.inverse()
@@ -235,7 +239,7 @@ def verify_invariance(m: BirationalMap, sys: HamSystem):
     c = m.t_rule.diff("t")
     if len(c) != 1 or c.variables():
         raise LaurentError("dT/dt is not a nonzero constant")
-    c_inv = next(iter(c.terms.values())).inverse()
+    c_inv = c.coefficient({}).inverse()
     H_mapped = sys.H.substitute(m.param_rules)
     subs = m.coordinate_bindings()
     defect_q = along_flow(m.q_rule) * c_inv \

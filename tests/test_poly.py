@@ -184,6 +184,14 @@ class TestInvariants:
         with pytest.raises(LaurentError):
             v("p") ** -1
 
+    def test_tables_are_interned(self):
+        import pickle
+        assert VarTable(list(TBL.names)) is TBL
+        P = v("q", -2, coeff=ZETA / 3) + v("a")
+        copy = pickle.loads(pickle.dumps(P))
+        assert copy.table is TBL and copy == P
+        assert list(copy.terms) == list(P.terms)
+
     def test_zero_is_empty(self):
         assert (v("q") - v("q")).terms == {}
 
@@ -205,6 +213,67 @@ class TestPackedKeys:
             (v("q", 2) * v("a")).unit_inverse()
         assert v("q", 2, coeff=4).unit_inverse() \
             == v("q", -2, coeff=Fraction(1, 4))
+
+
+class TestZetaDigit:
+    # the power of z is the lowest digit of a key; a product whose z-digit
+    # reaches 4 drops it by 4 and negates, as z^4 = -1.  The certificates
+    # never cross it with a monomial or hold two powers of z on one monomial,
+    # so these cases are pinned here.
+    FULL = CycloRat(1, 1, 1, 1)   # 1 + z + z^2 + z^3
+
+    def test_monomial_power_crosses_z4(self):
+        base = v("q", coeff=ZETA ** 3)
+        got = base ** 5
+        assert got.terms == {(5, 0, 0, 0): -ZETA ** 3}
+        assert got == base * base * base * base * base
+        assert (v("p", coeff=-ZETA) ** 8).terms == {(0, 8, 0, 0): CycloRat(1)}
+
+    def test_monomial_times_polynomial_crosses_z4(self):
+        got = v("q", coeff=ZETA ** 3) * (v("p", coeff=ZETA ** 2)
+                                         + v("t", coeff=ZETA) + const(2))
+        assert got.terms == {(1, 1, 0, 0): -ZETA, (1, 0, 1, 0): CycloRat(-1),
+                             (1, 0, 0, 0): 2 * ZETA ** 3}
+        assert got == (v("p", coeff=ZETA ** 2) + v("t", coeff=ZETA)
+                       + const(2)) * v("q", coeff=ZETA ** 3)
+
+    def test_len_counts_monomials_not_z_powers(self):
+        m = v("q", 2, coeff=self.FULL)
+        assert len(m) == 1 and len(m + v("p")) == 2
+        assert len(m * m) == 1 and len(LaurentPoly.zero(TBL)) == 0
+
+    def test_unit_inverse_and_coefficient_of_a_full_monomial(self):
+        m = v("q", 2, coeff=self.FULL) * v("t", 0)
+        assert m.coefficient({"q": 2}) == self.FULL
+        assert m.coefficient({"q": 1}).is_zero()
+        inv = m.unit_inverse()
+        assert inv.terms == {(-2, 0, 0, 0): self.FULL.inverse()}
+        assert m * inv == const(1)
+        assert m ** 3 == m * m * m and (m ** -2) * m ** 2 == const(1)
+
+    def test_full_coefficients_multiply_as_cyclorat_does(self):
+        a = v("q", coeff=self.FULL) + v("p", coeff=ZETA + 2)
+        b = v("q", -1, coeff=CycloRat(0, 3, 0, Fraction(-1, 2))) + const(ZETA)
+        want = {}
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                want[e] = want.get(e, CycloRat(0)) + ca * cb
+        assert (a * b).terms == {e: c for e, c in want.items() if c}
+
+    def test_equal_across_denominator_paths(self):
+        paths = [v("q", coeff=Fraction(1, 2)) * v("p", coeff=2),
+                 v("q") * v("p"),
+                 (v("q") * v("p", coeff=Fraction(1, 3))) * 3,
+                 (v("q") * v("p") * Fraction(5, 6)
+                  + v("q") * v("p") * Fraction(1, 6)),
+                 (v("q", 2) * v("p") * Fraction(1, 2)).diff("q")]
+        for P in paths:
+            assert P == paths[1] and hash(P) == hash(paths[1])
+            assert P.terms == {(1, 1, 0, 0): CycloRat(1)}
+        half = v("q", coeff=ZETA / 2) + const(Fraction(1, 2))
+        assert half + const(Fraction(-1, 2)) == v("q", coeff=ZETA / 2)
+        assert (half * 2).coefficient({}) == CycloRat(1)
 
 
 class TestRangeGuard:

@@ -188,6 +188,29 @@ def test_iterate_by_squaring_matches_the_linear_chain(label):
         assert list(got.param_rules) == list(want.param_rules)
 
 
+def test_iterate_map_of_negative_k_raises():
+    m = nonautonomous_map(1)
+    assert iterate_map(m, 0).is_identity()
+    for k in (-1, -3, -8):
+        with pytest.raises(ValueError, match="k >= 0"):
+            iterate_map(m, k)
+
+
+@pytest.mark.parametrize("max_order,order,calls", [(4, None, 3), (10, 8, 7)])
+def test_map_order_composes_only_what_it_tests(monkeypatch, max_order, order,
+                                               calls):
+    import hamfam.symmetry as symmetry
+    made = []
+
+    def counting(a, b):
+        made.append(None)
+        return compose(a, b)
+
+    monkeypatch.setattr(symmetry, "compose", counting)
+    assert map_order(nonautonomous_map(1), max_order) == order
+    assert len(made) == calls
+
+
 def test_make_map_dispatch():
     sys = make_autonomous5()
     assert make_map("s-auto:5", sys=sys).name == "s-auto:5"
