@@ -1,6 +1,7 @@
 """Numerical side: integrate the autonomous 5-family with RK4, watch the
 Hamiltonian drift stay at rounding level, confirm fourth-order convergence,
-and see the movable singularity terminate a longer run cleanly.
+and see the movable singularity terminate a longer run cleanly, located
+from the flow by the adaptive run.
 
 Run:  python3 demos/02_conservation_and_blowup.py
 """
@@ -32,3 +33,6 @@ print("== adaptive stepping near the blow-up ==")
 traj = integrate(sys5, params, 1, 0, (0, 1), method="adaptive-rk45", tol=1e-10)
 print(f"  adaptive steps = {len(traj.times) - 1}, stopped at "
       f"t = {traj.times[-1]:.6f} ({traj.termination})")
+# u = q/q' ~ (t* - t)/alpha near the singularity locates it from the flow
+print(f"  located t* = {traj.t_star:.9f}, q ~ C(t* - t)^-alpha with "
+      f"alpha = {traj.exponent:.4f}  (1/3 for autonomous5)")

@@ -133,13 +133,17 @@ def cmd_integrate(args) -> int:
         summary["sweep_h"] = list(hs)
         summary["measured_order"] = richardson_order(
             sys_, params, args.q0, args.p0, (args.t0, args.t1), hs)
+    located = "" if traj.t_star is None else \
+        f"  t*: {traj.t_star:.10g}  exponent: {traj.exponent:.4f}"
     print(f"termination: {summary['termination']}  "
-          f"steps: {summary['steps']}  drift: {summary['drift']:.3e}")
+          f"steps: {summary['steps']}  drift: {summary['drift']:.3e}"
+          + located)
     if "measured_order" in summary:
         print(f"measured order: {summary['measured_order']:.3f}")
     _emit(summary, args.summary_out, steps_attempted=traj.steps_attempted,
           steps_rejected=traj.steps_rejected, field_evals=traj.field_evals,
-          min_step=traj.min_step)
+          min_step=traj.min_step, t_star=traj.t_star,
+          exponent=traj.exponent)
     return 0
 
 

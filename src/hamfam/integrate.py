@@ -27,7 +27,13 @@ trajectory check and ``BirationalMap.apply_numeric``.
 Hamilton's equations are polynomial, so q = 0 is not a singularity of the
 dynamics; the |q| floor is the integrator's own guard, and integration
 stops cleanly there (never NaN-propagates), as it does when a trajectory
-blows up.
+blows up.  Near a movable singularity t*, q ~ C(t* - t)^-alpha, so
+u = q/q' equals (t* - t)/alpha; the adaptive run reads u at each sample from
+its step's first stage, at no extra field evaluation, and estimates
+alpha = -dt/du and t* = t + alpha*u from each two samples, which is a Newton
+step on u = 0 (Corliss & Chang, ACM TOMS 8, 1982).  It stops with the
+blow-up located once three estimates in a row agree to its own tolerance,
+instead of chasing t* until its step underflows.
 """
 
 from __future__ import annotations
@@ -91,18 +97,24 @@ class Trajectory:
 
     The run statistics (steps attempted and rejected, field evaluations of
     the attempts that returned, the smallest accepted step, None if no step
-    was accepted) describe how the samples were made.  Trajectories compare
-    by identity: compare their arrays to compare their samples."""
+    was accepted) describe how the samples were made.  A run that ends in
+    ``blow-up`` carries the located singularity time ``t_star`` and the
+    exponent alpha of q ~ C(t* - t)^-alpha; other runs carry None.
+    Trajectories compare by identity: compare their arrays to compare their
+    samples."""
 
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
     H_values: np.ndarray
-    termination: str  # completed | singularity | overflow | step-underflow
+    # completed | singularity | overflow | blow-up | step-underflow
+    termination: str
     steps_attempted: int = 0
     steps_rejected: int = 0
     field_evals: int = 0
     min_step: float | None = None
+    t_star: float | None = None
+    exponent: float | None = None
     drift: float = field(init=False)
 
     def __post_init__(self):
@@ -332,7 +344,8 @@ class _Tableau:
     b: tuple[float, ...]
     div: float = 1
     b_err: tuple[float, ...] | None = None
-    # step(q, p, t, h, f, tol) -> (q, p, err), generated from the entries
+    # step(q, p, t, h, f, tol) -> (q, p, err, dq/dt at the start), generated
+    # from the entries
     step: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -343,7 +356,8 @@ class _Tableau:
 def _step_source(tab: _Tableau) -> tuple[list[str], dict]:
     """The body of one explicit RK step over the field f, and the values it
     names.  err is the RMS over q and p of the embedded pair's error over
-    tol*(1 + max(|old|, |new|)), else 0.
+    tol*(1 + max(|old|, |new|)), else 0.  The step also returns its first
+    stage's dq/dt, the field at the start when c_0 = 0.
 
     Stage i starts from q + h*a_i0*k0 + h*a_i1*k1 + ..., summed left to
     right over the nonzero a_ij (RK4 then matches its textbook form), and
@@ -373,13 +387,13 @@ def _step_source(tab: _Tableau) -> tuple[list[str], dict]:
               f"qn = q + w * ({weighted('b', tab.b, 'kq')})",
               f"pn = p + w * ({weighted('b', tab.b, 'kp')})"]
     if tab.b_err is None:
-        return lines + ["return qn, pn, 0.0"], args
+        return lines + ["return qn, pn, 0.0, kq0"], args
     return lines + [
         f"qe = q + w * ({weighted('e', tab.b_err, 'kq')})",
         f"pe = p + w * ({weighted('e', tab.b_err, 'kp')})",
         "eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))",
         "ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))",
-        "return qn, pn, sqrt((eq ** 2 + ep ** 2) / 2)"], args
+        "return qn, pn, sqrt((eq ** 2 + ep ** 2) / 2), kq0"], args
 
 
 # classical RK4, weights over 6: the update is h/6*(k1 + 2k2 + 2k3 + k4)
@@ -408,7 +422,18 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     adaptive-rk45 sizes them by PI control.  h and tol must be finite and
     positive (fixed-rk4 ignores tol).  Samples (t, q, p, H) at every
     accepted step.  Stops cleanly (with the reason recorded) at the |q|
-    singularity floor, on numeric overflow, or on adaptive step underflow.
+    singularity floor, on numeric overflow, on a located blow-up, or on
+    adaptive step underflow.
+
+    adaptive-rk45 locates a blow-up q ~ C(t* - t)^-alpha: from u = q/q' at
+    each two successive samples it estimates alpha = -dt/du and
+    t* = t + alpha*u.  An estimate counts when Re alpha > 0,
+    t < Re t* <= t1 and |Im t*| <= tol*max(1, |t*|).  Once three in a row
+    count and each agrees with the one before to tol*max(1, |t*|), the
+    attempt in hand is accepted or rejected as usual and the run stops with
+    ``blow-up``, recording Re t* and Re alpha of the last estimate.  Step
+    control does not depend on the estimates, so each sample is the one a
+    run without the locator makes.  fixed-rk4 makes no estimates.
     """
     import numpy as np
     if method not in _METHODS:
@@ -440,13 +465,17 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     # bound on the rounding each summed step leaves in t
     t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
     t_end = t1 - 1e-15 * max(1.0, abs(t1))
+    # the blow-up locator: the time of the last sample it read, u = q/q' at
+    # that sample, its t* estimate, and how many estimates in a row agreed
+    t_u = u = star = math.nan
+    agreed = 0
     while t < t_end:
         if adaptive:
             step = min(step, t1 - t)
         else:  # end on t1 rather than leave a rounding-level sliver
             step = t1 - t if t1 - t <= h + len(times) * t_ulp else h
         try:
-            qn, pn, err = advance(q, p, t, step, f, tol)
+            qn, pn, err, dq = advance(q, p, t, step, f, tol)
         except SingularityError:
             termination, raised = "singularity", 1
             break
@@ -454,6 +483,23 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
             termination, raised = "overflow", 1
             break
         returned += 1
+        if adaptive and t != t_u and dq:
+            # q ~ C(t* - t)^-alpha has u = (t* - t)/alpha: a Newton step on
+            # u = 0 through the last two samples
+            u_prev, u = u, q / dq
+            if u != u_prev:
+                alpha = (t_u - t) / (u - u_prev)
+                star_prev, star = star, t + alpha * u
+                # |t*| is finite once Re t* lies in (t, t1]
+                if not (alpha.real > 0 and t < star.real <= t1
+                        and abs(star.imag)
+                        <= (close := tol * max(1.0, abs(star)))):
+                    agreed = 0
+                elif agreed and abs(star - star_prev) <= close:
+                    agreed += 1
+                else:
+                    agreed = 1
+            t_u = t
         if err <= 1.0:  # accept (a fixed step has err = 0)
             t += step
             q, p = qn, pn
@@ -477,16 +523,22 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
             rejected += 1
             fac = max(0.1, safety * err ** (-1 / p_order))
         step = min(max(step * min(5.0, fac), h_min), h_max)
+        if agreed == 3:
+            termination = "blow-up"
+            break
         if step <= h_min and err > 1.0:
             termination = "step-underflow"
             break
 
+    located = termination == "blow-up"
     return Trajectory(np.array(times), np.array(qs), np.array(ps),
                       np.array(hs), termination,
                       steps_attempted=returned + raised,
                       steps_rejected=rejected,
                       field_evals=len(tab.c) * returned,
-                      min_step=min_step if min_step < math.inf else None)
+                      min_step=min_step if min_step < math.inf else None,
+                      t_star=star.real if located else None,
+                      exponent=alpha.real if located else None)
 
 
 def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,

@@ -135,22 +135,37 @@ class TestIntegrate:
         assert doc["termination"] == "completed"
         assert doc["drift"] < 1e-8
 
-    def test_summary_metadata_holds_run_statistics(self, tmp_path):
+    def test_summary_metadata_holds_run_statistics(self, tmp_path, capsys):
+        # a general:4 orbit whose run to its blow-up rejects steps
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            assert run(["integrate", "--family", "autonomous5",
-                        "--params", "a=1,e1=1,e2=1", "--q0", "1",
-                        "--t1", "0.2", "--method", "adaptive-rk45",
+            assert run(["integrate", "--family", "general", "--n", "4",
+                        "--params", "a=0.3067,e1=-1.707,e2=-0.6642,"
+                        "e3=0.3004", "--q0", "-0.9307", "--p0", "-1.4827",
+                        "--t1", "0.5", "--tol", "1e-6",
+                        "--method", "adaptive-rk45",
                         "--summary-out", str(path)]) == 0
         a, b = (json.loads(path.read_text()) for path in paths)
         meta = a.pop("metadata")
         b.pop("metadata")
         assert a == b
-        assert a["termination"] == "step-underflow"
+        assert a["termination"] == "blow-up"
         assert meta["steps_attempted"] == a["steps"] + meta["steps_rejected"]
         assert meta["steps_rejected"] >= 1
         assert meta["field_evals"] == 6 * meta["steps_attempted"]
         assert 0 < meta["min_step"] < 1e-3
+        assert a["t_final"] < meta["t_star"] < 0.2605
+        assert abs(meta["exponent"] - 1 / 2) < 0.02
+        assert f"t*: {meta['t_star']:.10g}" in capsys.readouterr().out
+
+    def test_run_without_blowup_locates_nothing(self, tmp_path):
+        summary = tmp_path / "summary.json"
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", "--p0", "0.3",
+                    "--t1", "0.05", "--method", "adaptive-rk45",
+                    "--summary-out", str(summary)]) == 0
+        meta = json.loads(summary.read_text())["metadata"]
+        assert meta["t_star"] is None and meta["exponent"] is None
 
     def test_sweep_reports_order(self, tmp_path):
         summary = tmp_path / "sweep.json"

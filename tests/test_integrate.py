@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import importlib
 import math
 import struct
@@ -48,6 +49,28 @@ def scipy_reference(sys, params, q0, p0, t_span, rtol=1e-12, atol=1e-12):
     assert sol.success
     y = sol.y[:, -1]
     return complex(y[0], y[1]), complex(y[2], y[3])
+
+
+def scipy_escape_time(sys, params, q0, p0, t_span, cap=1e6):
+    """The time at which the DOP853 solve of the realified system reaches
+    |q| = cap, or t1 if it does not.  Where |q| grows too slowly to reach
+    cap, the solve stops where its step falls below the spacing of doubles,
+    next to the blow-up."""
+    field = compile_field(sys, params)
+
+    def rhs(t, y):
+        dq, dp = field(complex(y[0], y[1]), complex(y[2], y[3]), t)
+        return [dq.real, dq.imag, dp.real, dp.imag]
+
+    def escape(t, y):
+        return math.hypot(y[0], y[1]) - cap
+    escape.terminal = True
+
+    q0, p0 = complex(q0), complex(p0)
+    sol = solve_ivp(rhs, t_span, [q0.real, q0.imag, p0.real, p0.imag],
+                    method="DOP853", rtol=1e-12, atol=1e-12, events=escape)
+    assert sol.success or "spacing between numbers" in sol.message
+    return float(sol.t[-1])
 
 
 def naive_eval(poly, point):
@@ -155,7 +178,8 @@ class TestStepRK4:
     def test_zero_step(self):
         field = compile_field(A5, PARAMS5)
         state = (1.3 - 0.2j, 0.4 + 0.1j)
-        assert _RK4.step(*state, 0.0, 0.0, field, 0.0) == (*state, 0.0)
+        assert _RK4.step(*state, 0.0, 0.0, field, 0.0) \
+            == (*state, 0.0, field(*state, 0.0)[0])
 
     def test_constant_field_is_exact(self):
         # degenerate H = c*p gives qdot = c, pdot = 0; RK4 is exact
@@ -163,20 +187,21 @@ class TestStepRK4:
         H = LaurentPoly.var(tbl, "p")
         sys = HamSystem("degenerate", tbl, H, A5.params, True, 5)
         field = compile_field(sys, PARAMS5)
-        q, p, _ = _RK4.step(1 + 0j, 0j, 0.0, 0.25, field, 0.0)
+        q, p, _, dq = _RK4.step(1 + 0j, 0j, 0.0, 0.25, field, 0.0)
         assert q == 1 + 0.25  # unit constant field
         assert p == 0j
+        assert dq == 1  # the field at the start
         # scaled variant through the compiled path
         sys2 = HamSystem("degenerate2", tbl,
                          LaurentPoly.var(tbl, "p", coeff=3), A5.params, True, 5)
-        q2, _, _ = _RK4.step(1 + 0j, 0j, 0.0, 0.25,
-                             compile_field(sys2, PARAMS5), 0.0)
+        q2, *_ = _RK4.step(1 + 0j, 0j, 0.0, 0.25,
+                           compile_field(sys2, PARAMS5), 0.0)
         assert q2 == 1 + 3 * 0.25
 
     def test_against_reference_solve(self):
         h = 1e-3
         field = compile_field(A5, PARAMS5)
-        q1, p1, _ = _RK4.step(1 + 0j, 0j, 0.0, h, field, 0.0)
+        q1, p1, *_ = _RK4.step(1 + 0j, 0j, 0.0, h, field, 0.0)
         qr, pr = scipy_reference(A5, PARAMS5, 1, 0, (0.0, h))
         assert abs(q1 - qr) < 1e-10
         assert abs(p1 - pr) < 1e-10
@@ -198,7 +223,8 @@ class TestStepRK4:
             k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
             expected = (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
                         p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-            assert _RK4.step(q, p, t, h, field, 0.0) == (*expected, 0.0)
+            assert _RK4.step(q, p, t, h, field, 0.0) \
+                == (*expected, 0.0, k1q)
 
 
 class TestTableaus:
@@ -659,19 +685,37 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
     qn = q + w * sum(map(mul, tab.b, kq))
     pn = p + w * sum(map(mul, tab.b, kp))
     if tab.b_err is None:
-        return qn, pn, 0.0
+        return qn, pn, 0.0, kq[0]
     qe = q + w * sum(map(mul, tab.b_err, kq))
     pe = p + w * sum(map(mul, tab.b_err, kp))
     eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))
     ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))
-    return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2)
+    return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2), kq[0]
+
+
+def locates_blowup(estimates, tol, t1):
+    """Whether the last three (t, alpha, t*) estimates locate a blow-up:
+    each has Re alpha > 0, t < Re t* <= t1 and |Im t*| within
+    tol*max(1, |t*|), and each agrees with the one before it to that
+    bound."""
+    last = estimates[-3:]
+    if len(last) < 3 or not all(alpha.real > 0 and t < star.real <= t1
+                                for t, alpha, star in last):
+        return False
+    close = [tol * max(1.0, abs(star)) for _, _, star in last]
+    return all(abs(star.imag) <= c for (_, _, star), c in zip(last, close)) \
+        and all(abs(b[2] - a[2]) <= c
+                for a, b, c in zip(last, last[1:], close[1:]))
 
 
 def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     """The stepping loop of ``integrate`` that the generated steps replaced,
     driven by ``ref_rk_step`` and ``RefField``, with its own count of the
     run statistics: the field calls of the steps that returned, and the
-    smallest step whose sample was recorded."""
+    smallest step whose sample was recorded.  An adaptive run keeps
+    u = q/q' at each sample whose q' is nonzero; from the last two distinct
+    u it estimates alpha = -(t_b - t_a)/(u_b - u_a) and t* = t_b + alpha*u_b,
+    and stops once ``locates_blowup``."""
     tab = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}[method]
     adaptive = tab.b_err is not None
     t0, t1 = t_span
@@ -680,7 +724,7 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     times, qs, ps, hs = [t], [q], [p], [field.H(q, p, t)]
     termination = "completed"
     attempted = rejected = evals = 0
-    accepted_steps = []
+    accepted_steps, us, estimates = [], [], []
     span = t1 - t0
     h_min, h_max = 1e-12, max(span / 10, 1e-12)
     step = min(h, h_max) if span > 0 else 0.0
@@ -695,7 +739,7 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
         attempted += 1
         calls = field.calls
         try:
-            qn, pn, err = ref_rk_step(tab, q, p, t, step, field, tol)
+            qn, pn, err, dq = ref_rk_step(tab, q, p, t, step, field, tol)
         except SingularityError:
             termination = "singularity"
             break
@@ -703,6 +747,14 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
             termination = "overflow"
             break
         evals += field.calls - calls
+        new_estimate = False
+        if adaptive and dq != 0 and not (us and us[-1][0] == t):
+            us.append((t, q / dq))
+            if len(us) > 1 and us[-1][1] != us[-2][1]:
+                (ta, ua), (tb, ub) = us[-2:]
+                alpha = -(tb - ta) / (ub - ua)
+                estimates.append((tb, alpha, tb + alpha * ub))
+                new_estimate = True
         if err <= 1.0:
             t += step
             q, p = qn, pn
@@ -726,6 +778,14 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
         else:
             fac = max(0.1, safety * err ** (-1 / p_order))
         step = min(max(step * min(5.0, fac), h_min), h_max)
+        if new_estimate and locates_blowup(estimates, tol, t1):
+            _, alpha, star = estimates[-1]
+            return Trajectory(np.array(times), np.array(qs), np.array(ps),
+                              np.array(hs), "blow-up",
+                              steps_attempted=attempted,
+                              steps_rejected=rejected, field_evals=evals,
+                              min_step=min(accepted_steps, default=None),
+                              t_star=star.real, exponent=alpha.real)
         if step <= h_min and err > 1.0:
             termination = "step-underflow"
             break
@@ -753,10 +813,14 @@ real_axis = st.builds(complex, st.floats(0.25, 1.5) | st.floats(-1.5, -0.25),
 states = st.one_of(st.tuples(nonzero, scalars),
                    st.tuples(real_axis, st.builds(complex, zeros, zeros)))
 times = st.one_of(zeros, st.floats(0, 1), scalars)
+# real parameters, q0 and p0 keep a flow on the real axis, where its
+# movable singularities lie in real time
+real_scalars = st.builds(complex, parts, zeros)
+real_states = st.tuples(real_axis, real_scalars)
 
 
-def param_values(sys):
-    return st.fixed_dictionaries(dict.fromkeys(sys.params, scalars))
+def param_values(sys, values=scalars):
+    return st.fixed_dictionaries(dict.fromkeys(sys.params, values))
 
 
 def arrays(elements):
@@ -856,8 +920,8 @@ class TestKernelsMatchLoopReference:
                 tab.step(q, p, t, h, field, tol)
             assert str(got.value) == str(exc)
             return
-        qn, pn, err = tab.step(q, p, t, h, field, tol)
-        assert_same((qn, pn), want[:2])
+        qn, pn, err, dq = tab.step(q, p, t, h, field, tol)
+        assert_same((qn, pn, dq), (*want[:2], want[3]))
         assert struct.pack("<d", err) == struct.pack("<d", want[2])
 
 
@@ -977,10 +1041,12 @@ def assert_same_run(got, want):
     assert got.termination == want.termination
     for name in ("steps_attempted", "steps_rejected", "field_evals"):
         assert getattr(got, name) == getattr(want, name), name
-    if want.min_step is None:
-        assert got.min_step is None
-    else:
-        assert got.min_step.hex() == want.min_step.hex()
+    for name in ("min_step", "t_star", "exponent"):
+        value = getattr(want, name)
+        if value is None:
+            assert getattr(got, name) is None, name
+        else:
+            assert getattr(got, name).hex() == value.hex(), name
 
 
 A5_PASS_THROUGH = {"a": 1, "e1": 1, "e2": -1}
@@ -989,19 +1055,22 @@ A5_PASS_THROUGH = {"a": 1, "e1": 1, "e2": -1}
 @pytest.mark.filterwarnings("ignore:parameter e")
 class TestIntegrateMatchesLoopReference:
     # spans are short, so a run that never ends fails fast; starts scaled
-    # by 3 reach the movable singularities within the span
+    # by 3 reach the movable singularities within the span, and real flows
+    # reach them in real time, where adaptive-rk45 locates them
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), states,
+    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(),
+           st.one_of(st.tuples(st.just(scalars), states),
+                     st.tuples(st.just(real_scalars), real_states)),
            st.sampled_from((1, 3)),
            st.sampled_from(["fixed-rk4", "adaptive-rk45"]),
            st.sampled_from((0.0, -0.0, 0.25)),
            st.sampled_from((0, 0.05, 0.2)),
            st.floats(1e-3, 2e-2), st.sampled_from((1e-9, 1e-6)))
-    def test_drawn_runs(self, sys, data, state, scale, method, t0, span, h,
+    def test_drawn_runs(self, sys, data, flow, scale, method, t0, span, h,
                         tol):
-        values = data.draw(param_values(sys))
+        coeffs, (q0, p0) = flow
+        values = data.draw(param_values(sys, coeffs))
         params = NumericParams(sys.name, values, sys.n)
-        q0, p0 = state
         # part by part, so a signed zero keeps its sign
         q0 = complex(q0.real * scale, q0.imag * scale)
         t_span = (t0, t0 + span)
@@ -1010,25 +1079,116 @@ class TestIntegrateMatchesLoopReference:
         want = ref_integrate(sys, values, q0, p0, t_span, h, tol, method)
         assert_same_run(got, want)
 
-    @pytest.mark.parametrize("values,q0,p0,t1,method,label", [
-        (PARAMS5.values, 1, 0.3, 0.05, "fixed-rk4", "completed"),
-        (PARAMS5.values, 1, 0.3, 0.05, "adaptive-rk45", "completed"),
+    @pytest.mark.parametrize("values,q0,p0,t1,method,tol,label", [
+        (PARAMS5.values, 1, 0.3, 0.05, "fixed-rk4", 1e-9, "completed"),
+        (PARAMS5.values, 1, 0.3, 0.05, "adaptive-rk45", 1e-9, "completed"),
         # q passes through 0; fixed-rk4 stops at the |q| floor
-        (A5_PASS_THROUGH, 0.01, 0, 0.05, "fixed-rk4", "singularity"),
+        (A5_PASS_THROUGH, 0.01, 0, 0.05, "fixed-rk4", 1e-9, "singularity"),
         # the movable singularity at t* = 0.16164
-        (PARAMS5.values, 1, 0, 0.2, "fixed-rk4", "overflow"),
-        (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", "step-underflow")],
+        (PARAMS5.values, 1, 0, 0.2, "fixed-rk4", 1e-9, "overflow"),
+        (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-9, "blow-up"),
+        # no three estimates of t* agree to 1e-16, a few ulps of t*, so
+        # the step underflows first
+        (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-16,
+         "step-underflow")],
         ids=["completed-fixed", "completed-adaptive", "singularity",
-             "overflow", "step-underflow"])
-    def test_each_label(self, values, q0, p0, t1, method, label):
+             "overflow", "blow-up", "step-underflow"])
+    def test_each_label(self, values, q0, p0, t1, method, tol, label):
         params = NumericParams("autonomous5", values, 5)
-        got = integrate(A5, params, q0, p0, (0, t1), h=1e-3, tol=1e-9,
+        got = integrate(A5, params, q0, p0, (0, t1), h=1e-3, tol=tol,
                         method=method)
-        want = ref_integrate(A5, values, q0, p0, (0, t1), 1e-3, 1e-9, method)
+        want = ref_integrate(A5, values, q0, p0, (0, t1), 1e-3, tol, method)
         assert got.termination == label
+        assert (got.t_star is None) == (label != "blow-up")
+        assert_same_run(got, want)
+
+    def test_located_blowup_matches_reference(self):
+        # two agreeing estimates of t* would stop this run at t = 0.087,
+        # far before its blow-up at 0.26043; three do not
+        values = {"a": 0.3067, "e1": -1.707, "e2": -0.6642, "e3": 0.3004}
+        sys = make_general_n(4)
+        got = integrate(sys, NumericParams(sys.name, values, 4), -0.9307,
+                        -1.4827, (0, 0.5), h=1e-3, tol=1e-6,
+                        method="adaptive-rk45")
+        want = ref_integrate(sys, values, -0.9307, -1.4827, (0, 0.5), 1e-3,
+                             1e-6, "adaptive-rk45")
+        assert got.termination == "blow-up"
+        assert got.times[-1] >= 0.26 and got.steps_rejected >= 1
         assert_same_run(got, want)
 
     def test_statistics_take_no_part_in_comparison(self):
         # trajectories compare by identity, so no field takes part
         assert Trajectory.__eq__ is object.__eq__
         assert Trajectory.__hash__ is object.__hash__
+
+
+def sample_digest(traj):
+    digest = hashlib.sha256()
+    for name in ("times", "q", "p", "H_values"):
+        digest.update(getattr(traj, name).tobytes())
+    return digest.hexdigest()
+
+
+A5_ONES = {"a": 1, "e1": 1, "e2": 1}
+GENERAL_ONES = {n: {"a": 1, **{f"e{i}": 1 for i in range(1, n)}}
+                for n in (4, 6, 12)}
+
+
+class TestBlowupLocator:
+    """adaptive-rk45 stops where u = q/q' locates a blow-up
+    q ~ C(t* - t)^-alpha; runs without one keep every sample."""
+
+    def run(self, sys, values, q0, p0, t_span, h, tol):
+        return integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
+                         t_span, h=h, tol=tol, method="adaptive-rk45")
+
+    def test_autonomous5_against_exact_series(self):
+        # t* = 0.161640436200 from the exact singularity series
+        traj = self.run(A5, A5_ONES, 1, 0, (0, 0.2), 1e-4, 1e-12)
+        assert traj.termination == "blow-up"
+        assert abs(traj.t_star - 0.161640436200) <= 1e-8
+        assert abs(traj.exponent - 1 / 3) <= 5e-3
+        assert traj.times[-1] < traj.t_star
+        assert traj.steps_attempted == len(traj.times) - 1 \
+            + traj.steps_rejected
+
+    @pytest.mark.parametrize("n", sorted(GENERAL_ONES))
+    def test_general_exponent(self, n):
+        # q ~ C(t* - t)^(-1/(n - 2)) on the real axis
+        sys = make_general_n(n)
+        traj = self.run(sys, GENERAL_ONES[n], 1, 0, (0, 0.5), 1e-3, 1e-12)
+        assert traj.termination == "blow-up"
+        assert abs(traj.exponent * (n - 2) - 1) <= 0.05
+        escape = scipy_escape_time(sys, NumericParams(sys.name,
+                                                      GENERAL_ONES[n], n),
+                                   1, 0, (0, 0.5))
+        assert abs(traj.t_star - escape) <= 1e-9
+
+    def test_nonautonomous3_against_dop853_escape(self):
+        # the estimates of the exponent tend to 1/2: 0.605, 0.528 and 0.506
+        # at tol 1e-6, 1e-9 and 1e-12.  With q ~ 1.4(t* - t)^(-1/2), DOP853
+        # reaches |q| = 1e4 about 2e-8 before t*
+        traj = self.run(NA3, PARAMS3.values, 1, 0, (0, 0.3), 1e-4, 1e-12)
+        assert traj.termination == "blow-up"
+        escape = scipy_escape_time(NA3, PARAMS3, 1, 0, (0, 0.3), cap=1e4)
+        assert traj.times[-1] < escape < traj.t_star <= escape + 5e-8
+        assert abs(traj.exponent - 1 / 2) <= 0.01
+
+    # sha256 of the sample bytes of each run, recorded before the locator
+    # existed: a run that completes keeps every bit
+    @pytest.mark.parametrize("sys,values,p0,t1,h,tol,samples,digest", [
+        (A5, A5_PASS_THROUGH, 0, 0.05, 1e-3, 1e-9, 13,
+         "099e66b09a68d1af7ba6f3f7a33bb553602889f99ac3c13b509cf4b037eacc6d"),
+        (A5, A5_ONES, -1.5, 0.3, 1e-4, 1e-12, 548,
+         "13e7dc62cdd27b8a6a08ad3e70b34ca0c4bbb3f9c571beed89cbc17a3b2c7b57"),
+        (NA3, PARAMS3.values, -1.5, 0.3, 1e-4, 1e-12, 675,
+         "952128e59c7769aa89b1df571978ad8991823eeaba356d7626951b2e2e04bbc2")],
+        ids=["pass-through", "autonomous5-long", "nonautonomous3-long"])
+    def test_completed_runs_keep_every_bit(self, sys, values, p0, t1, h, tol,
+                                           samples, digest):
+        q0 = 0.01 if values is A5_PASS_THROUGH else 1
+        traj = self.run(sys, values, q0, p0, (0, t1), h, tol)
+        assert traj.termination == "completed"
+        assert traj.t_star is None and traj.exponent is None
+        assert len(traj.times) == samples
+        assert sample_digest(traj) == digest
