@@ -1174,6 +1174,27 @@ class TestBlowupLocator:
         assert traj.times[-1] < escape < traj.t_star <= escape + 5e-8
         assert abs(traj.exponent - 1 / 2) <= 0.01
 
+    def test_blowup_after_t1_does_not_stop_the_run(self):
+        # q' ~ q^4 makes u = q/q' ~ 3(t* - t) linear, so the estimates of
+        # t* ~ 1/3 agree from the first samples; t* lies past t1
+        values = {"a": 1, "e1": 1e-9, "e2": 1e-9}
+        traj = self.run(A5, values, 1, 0, (0, 0.2), 1e-3, 1e-9)
+        assert traj.termination == "completed" and traj.t_star is None
+        assert_same_run(traj, ref_integrate(A5, values, 1, 0, (0, 0.2),
+                                            1e-3, 1e-9, "adaptive-rk45"))
+
+    def test_zero_of_q_is_no_blowup(self):
+        # q' = -3 gives u = q/q' = t - 1/3: the estimates find q's zero at
+        # t = 1/3 with alpha = -1, which Re alpha > 0 rules out
+        tbl = A5.table
+        drift = HamSystem("drift", tbl, LaurentPoly.var(tbl, "p", coeff=-3),
+                          A5.params, True, 5)
+        traj = self.run(drift, A5_ONES, 1, 0, (0, 0.5), 1e-3, 1e-9)
+        assert traj.termination == "completed" and traj.t_star is None
+        assert traj.q[-1] == pytest.approx(-0.5)
+        assert_same_run(traj, ref_integrate(drift, A5_ONES, 1, 0, (0, 0.5),
+                                            1e-3, 1e-9, "adaptive-rk45"))
+
     # sha256 of the sample bytes of each run, recorded before the locator
     # existed: a run that completes keeps every bit
     @pytest.mark.parametrize("sys,values,p0,t1,h,tol,samples,digest", [
