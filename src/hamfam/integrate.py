@@ -466,7 +466,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
     t_end = t1 - 1e-15 * max(1.0, abs(t1))
     # the blow-up locator: the time of the last sample it read, u = q/q' at
-    # that sample, its t* estimate, and how many estimates in a row agreed
+    # that sample, its t* estimate, and how many estimates in a row counted
     t_u = u = star = math.nan
     agreed = 0
     while t < t_end:
@@ -490,7 +490,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
             if u != u_prev:
                 alpha = (t_u - t) / (u - u_prev)
                 star_prev, star = star, t + alpha * u
-                # |t*| is finite once Re t* lies in (t, t1]
+                # abs(star) cannot overflow once Re t* lies in (t, t1]
                 if not (alpha.real > 0 and t < star.real <= t1
                         and abs(star.imag)
                         <= (close := tol * max(1.0, abs(star)))):
