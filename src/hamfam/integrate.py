@@ -32,8 +32,9 @@ u = q/q' equals (t* - t)/alpha; the adaptive run reads u at each sample from
 its step's first stage, at no extra field evaluation, and estimates
 alpha = -dt/du and t* = t + alpha*u from each two samples, which is a Newton
 step on u = 0 (Corliss & Chang, ACM TOMS 8, 1982).  It stops with the
-blow-up located once three estimates in a row agree to its own tolerance,
-instead of chasing t* until its step underflows.
+blow-up located once it is within sqrt(tol) of t* and three estimates in a
+row agree to its own tolerance, instead of chasing t* until its step
+underflows.
 """
 
 from __future__ import annotations
@@ -427,13 +428,20 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
 
     adaptive-rk45 locates a blow-up q ~ C(t* - t)^-alpha: from u = q/q' at
     each two successive samples it estimates alpha = -dt/du and
-    t* = t + alpha*u.  An estimate counts when Re alpha > 0,
-    t < Re t* <= t1 and |Im t*| <= tol*max(1, |t*|).  Once three in a row
-    count and each agrees with the one before to tol*max(1, |t*|), the
-    attempt in hand is accepted or rejected as usual and the run stops with
-    ``blow-up``, recording Re t* and Re alpha of the last estimate.  Step
-    control does not depend on the estimates, so each sample is the one a
-    run without the locator makes.  fixed-rk4 makes no estimates.
+    t* = t + alpha*u.  With s = max(1, |Re t*|), an estimate counts when
+    Re alpha > 0, the gap Re t* - t lies in (0, sqrt(tol)*s],
+    |Im t*| <= tol*gap and Re t* <= t1 - tol*s.  Once three in a row count
+    and each agrees with the one before to tol*s, the attempt in hand is
+    accepted or rejected as usual and the run stops with ``blow-up``,
+    recording Re t* and Re alpha of the last estimate.  So a run is never
+    cut more than sqrt(tol)*s before t*, however early its estimates agree
+    (sqrt(tol)*s is halfway, on a log scale, from their agreement to s).
+    Their error can exceed their agreement: a t1 within a few tol*s of t*
+    may end in ``blow-up`` though q is regular on [t0, t1], and a flow
+    that passes within tol*gap of a complex singularity counts as meeting
+    it.  Step control does not depend on the estimates, so each
+    sample is the one a run without the locator makes.  fixed-rk4 makes no
+    estimates.
     """
     import numpy as np
     if method not in _METHODS:
@@ -469,6 +477,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     # that sample, its t* estimate, and how many estimates in a row counted
     t_u = u = star = math.nan
     agreed = 0
+    near = math.sqrt(tol)
     while t < t_end:
         if adaptive:
             step = min(step, t1 - t)
@@ -490,10 +499,14 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
             if u != u_prev:
                 alpha = (t_u - t) / (u - u_prev)
                 star_prev, star = star, t + alpha * u
-                # abs(star) cannot overflow once Re t* lies in (t, t1]
-                if not (alpha.real > 0 and t < star.real <= t1
-                        and abs(star.imag)
-                        <= (close := tol * max(1.0, abs(star)))):
+                # counts only within sqrt(tol) of t*, heading into it to tol
+                # and ending before t1 by the agreement bound; a non-finite
+                # t* fails one of the tests
+                gap, scale = star.real - t, max(1.0, abs(star.real))
+                close = tol * scale
+                if not (alpha.real > 0 and 0 < gap <= near * scale
+                        and abs(star.imag) <= tol * gap
+                        and star.real <= t1 - close):
                     agreed = 0
                 elif agreed and abs(star - star_prev) <= close:
                     agreed += 1

@@ -695,17 +695,21 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
 
 def locates_blowup(estimates, tol, t1):
     """Whether the last three (t, alpha, t*) estimates locate a blow-up:
-    each has Re alpha > 0, t < Re t* <= t1 and |Im t*| within
-    tol*max(1, |t*|), and each agrees with the one before it to that
-    bound."""
+    with s = max(1, |Re t*|), each has Re alpha > 0, a gap Re t* - t in
+    (0, sqrt(tol)*s], |Im t*| <= tol*gap and Re t* <= t1 - tol*s, and each
+    agrees with the one before it to tol*s."""
     last = estimates[-3:]
-    if len(last) < 3 or not all(alpha.real > 0 and t < star.real <= t1
-                                for t, alpha, star in last):
+    if len(last) < 3:
         return False
-    close = [tol * max(1.0, abs(star)) for _, _, star in last]
-    return all(abs(star.imag) <= c for (_, _, star), c in zip(last, close)) \
-        and all(abs(b[2] - a[2]) <= c
-                for a, b, c in zip(last, last[1:], close[1:]))
+    for t, alpha, star in last:
+        scale = max(1.0, abs(star.real))
+        gap = star.real - t
+        if not (alpha.real > 0 and 0 < gap <= math.sqrt(tol) * scale
+                and abs(star.imag) <= tol * gap
+                and star.real <= t1 - tol * scale):
+            return False
+    return all(abs(b[2] - a[2]) <= tol * max(1.0, abs(b[2].real))
+               for a, b in zip(last, last[1:]))
 
 
 def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
@@ -1130,6 +1134,8 @@ def sample_digest(traj):
 
 
 A5_ONES = {"a": 1, "e1": 1, "e2": 1}
+# p stays near 0, so q' ~ q^4 and q ~ (1 - 3t)^(-1/3) from q0 = 1
+Q4_FLOW = {"a": 1, "e1": 1e-9, "e2": 1e-9}
 GENERAL_ONES = {n: {"a": 1, **{f"e{i}": 1 for i in range(1, n)}}
                 for n in (4, 6, 12)}
 
@@ -1177,11 +1183,45 @@ class TestBlowupLocator:
     def test_blowup_after_t1_does_not_stop_the_run(self):
         # q' ~ q^4 makes u = q/q' ~ 3(t* - t) linear, so the estimates of
         # t* ~ 1/3 agree from the first samples; t* lies past t1
-        values = {"a": 1, "e1": 1e-9, "e2": 1e-9}
-        traj = self.run(A5, values, 1, 0, (0, 0.2), 1e-3, 1e-9)
+        traj = self.run(A5, Q4_FLOW, 1, 0, (0, 0.2), 1e-3, 1e-9)
         assert traj.termination == "completed" and traj.t_star is None
-        assert_same_run(traj, ref_integrate(A5, values, 1, 0, (0, 0.2),
+        assert_same_run(traj, ref_integrate(A5, Q4_FLOW, 1, 0, (0, 0.2),
                                             1e-3, 1e-9, "adaptive-rk45"))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_early_agreement_keeps_the_regular_stretch(self, tol):
+        # the estimates of t* ~ 1/3 agree from the first samples, but the run
+        # goes on until it is within sqrt(tol) of t*
+        traj = self.run(A5, Q4_FLOW, 1, 0, (0, 0.4), 1e-3, tol)
+        assert traj.termination == "blow-up"
+        assert abs(traj.t_star - 1 / 3) <= 10 * tol
+        assert traj.t_star - math.sqrt(tol) <= traj.times[-1] < traj.t_star
+        assert_same_run(traj, ref_integrate(A5, Q4_FLOW, 1, 0, (0, 0.4),
+                                            1e-3, tol, "adaptive-rk45"))
+
+    def test_complex_near_miss_completes(self):
+        # q0 = exp(1e-7 i) moves t* to 1/3 - 1e-7 i: the real path passes it
+        # with |q| near 150, and Im t* stays above tol times the gap
+        q0 = cmath.exp(1e-7j)
+        traj = self.run(A5, Q4_FLOW, q0, 0, (0, 0.4), 1e-3, 1e-6)
+        assert traj.termination == "completed" and traj.t_star is None
+        assert 100 < abs(traj.q).max() < 200
+        assert_same_run(traj, ref_integrate(A5, Q4_FLOW, q0, 0, (0, 0.4),
+                                            1e-3, 1e-6, "adaptive-rk45"))
+
+    @pytest.mark.parametrize("before,label", [(1e-8, "completed"),
+                                              (1e-9, "blow-up")])
+    def test_span_ending_just_before_t_star(self, before, label):
+        # t1 = t* - 1e-8 completes.  The estimates err by a few tol: at
+        # t1 = t* - 1e-9 they place t* before t1 and the run ends in
+        # blow-up, where a run without the locator ends in step-underflow
+        t1 = 0.161640436200 - before
+        traj = self.run(A5, A5_ONES, 1, 0, (0, t1), 1e-3, 1e-9)
+        assert traj.termination == label
+        if label == "blow-up":
+            assert traj.t_star <= t1 < 0.161640436200
+        assert_same_run(traj, ref_integrate(A5, A5_ONES, 1, 0, (0, t1), 1e-3,
+                                            1e-9, "adaptive-rk45"))
 
     def test_zero_of_q_is_no_blowup(self):
         # q' = -3 gives u = q/q' = t - 1/3: the estimates find q's zero at
