@@ -30,23 +30,10 @@ def _normal(n0: int, n1: int, n2: int, n3: int, d: int) -> "CycloRat":
     g = gcd(n0, n1, n2, n3, d)
     if g != 1:
         n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
-    new = _new(CycloRat)
+    new = object.__new__(CycloRat)
     new.n = (n0, n1, n2, n3)
     new.d = d
     return new
-
-
-def _trusted(n: tuple, d: int) -> "CycloRat":
-    """Wrap numerators and denominator already in normal form."""
-    new = _new(CycloRat)
-    new.n = n
-    new.d = d
-    return new
-
-
-# the hot paths below build their results with it directly, not through a
-# chain of helper calls
-_new = object.__new__
 
 
 class CycloRat:
@@ -74,26 +61,15 @@ class CycloRat:
 
     @staticmethod
     def _coerce(x) -> "CycloRat":
-        if isinstance(x, CycloRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycloRat(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into CycloRat")
+        return x if isinstance(x, CycloRat) else CycloRat(x)
 
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other):
-        o = other if type(other) is CycloRat else self._coerce(other)
+        o = self._coerce(other)
         a0, a1, a2, a3 = self.n
         b0, b1, b2, b3 = o.n
         da, db = self.d, o.d
-        if da == db:
-            if da == 1:
-                new = _new(CycloRat)
-                new.n = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                new.d = 1
-                return new
-            return _normal(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
         return _normal(a0 * db + b0 * da, a1 * db + b1 * da,
                        a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
@@ -107,34 +83,18 @@ class CycloRat:
 
     def __neg__(self):
         a0, a1, a2, a3 = self.n
-        return _trusted((-a0, -a1, -a2, -a3), self.d)
+        return _normal(-a0, -a1, -a2, -a3, self.d)
 
     def __mul__(self, other):
+        o = self._coerce(other)
         a0, a1, a2, a3 = self.n
-        if type(other) is int:
-            n = (a0 * other, a1 * other, a2 * other, a3 * other)
-            d = self.d
-        else:
-            o = other if type(other) is CycloRat else self._coerce(other)
-            b0, b1, b2, b3 = o.n
-            # a rational factor scales the other's numerators; otherwise the
-            # 16-product convolution, reduced with z^4 = -1
-            if not (b1 or b2 or b3):
-                n = (a0 * b0, a1 * b0, a2 * b0, a3 * b0)
-            elif not (a1 or a2 or a3):
-                n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
-            else:
-                n = (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-                     a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
-            d = self.d * o.d
-        if d == 1:
-            new = _new(CycloRat)
-            new.n = n
-            new.d = 1
-            return new
-        return _normal(*n, d)
+        b0, b1, b2, b3 = o.n
+        # the 16-product convolution, reduced with z^4 = -1
+        return _normal(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                       a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                       a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                       a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                       self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -162,8 +122,7 @@ class CycloRat:
         """Apply the automorphism z -> z^k (k odd)."""
         if k % 2 == 0:
             raise ValueError("Galois automorphisms of Q(z8) need odd k")
-        # z^i -> z^(i*k mod 8) permutes the numerators up to sign, so the
-        # form stays normal
+        # z^i -> z^(i*k mod 8) permutes the numerators up to sign
         acc = [0] * 4
         for i, a in enumerate(self.n):
             m = (i * k) % 8
@@ -171,7 +130,7 @@ class CycloRat:
                 acc[m - 4] = -a
             else:
                 acc[m] = a
-        return _trusted(tuple(acc), self.d)
+        return _normal(*acc, self.d)
 
     def inverse(self) -> "CycloRat":
         n, d = self.n, self.d
@@ -190,12 +149,12 @@ class CycloRat:
                 out[4 - i] = -c
             else:
                 out[0] = c
-            return _trusted(tuple(out), abs(u))
+            return _normal(*out, abs(u))
         # for the integer numerator a, the product of its nontrivial Galois
         # conjugates gives a * conj = N, the field norm: an integer, and
         # positive, being |a|^2 * |galois(a, 3)|^2 under z -> exp(i*pi/4);
         # then (a/d)^-1 = d * conj / N
-        num = _trusted(n, 1)
+        num = _normal(*n, 1)
         conj = num.galois(3) * num.galois(5) * num.galois(7)
         norm = (num * conj).n
         assert norm[0] > 0 and norm[1] == 0 and norm[2] == 0 and norm[3] == 0

@@ -86,18 +86,26 @@ def make_nonautonomous3() -> HamSystem:
 
 
 def make_system(family: str, n: int | None = None) -> HamSystem:
-    """Constructor addressable by name: 'autonomous5', 'general:n', 'nonautonomous3'."""
-    if family == "autonomous5":
-        return make_autonomous5()
-    if family == "nonautonomous3":
-        return make_nonautonomous3()
+    """Constructor addressable by name: 'autonomous5', 'general:n',
+    'nonautonomous3', or 'general' with ``n``.  An ``n`` that selects
+    nothing (another family, or one that disagrees with 'general:n')
+    raises ``ValueError``."""
     if family.startswith("general:"):
-        return make_general_n(int(family.split(":", 1)[1]))
+        named = int(family.split(":", 1)[1])
+        if n not in (None, named):
+            raise ValueError(f"n = {n} disagrees with family {family!r}")
+        return make_general_n(named)
     if family == "general":
         if n is None:
             raise ValueError("family 'general' needs n")
         return make_general_n(n)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("autonomous5", "nonautonomous3"):
+        raise ValueError(f"unknown family {family!r}")
+    if n is not None:
+        raise ValueError(f"n applies only to family 'general', "
+                         f"not to {family!r}")
+    return make_autonomous5() if family == "autonomous5" \
+        else make_nonautonomous3()
 
 
 # -- symbolic calculus --------------------------------------------------------

@@ -97,19 +97,8 @@ class VarTable:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, VarTable)
-                                 and self.names == other.names)
-
-    def __hash__(self):
-        return hash(self.names)
-
     def __repr__(self):
         return f"VarTable{self.names}"
-
-
-def _as_cyclo(c: Coeff) -> CycloRat:
-    return c if isinstance(c, CycloRat) else CycloRat(c)
 
 
 def _accumulate_product(terms: dict, shift: int, coeff: int,
@@ -163,7 +152,7 @@ class LaurentPoly:
         coeffs = {}
         bound = 0
         for exps, coeff in (terms or {}).items():
-            coeff = _as_cyclo(coeff)
+            coeff = CycloRat._coerce(coeff)
             if coeff.is_zero():
                 continue
             if len(exps) != len(table):
@@ -238,20 +227,20 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, table: VarTable, c: Coeff) -> "LaurentPoly":
-        return cls._monomial(table, 0, _as_cyclo(c), 0)
+        return cls._monomial(table, 0, CycloRat._coerce(c), 0)
 
     @classmethod
     def var(cls, table: VarTable, name: str, exp: int = 1,
             coeff: Coeff = 1) -> "LaurentPoly":
         place = table._places[table.index(name)]
-        c = _as_cyclo(coeff)
+        c = CycloRat._coerce(coeff)
         if c.is_zero():
             return cls.zero(table)
         return cls._monomial(table, _checked(name, exp) * place, c, abs(exp))
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            if other.table is not self.table and other.table != self.table:
+            if other.table is not self.table:
                 raise LaurentError("variable-table mismatch")
             return other
         if isinstance(other, (int, Fraction, CycloRat)):
@@ -476,7 +465,7 @@ class LaurentPoly:
             other = LaurentPoly.const(self.table, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return (self.table == other.table and self._den == other._den
+        return (self.table is other.table and self._den == other._den
                 and self._terms == other._terms)
 
     def __hash__(self):

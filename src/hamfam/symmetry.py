@@ -116,10 +116,14 @@ def nonautonomous_map(branch: int = 1) -> BirationalMap:
 
 def make_map(name: str, branch: int = 1,
              sys: HamSystem | None = None) -> BirationalMap:
-    """Map addressable by name: 's-auto:n' (needs the system) or 's-nonauto'."""
+    """Map addressable by name: 's-auto' or 's-auto:n' for the system's own
+    n (needs the system), or 's-nonauto'."""
     if name.startswith("s-auto"):
         if sys is None:
             raise ValueError("s-auto map needs its family")
+        if name not in ("s-auto", f"s-auto:{sys.n}"):
+            raise ValueError(f"unknown map {name!r} for {sys.name}; its "
+                             f"shear is s-auto:{sys.n}")
         return autonomous_map(sys)
     if name == "s-nonauto":
         if sys is not None and sys.name != "nonautonomous3":

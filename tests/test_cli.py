@@ -197,6 +197,16 @@ class TestIntegrate:
                     "--params", "a=1,e1=1,e2=1,zz=3", "--t1", "0.01"]) == 2
         assert "unknown ['zz']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,n,message", [
+        ("general:5", "7", "n = 7 disagrees with family 'general:5'"),
+        ("autonomous5", "3", "n applies only to family 'general'")])
+    def test_n_that_selects_nothing(self, family, n, message, capsys):
+        assert run(["integrate", "--family", family, "--n", n,
+                    "--params", "a=1,e1=1,e2=1,e3=1,e4=1",
+                    "--t1", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_immediate_singularity(self):
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1,e1=1,e2=1", "--q0", "1e-12",
@@ -287,6 +297,15 @@ class TestSymmetry:
     def test_unknown_map(self):
         assert run(["symmetry", "--family", "autonomous5",
                     "--map", "nope"]) == 2
+
+    @pytest.mark.parametrize("name", ["s-auto:7", "s-autoXYZ"])
+    def test_shear_of_other_n(self, name, capsys):
+        assert run(["symmetry", "--family", "general", "--n", "5",
+                    "--map", name,
+                    "--params", "a=1,e1=1,e2=1,e3=1,e4=1"]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown map {name!r}" in captured.err
+        assert captured.out == ""
 
 
 class TestConfig:

@@ -84,6 +84,19 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_system("unknown")
 
+    def test_make_system_general_n_agrees(self):
+        assert make_system("general:5", 5).n == 5
+        with pytest.raises(ValueError, match="n = 7 disagrees"):
+            make_system("general:5", 7)
+        with pytest.raises(ValueError, match="family 'general' needs n"):
+            make_system("general")
+
+    @pytest.mark.parametrize("family", ["autonomous5", "nonautonomous3"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_make_system_n_applies_only_to_general(self, family, n):
+        with pytest.raises(ValueError, match="n applies only to family"):
+            make_system(family, n)
+
 
 class TestHamiltonEquations:
     def test_autonomous5(self):

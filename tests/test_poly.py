@@ -185,12 +185,29 @@ class TestInvariants:
             v("p") ** -1
 
     def test_tables_are_interned(self):
+        import copy
         import pickle
         assert VarTable(list(TBL.names)) is TBL
         P = v("q", -2, coeff=ZETA / 3) + v("a")
-        copy = pickle.loads(pickle.dumps(P))
-        assert copy.table is TBL and copy == P
-        assert list(copy.terms) == list(P.terms)
+        # table equality is identity, so every copy route must give back
+        # the interned table
+        for route in (copy.copy, copy.deepcopy,
+                      lambda x: pickle.loads(pickle.dumps(x))):
+            assert route(TBL) is TBL
+            Q = route(P)
+            assert Q.table is TBL and Q == P
+            assert list(Q.terms) == list(P.terms)
+            assert (Q - P).terms == {}
+        # tables over other names stay apart, also in a different order
+        for names in (("q", "p"), ("p", "q", "t", "a")):
+            other = LaurentPoly.var(VarTable(names), "q")
+            assert other.table is not TBL and other != v("q")
+            for combine in (lambda a, b: a + b, lambda a, b: a * b,
+                            lambda a, b: a - b):
+                with pytest.raises(LaurentError, match="table mismatch"):
+                    combine(v("q"), other)
+                with pytest.raises(LaurentError, match="table mismatch"):
+                    combine(other, v("q"))
 
     def test_zero_is_empty(self):
         assert (v("q") - v("q")).terms == {}

@@ -6,6 +6,7 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import compiled_poly, norm_route_inverse, reference_serialize
@@ -117,6 +118,32 @@ def test_cyclo_matches_fraction_reference(ca, cb, k):
     # equal values built along different paths: equal forms, equal hashes
     for x, y in (((a + b) - b, a), (a * b, b * a), (a.galois(k).galois(k), a)):
         assert x == y and hash(x) == hash(y) and x.n == y.n and x.d == y.d
+
+
+MIXED_OPS = {"a + x": lambda a, x: a + x, "x + a": lambda a, x: x + a,
+             "a - x": lambda a, x: a - x, "x - a": lambda a, x: x - a,
+             "a * x": lambda a, x: a * x, "x * a": lambda a, x: x * a,
+             "a / x": lambda a, x: a / x, "x / a": lambda a, x: x / a}
+
+
+@settings(max_examples=200)
+@given(st.builds(CycloRat, wide, wide, wide, wide), wide,
+       st.floats(allow_nan=False))
+@example(ONE, 0, 0.5)
+@example(ZETA, Fraction(-1, 3), 1.0)
+def test_cyclo_mixed_operands(a, x, f):
+    """An int or Fraction operand on either side acts as CycloRat(x) does;
+    a float on either side is refused by the constructor's check."""
+    for label, op in MIXED_OPS.items():
+        if (label == "a / x" and not x) or (label == "x / a" and not a):
+            continue
+        got = op(a, x)
+        want = op(a, CycloRat(x))
+        assert type(got) is CycloRat, label
+        assert (got.n, got.d) == (want.n, want.d), label
+        assert_normal(got)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            op(a, f)
 
 
 @st.composite

@@ -214,6 +214,15 @@ def test_map_order_composes_only_what_it_tests(monkeypatch, max_order, order,
 def test_make_map_dispatch():
     sys = make_autonomous5()
     assert make_map("s-auto:5", sys=sys).name == "s-auto:5"
+    assert make_map("s-auto", sys=sys).name == "s-auto:5"
+    assert make_map("s-auto:7", sys=make_system("general:7")).name \
+        == "s-auto:7"
+    # only the system's own n names its shear
+    for name in ("s-auto:7", "s-auto:", "s-autoXYZ", "s-auto:05"):
+        with pytest.raises(ValueError, match="unknown map"):
+            make_map(name, sys=sys)
+    with pytest.raises(ValueError, match="needs its family"):
+        make_map("s-auto")
     assert make_map("s-nonauto", branch=7).name == "s-nonauto(branch=7)"
     assert make_map("s-nonauto", branch=7,
                     sys=make_nonautonomous3()).name == "s-nonauto(branch=7)"
