@@ -122,8 +122,7 @@ def make_map(name: str, branch: int = 1,
         if sys is None:
             raise ValueError("s-auto map needs its family")
         if name not in ("s-auto", f"s-auto:{sys.n}"):
-            raise ValueError(f"unknown map {name!r} for {sys.name}; its "
-                             f"shear is s-auto:{sys.n}")
+            raise ValueError(f"unknown map {name!r} for {sys.name}")
         return autonomous_map(sys)
     if name == "s-nonauto":
         if sys is not None and sys.name != "nonautonomous3":

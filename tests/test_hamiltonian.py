@@ -83,18 +83,17 @@ class TestConstructors:
         assert make_system("general", 4).n == 4
         with pytest.raises(ValueError):
             make_system("unknown")
-
-    def test_make_system_general_n_agrees(self):
         assert make_system("general:5", 5).n == 5
-        with pytest.raises(ValueError, match="n = 7 disagrees"):
-            make_system("general:5", 7)
         with pytest.raises(ValueError, match="family 'general' needs n"):
             make_system("general")
 
-    @pytest.mark.parametrize("family", ["autonomous5", "nonautonomous3"])
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_make_system_n_applies_only_to_general(self, family, n):
-        with pytest.raises(ValueError, match="n applies only to family"):
+    @pytest.mark.parametrize("family,n,message", [
+        ("general:5", 7, "n = 7 disagrees with family 'general:5'"),
+        ("autonomous5", 3, "n applies only to family 'general'"),
+        ("autonomous5", 5, "n applies only to family 'general'"),
+        ("nonautonomous3", 3, "n applies only to family 'general'")])
+    def test_make_system_n_that_selects_nothing(self, family, n, message):
+        with pytest.raises(ValueError, match=message):
             make_system(family, n)
 
 
