@@ -91,7 +91,11 @@ def make_system(family: str, n: int | None = None) -> HamSystem:
     nothing (another family, or one that disagrees with 'general:n')
     raises ``ValueError``."""
     if family.startswith("general:"):
-        named = int(family.split(":", 1)[1])
+        try:
+            named = int(family.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"family {family!r} is not of the form "
+                             f"'general:<n>' with an integer n") from None
         if n not in (None, named):
             raise ValueError(f"n = {n} disagrees with family {family!r}")
         return make_general_n(named)

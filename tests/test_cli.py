@@ -207,6 +207,21 @@ class TestIntegrate:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    def test_family_without_integer_n(self, capsys):
+        assert run(["integrate", "--family", "general:abc",
+                    "--params", "a=1", "--t1", "0.01"]) == 2
+        assert "error: family 'general:abc' is not of the form " \
+            "'general:<n>' with an integer n" in capsys.readouterr().err
+
+    def test_start_where_H_overflows(self, capsys):
+        params = ",".join(["a=1"] + [f"e{i}=1" for i in range(1, 30)])
+        assert run(["integrate", "--family", "general:30",
+                    "--params", params, "--q0", "3e10", "--t1", "1e-9",
+                    "--h", "1e-12"]) == 2
+        captured = capsys.readouterr()
+        assert "error: H cannot be evaluated at the start state " \
+            "q0 = (30000000000+0j)" in captured.err and captured.out == ""
+
     def test_immediate_singularity(self):
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1,e1=1,e2=1", "--q0", "1e-12",

@@ -96,6 +96,14 @@ class TestConstructors:
         with pytest.raises(ValueError, match=message):
             make_system(family, n)
 
+    @pytest.mark.parametrize("family", ["general:abc", "general:",
+                                        "general:2.5"])
+    def test_make_system_general_without_integer_n(self, family):
+        with pytest.raises(ValueError) as raised:
+            make_system(family)
+        assert str(raised.value) == (f"family {family!r} is not of the form "
+                                     f"'general:<n>' with an integer n")
+
 
 class TestHamiltonEquations:
     def test_autonomous5(self):

@@ -31,6 +31,13 @@ A5 = make_autonomous5()
 NA3 = make_nonautonomous3()
 PARAMS5 = NumericParams("autonomous5", {"a": 1, "e1": 1, "e2": 1}, 5)
 PARAMS3 = NumericParams("nonautonomous3", {"a1": 1, "a2": 1, "a3": 1}, 5)
+# H = a*p^100 - q*p: between |p| = 1208 and 1298, p^100 overflows and the
+# field's p^99 does not; with a = 1e-300 the field stays below 1e9 there,
+# and p grows as e^t
+STEEP = HamSystem("steep", A5.table,
+                  A5.var("a") * A5.var("p", 100) - A5.var("q") * A5.var("p"),
+                  A5.params, True, 5)
+STEEP_PARAMS = NumericParams("steep", {"a": 1e-300, "e1": 1, "e2": 1}, 5)
 
 
 def scipy_reference(sys, params, q0, p0, t_span, rtol=1e-12, atol=1e-12):
@@ -178,8 +185,8 @@ class TestStepRK4:
     def test_zero_step(self):
         field = compile_field(A5, PARAMS5)
         state = (1.3 - 0.2j, 0.4 + 0.1j)
-        assert _RK4.step(*state, 0.0, 0.0, field, 0.0) \
-            == (*state, 0.0, field(*state, 0.0)[0])
+        assert field.step(_RK4)(*state, 0.0, 0.0, 0.0) \
+            == (*state, 0.0, field(*state, 0.0)[0], field.H(*state, 0.0))
 
     def test_constant_field_is_exact(self):
         # degenerate H = c*p gives qdot = c, pdot = 0; RK4 is exact
@@ -187,21 +194,22 @@ class TestStepRK4:
         H = LaurentPoly.var(tbl, "p")
         sys = HamSystem("degenerate", tbl, H, A5.params, True, 5)
         field = compile_field(sys, PARAMS5)
-        q, p, _, dq = _RK4.step(1 + 0j, 0j, 0.0, 0.25, field, 0.0)
+        q, p, _, dq, h = field.step(_RK4)(1 + 0j, 0j, 0.0, 0.25, 0.0)
         assert q == 1 + 0.25  # unit constant field
         assert p == 0j
         assert dq == 1  # the field at the start
+        assert bits(h) == bits(field.H(1 + 0j, 0j, 0.0))  # H at the start
         # scaled variant through the compiled path
         sys2 = HamSystem("degenerate2", tbl,
                          LaurentPoly.var(tbl, "p", coeff=3), A5.params, True, 5)
-        q2, *_ = _RK4.step(1 + 0j, 0j, 0.0, 0.25,
-                           compile_field(sys2, PARAMS5), 0.0)
+        q2, *_ = compile_field(sys2, PARAMS5).step(_RK4)(1 + 0j, 0j, 0.0,
+                                                         0.25, 0.0)
         assert q2 == 1 + 3 * 0.25
 
     def test_against_reference_solve(self):
         h = 1e-3
         field = compile_field(A5, PARAMS5)
-        q1, p1, *_ = _RK4.step(1 + 0j, 0j, 0.0, h, field, 0.0)
+        q1, p1, *_ = field.step(_RK4)(1 + 0j, 0j, 0.0, h, 0.0)
         qr, pr = scipy_reference(A5, PARAMS5, 1, 0, (0.0, h))
         assert abs(q1 - qr) < 1e-10
         assert abs(p1 - pr) < 1e-10
@@ -209,7 +217,7 @@ class TestStepRK4:
     def test_singularity_guard(self):
         field = compile_field(A5, PARAMS5)
         with pytest.raises(SingularityError):
-            _RK4.step(1e-10 + 0j, 0j, 0.0, 1e-3, field, 0.0)
+            field.step(_RK4)(1e-10 + 0j, 0j, 0.0, 1e-3, 0.0)
 
     def test_matches_textbook_step_bit_for_bit(self, rng):
         field = compile_field(A5, PARAMS5)
@@ -223,8 +231,8 @@ class TestStepRK4:
             k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
             expected = (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
                         p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-            assert _RK4.step(q, p, t, h, field, 0.0) \
-                == (*expected, 0.0, k1q)
+            assert field.step(_RK4)(q, p, t, h, 0.0) \
+                == (*expected, 0.0, k1q, field.H(q, p, t))
 
 
 class TestTableaus:
@@ -324,6 +332,42 @@ class TestIntegrate:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             integrate(A5, PARAMS5, 1, 0, (0, 1), method="leapfrog")
+
+    @pytest.mark.parametrize("sys, values, q0, p0, t_span, state", [
+        (make_general_n(30), {"a": 1, **{f"e{i}": 1 for i in range(1, 30)}},
+         3e10, 0, (0, 1e-9), "q0 = (30000000000+0j), p0 = 0j, t0 = 0"),
+        (STEEP, STEEP_PARAMS.values, 1, 1250, (0.5, 0.6),
+         "q0 = (1+0j), p0 = (1250+0j), t0 = 0.5"),
+        (STEEP, STEEP_PARAMS.values, 1, 1250, (0, 0),
+         "q0 = (1+0j), p0 = (1250+0j), t0 = 0")],
+        ids=["field-too", "H-only", "zero-span"])
+    def test_start_where_H_overflows(self, sys, values, q0, p0, t_span,
+                                     state):
+        with pytest.raises(ValueError) as raised:
+            integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
+                      t_span, h=1e-3)
+        assert str(raised.value) == (f"H cannot be evaluated at the start "
+                                     f"state {state}: complex exponentiation")
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
+    def test_sample_where_H_overflows_ends_the_run(self, method):
+        traj = integrate(STEEP, STEEP_PARAMS, 1, 1200, (0, 0.01), h=1e-3,
+                         method=method)
+        field = compile_field(STEEP, STEEP_PARAMS)
+        assert traj.termination == "overflow"
+        samples = [(complex(q), complex(p), float(t))
+                   for q, p, t in zip(traj.q, traj.p, traj.times)]
+        for (q, p, t), H in zip(samples, traj.H_values):
+            assert bits(complex(H)) == bits(field.H(q, p, t))
+        # the run took one more step, to a sample whose H overflows, and
+        # raised in the step from there
+        assert traj.steps_attempted == len(traj.times) + 1 \
+            + traj.steps_rejected
+        if method == "fixed-rk4":
+            q, p, t = samples[-1]
+            q, p, *_ = field.step(_RK4)(q, p, t, 1e-3, 0.0)
+            with pytest.raises(OverflowError):
+                field.H(q, p, t + 1e-3)
 
 
 class TestStepAndTolValidation:
@@ -490,6 +534,35 @@ class TestMapRuleCache:
         second = check_symmetry_on_trajectory(traj, m, NA3, PARAMS3)
         assert count > 0 and len(generated) == count
         assert second.hex() == first.hex()
+
+
+class TestStepCache:
+    def test_step_generated_once_on_first_integrate(self, monkeypatch):
+        _field_cache.cache_clear()
+        generated = []
+        generate = integrate_module._generate
+        monkeypatch.setattr(integrate_module, "_generate",
+                            lambda signature, *rest: generated.append(
+                                signature) or generate(signature, *rest))
+        compile_field(NA3, PARAMS3)
+        assert generated == ["(q, p, t)"] * 2  # the field and H, no step
+        runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3)
+                for _ in range(2)]
+        assert generated[2:] == ["(q, p, t, h, tol)"]
+        assert_same_run(*runs)
+
+    @pytest.mark.parametrize("q0, t_span, method", [
+        (1, (0, 0.05), "fixed-rk4"), (1, (0, 0.05), "adaptive-rk45"),
+        (1, (0, 0), "fixed-rk4"), (100, (0, 1), "fixed-rk4")],
+        ids=["fixed", "adaptive", "zero-span", "overflow"])
+    def test_one_H_call_per_run(self, monkeypatch, q0, t_span, method):
+        field = compile_field(A5, PARAMS5)
+        calls = []
+        H = field.H
+        monkeypatch.setattr(field, "H", lambda *args: calls.append(args)
+                            or H(*args))
+        traj = integrate(A5, PARAMS5, q0, 0.3, t_span, method=method)
+        assert calls == [(traj.q[-1], traj.p[-1], traj.times[-1])]
 
 
 APPLY_CASES = {"shear-autonomous5": (A5, autonomous_map(A5)),
@@ -693,6 +766,16 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
     return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2), kq[0]
 
 
+def ref_step(tab, q, p, t, h, field, tol=0.0):
+    """``ref_rk_step`` and H at (q, p, t), in the order the generated step
+    evaluates them: the first stage's field, then H, then the later
+    stages."""
+    _guard(t, q)
+    field(q, p, t + tab.c[0] * h)
+    H = field.H(q, p, t)
+    return (*ref_rk_step(tab, q, p, t, h, field, tol), H)
+
+
 def locates_blowup(estimates, tol, t1):
     """Whether the last three (t, alpha, t*) estimates locate a blow-up:
     with s = max(1, |Re t*|), each has Re alpha > 0, a gap Re t* - t in
@@ -807,6 +890,10 @@ def bits(x):
 
 
 KERNEL_SYSTEMS = [A5, *(make_general_n(n) for n in range(2, 13)), NA3]
+# H = a*p: a constant field, zero when a is
+DEGENERATE = HamSystem("degenerate", A5.table, A5.var("a") * A5.var("p"),
+                       A5.params, True, 5)
+STEP_SYSTEMS = [*KERNEL_SYSTEMS, DEGENERATE]
 zeros = st.sampled_from((0.0, -0.0))
 parts = st.one_of(zeros, st.floats(-1.5, 1.5))
 scalars = st.builds(complex, parts, parts)
@@ -906,27 +993,62 @@ class TestKernelsMatchLoopReference:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([_RK4, _FEHLBERG45]),
-           st.sampled_from(KERNEL_SYSTEMS), st.data(),
+           st.sampled_from(STEP_SYSTEMS), st.data(),
            st.one_of(states, st.tuples(st.sampled_from((1e-9 + 0j,
                                                         5e11 + 0j)),
                                        scalars)),
-           st.floats(0, 1), st.floats(1e-4, 1e-1),
+           st.one_of(zeros, st.floats(0, 1)), st.floats(1e-4, 1e-1),
            st.sampled_from((1e-9, 1e-6)))
     def test_rk_step(self, tab, sys, data, state, t, h, tol):
         values = data.draw(param_values(sys))
-        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-        ref = RefField(sys, values)
         q, p = state
-        try:
-            want = ref_rk_step(tab, q, p, t, h, ref, tol)
-        except (ArithmeticError, RuntimeError) as exc:
-            with pytest.raises(type(exc)) as got:
-                tab.step(q, p, t, h, field, tol)
-            assert str(got.value) == str(exc)
-            return
-        qn, pn, err, dq = tab.step(q, p, t, h, field, tol)
-        assert_same((qn, pn, dq), (*want[:2], want[3]))
-        assert struct.pack("<d", err) == struct.pack("<d", want[2])
+        assert_same_step(sys, values, tab, q, p, t, h, tol)
+
+    # magnitudes at which powers in the field and in H overflow at some
+    # stage, and the |q| guard fires
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([_RK4, _FEHLBERG45]),
+           st.sampled_from(STEP_SYSTEMS), st.data(), st.floats(-3, 12.5),
+           st.floats(-3, 170), st.floats(-math.pi, math.pi),
+           st.floats(-math.pi, math.pi), st.floats(1e-4, 1e-1))
+    def test_rk_step_raises_where_reference_raises(self, tab, sys, data, lq,
+                                                   lp, aq, ap, h):
+        values = data.draw(param_values(sys))
+        q, p = cmath.rect(10 ** lq, aq), cmath.rect(10 ** lp, ap)
+        assert_same_step(sys, values, tab, q, p, 0.0, h, 1e-9)
+
+    @pytest.mark.parametrize("tab", [_RK4, _FEHLBERG45],
+                             ids=["rk4", "fehlberg45"])
+    def test_rk_step_raises_where_H_raises(self, tab):
+        # the step samples H at its start, so it raises where H does even
+        # when every stage of the field is finite
+        ref = RefField(STEEP, STEEP_PARAMS.values)
+        ref_rk_step(tab, 1 + 0j, 1250 + 0j, 0.0, 1e-3, ref, 1e-9)
+        assert_same_step(STEEP, STEEP_PARAMS.values, tab, 1 + 0j, 1250 + 0j,
+                         0.0, 1e-3, 1e-9)
+        with pytest.raises(OverflowError, match="complex exponentiation"):
+            compile_field(STEEP, STEEP_PARAMS).step(tab)(1 + 0j, 1250 + 0j,
+                                                         0.0, 1e-3, 1e-9)
+
+
+def assert_same_step(sys, values, tab, q, p, t, h, tol):
+    """The generated step of ``tab`` raises what ``ref_step`` raises, the
+    same type with the same message, or returns its bits; its H has the
+    bits of ``field.H`` at (q, p, t)."""
+    field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+    step = field.step(tab)
+    try:
+        want = ref_step(tab, q, p, t, h, RefField(sys, values), tol)
+    except (ArithmeticError, RuntimeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            step(q, p, t, h, tol)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    qn, pn, err, dq, H = step(q, p, t, h, tol)
+    assert_same((qn, pn, dq, H), (*want[:2], *want[3:]))
+    assert_same(H, field.H(q, p, t))
+    assert struct.pack("<d", err) == struct.pack("<d", want[2])
 
 
 def outcome(fn, *args):
