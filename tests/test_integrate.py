@@ -194,11 +194,11 @@ class TestStepRK4:
         H = LaurentPoly.var(tbl, "p")
         sys = HamSystem("degenerate", tbl, H, A5.params, True, 5)
         field = compile_field(sys, PARAMS5)
-        q, p, _, dq, h = field.step(_RK4)(1 + 0j, 0j, 0.0, 0.25, 0.0)
+        q, p, _, dq, H0 = field.step(_RK4)(1 + 0j, 0j, 0.0, 0.25, 0.0)
         assert q == 1 + 0.25  # unit constant field
         assert p == 0j
         assert dq == 1  # the field at the start
-        assert bits(h) == bits(field.H(1 + 0j, 0j, 0.0))  # H at the start
+        assert bits(H0) == bits(field.H(1 + 0j, 0j, 0.0))  # H at the start
         # scaled variant through the compiled path
         sys2 = HamSystem("degenerate2", tbl,
                          LaurentPoly.var(tbl, "p", coeff=3), A5.params, True, 5)
