@@ -38,6 +38,11 @@ STEEP = HamSystem("steep", A5.table,
                   A5.var("a") * A5.var("p", 100) - A5.var("q") * A5.var("p"),
                   A5.params, True, 5)
 STEEP_PARAMS = NumericParams("steep", {"a": 1e-300, "e1": 1, "e2": 1}, 5)
+# H = p*q^2 + a*q^52: q' = q^2 blows up at t* = 1/q0, and between
+# |q| = 8.5e5 and 1.1e6, q^52 overflows and the field's q^51 does not
+BLOWUP = HamSystem("blowup", A5.table,
+                   A5.var("p") * A5.var("q", 2) + A5.var("a") * A5.var("q", 52),
+                   A5.params, True, 5)
 
 
 def scipy_reference(sys, params, q0, p0, t_span, rtol=1e-12, atol=1e-12):
@@ -359,15 +364,50 @@ class TestIntegrate:
                    for q, p, t in zip(traj.q, traj.p, traj.times)]
         for (q, p, t), H in zip(samples, traj.H_values):
             assert bits(complex(H)) == bits(field.H(q, p, t))
-        # the run took one more step, to a sample whose H overflows, and
-        # raised in the step from there
-        assert traj.steps_attempted == len(traj.times) + 1 \
-            + traj.steps_rejected
+        # the run attempted one more step, to a sample whose H overflows,
+        # which was not accepted
+        assert traj.steps_attempted == len(traj.times) + traj.steps_rejected
         if method == "fixed-rk4":
             q, p, t = samples[-1]
             q, p, *_ = field.step(_RK4)(q, p, t, 1e-3, 0.0)
             with pytest.raises(OverflowError):
                 field.H(q, p, t + 1e-3)
+
+
+    def test_located_blow_up_where_H_overflows(self, monkeypatch):
+        # the attempt on which the locator agrees on t* = 0.2 lands past
+        # |q| = 8.5e5, where H overflows
+        run = lambda: integrate(BLOWUP, STEEP_PARAMS, 5, 0, (0, 1),
+                                method="adaptive-rk45", tol=1.425e-12)
+        traj = run()
+        field = compile_field(BLOWUP, STEEP_PARAMS)
+        step, H, accepted = field.step(_FEHLBERG45), field.H, []
+
+        def record(q, p, t, h, tol):
+            out = step(q, p, t, h, tol)
+            if out[2] <= 1.0:
+                accepted.append(h)
+            return out
+        monkeypatch.setitem(field._steps, _FEHLBERG45, record)
+        monkeypatch.setattr(field, "H", lambda q, p, t: complex("nan"))
+        located = run()  # the same run, with an H that never raises
+        assert located.termination == "blow-up"
+        with pytest.raises(OverflowError):
+            H(complex(located.q[-1]), complex(located.p[-1]),
+              float(located.times[-1]))
+        # the step to that sample is not accepted: the run ends at the
+        # sample before with overflow, and the same attempts
+        assert traj.termination == "overflow"
+        assert traj.t_star is None and traj.exponent is None
+        n = len(traj.times)
+        assert len(located.times) == n + 1
+        for name in ("times", "q", "p", "H_values"):
+            assert bits(getattr(traj, name)) \
+                == bits(getattr(located, name)[:n]), name
+        for name in ("steps_attempted", "steps_rejected", "field_evals"):
+            assert getattr(traj, name) == getattr(located, name), name
+        assert located.min_step == min(accepted) < traj.min_step
+        assert traj.min_step == min(accepted[:-1])
 
 
 class TestStepAndTolValidation:
@@ -550,6 +590,21 @@ class TestStepCache:
                 for _ in range(2)]
         assert generated[2:] == ["(q, p, t, h, tol)"]
         assert_same_run(*runs)
+
+    def test_fields_with_the_same_terms_share_compiled_code(self):
+        compiled = integrate_module._compile
+        run = lambda a: integrate(A5, NumericParams("autonomous5", {
+            "a": a, "e1": 1, "e2": 1}, 5), 1, 0.3, (0, 0.05))
+        _field_cache.cache_clear()
+        compiled.cache_clear()
+        run(1)  # compiles the field, H and the RK4 step
+        before = compiled.cache_info()
+        shared = run(2)
+        after = compiled.cache_info()
+        assert (after.hits - before.hits, after.misses) == (3, before.misses)
+        _field_cache.cache_clear()
+        compiled.cache_clear()
+        assert_same_run(shared, run(2))
 
     @pytest.mark.parametrize("q0, t_span, method", [
         (1, (0, 0.05), "fixed-rk4"), (1, (0, 0.05), "adaptive-rk45"),
