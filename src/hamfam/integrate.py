@@ -30,10 +30,10 @@ non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
 against finite differences instead.  The compiled map rules serve both the
 trajectory check and ``BirationalMap.apply_numeric``.
 
-Hamilton's equations are polynomial, so q = 0 is not a singularity of the
-dynamics; the |q| floor is the integrator's own guard, and integration
-stops cleanly there (never NaN-propagates), as it does when a trajectory
-blows up.  Near a movable singularity t*, q ~ C(t* - t)^-alpha, so
+Hamilton's equations are polynomial, so q = 0 is a regular point that a
+run passes through.  A step fails only where the state leaves the finite
+range, and integration then stops cleanly with ``overflow`` (never
+NaN-propagates).  Near a movable singularity t*, q ~ C(t* - t)^-alpha, so
 u = q/q' equals (t* - t)/alpha; the adaptive run reads u at each sample from
 its step's first stage, at no extra field evaluation, and estimates
 alpha = -dt/du and t* = t + alpha*u from each two samples, which is a Newton
@@ -63,16 +63,12 @@ OVERFLOW_GUARD = 1e12
 
 
 class SingularityError(RuntimeError):
-    """A stage evaluation fell inside the |q| singularity floor."""
+    """A map that divides by q met a sample inside the |q| floor."""
 
     def __init__(self, t: float, q: complex):
         super().__init__(f"|q| = {abs(q):.3e} inside singularity floor at t = {t}")
         self.t = t
         self.q = q
-
-
-class BlowupError(RuntimeError):
-    """State left the finite-magnitude guard (movable singularity reached)."""
 
 
 @dataclass
@@ -114,7 +110,7 @@ class Trajectory:
     q: np.ndarray
     p: np.ndarray
     H_values: np.ndarray
-    # completed | singularity | overflow | blow-up | step-underflow
+    # completed | overflow | blow-up | step-underflow
     termination: str
     steps_attempted: int = 0
     steps_rejected: int = 0
@@ -376,18 +372,13 @@ def compile_map(m: BirationalMap, values: dict[str, complex]):
 def _map_cache(rules: tuple, key: tuple):
     values = _unbits(key)
     *coords, param_rules = rules
-    mapped = tuple((name, _kernel(_bind(rule, values))(0, 0, 0))
-                   for name, rule in param_rules)
-    return mapped, _kernel(*(_bind(rule, values) for rule in coords))
-
-
-def _guard(t, q):
-    if not cmath.isfinite(q):
-        raise BlowupError(f"non-finite q at t = {t}")
-    if abs(q) < SINGULARITY_FLOOR:
-        raise SingularityError(t, q)
-    if abs(q) > OVERFLOW_GUARD:
-        raise BlowupError(f"|q| = {abs(q):.3e} above overflow guard at t = {t}")
+    mapped = []
+    for name, rule in param_rules:
+        terms = _bind(rule, values)  # summed from 0j, as a kernel sums them
+        if any(eq or ep or et for _, eq, ep, et in terms):
+            raise ValueError(f"the rule of parameter {name!r} reads q, p or t")
+        mapped.append((name, sum((c for c, *_ in terms), 0j)))
+    return tuple(mapped), _kernel(*(_bind(rule, values) for rule in coords))
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,7 +403,8 @@ def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
 
     Stage i starts from q + h*a_i0*k0 + h*a_i1*k1 + ..., summed left to
     right over the nonzero a_ij (RK4 then matches its textbook form), and
-    stops at the |q| guard before it evaluates the field, whose kernel lines
+    raises OverflowError unless |q| <= OVERFLOW_GUARD there (a non-finite
+    q fails that test too) before it evaluates the field, whose kernel lines
     it holds, at that start and t + c_i*h.  Stage 0 also sums H's terms at
     (q, p, t) on the field's power chain, after the field, so a step raises
     what the field kernel at its stages raises, or what ``field.H`` raises
@@ -421,11 +413,15 @@ def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
     summed left to right from 0j, as ``sum`` does from the int 0.  Tableau
     entries enter as floats and weights as complex numbers, the values to
     which CPython converts them in each product."""
+    if any(eq < 0 or ep < 0 for spans in field._spans
+           for _, eq, ep, _ in spans):
+        raise ValueError("a negative power of q or p in the field or H: "
+                         "integrate steps only fields free of poles")
     coeffs = {}
     f_q, f_p, H = (_named(coeffs, spans) for spans in field._spans)
     timed = any(et for *_, et in f_q + f_p)
-    args = {**coeffs, "div": float(tab.div), "FLOOR": SINGULARITY_FLOOR,
-            "GUARD": OVERFLOW_GUARD, "guard": _guard, "sqrt": math.sqrt}
+    args = {**coeffs, "div": float(tab.div), "GUARD": OVERFLOW_GUARD,
+            "sqrt": math.sqrt}
     lines = []
     for i, (row, c) in enumerate(zip(tab.a, tab.c)):
         js = [j for j, a in enumerate(row) if a]
@@ -437,8 +433,9 @@ def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
             lines += [f"{v}i = {v}" + "".join(f" + ha{j} * k{v}{j}"
                                               for j in js) for v in "qp"]
         args[f"node{i}"] = float(c)
-        lines += [f"if not FLOOR <= abs({qi}) <= GUARD:",
-                  f"    guard(t, {qi})"]
+        lines += [f"if not abs({qi}) <= GUARD:",
+                  f"    raise OverflowError(f'|q| = {{abs({qi}):.3e}} outside "
+                  f"the overflow guard at t = {{t}}')"]
         if timed:
             lines.append(f"ti = t + node{i} * h")
         sums = [(f"kq{i}", f_q, (qi, pi, "ti")),
@@ -491,11 +488,13 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
 
     fixed-rk4 takes steps of h, the last one ending exactly at t1;
     adaptive-rk45 sizes them by PI control.  h and tol must be finite and
-    positive (fixed-rk4 ignores tol).  Samples (t, q, p, H) at every
-    accepted step.  Stops cleanly (with the reason recorded) at the |q|
-    singularity floor, on numeric overflow, on a located blow-up, or on
-    adaptive step underflow.  A start at which H overflows is a ValueError.
-    A step to a later sample at which H overflows is not accepted, like one
+    positive (fixed-rk4 ignores tol), and q0 and p0 finite.  Samples
+    (t, q, p, H) at every accepted step; q = 0 is a regular point.  Stops
+    cleanly (with the reason recorded) on ``overflow``, where |q| or |p| is
+    not finite or exceeds OVERFLOW_GUARD or a power overflows, on a located
+    blow-up, or on adaptive step underflow.  A negative power of q or p in
+    the field or H is a ValueError, as is a start at which H overflows.  A
+    step to a later sample at which H overflows is not accepted, like one
     to a q or p that overflows: the run ends at the sample before with
     ``overflow`` whatever it would have ended with, and its statistics are
     those of a run that evaluates H at each accepted sample.  Each sample's
@@ -530,8 +529,9 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     t0, t1 = t_span
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 >= t0):
         raise ValueError(f"bad time span {t_span}")
-    if abs(q0) < SINGULARITY_FLOOR:
-        raise SingularityError(t0, q0)
+    if not (cmath.isfinite(q0) and cmath.isfinite(p0)):
+        raise ValueError(f"start state must be finite, got q0 = {q0}, "
+                         f"p0 = {p0}")
     field = compile_field(sys, params)
     advance = field.step(tab)
 
@@ -563,10 +563,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
             step = t1 - t if t1 - t <= h + len(times) * t_ulp else h
         try:
             qn, pn, err, dq, H = advance(q, p, t, step, tol)
-        except SingularityError:
-            termination, raised = "singularity", 1
-            break
-        except (BlowupError, OverflowError):
+        except OverflowError:
             termination, raised = "overflow", 1
             break
         returned += 1
@@ -592,8 +589,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
                     agreed = 1
             t_u = t
         if err <= 1.0:  # accept (a fixed step has err = 0)
-            if not (cmath.isfinite(qn) and cmath.isfinite(pn)) \
-                    or abs(qn) > OVERFLOW_GUARD or abs(pn) > OVERFLOW_GUARD:
+            if not (abs(qn) <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
                 termination = "overflow"
                 break
             add_h(H)

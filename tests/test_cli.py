@@ -222,10 +222,23 @@ class TestIntegrate:
         assert "error: H cannot be evaluated at the start state " \
             "q0 = (30000000000+0j)" in captured.err and captured.out == ""
 
-    def test_immediate_singularity(self):
+    def test_immediate_singularity(self, capsys):
+        # q = 0 is a regular point: a start at or next to it completes
+        for q0 in ("1e-12", "0"):
+            assert run(["integrate", "--family", "autonomous5",
+                        "--params", "a=1,e1=1,e2=1", "--q0", q0,
+                        "--t1", "0.01"]) == 0
+            assert capsys.readouterr().out.startswith(
+                "termination: completed")
+
+    @pytest.mark.parametrize("flag", ["--q0", "--p0"])
+    def test_non_finite_start_is_usage_error(self, flag, capsys):
         assert run(["integrate", "--family", "autonomous5",
-                    "--params", "a=1,e1=1,e2=1", "--q0", "1e-12",
+                    "--params", "a=1,e1=1,e2=1", flag, "nan",
                     "--t1", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert "error: start state must be finite" in captured.err
+        assert captured.out == ""
 
     def test_zero_step_is_usage_error(self):
         # as a subprocess with a timeout, so a step that never advances

@@ -15,9 +15,9 @@ from conftest import compiled_poly
 from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
                                 make_autonomous5, make_general_n,
                                 make_nonautonomous3, time_derivative_of_H)
-from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD, BlowupError,
+from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD,
                               NumericParams, SingularityError, Trajectory,
-                              _field_cache, _generate, _guard, _kernel,
+                              _bind, _field_cache, _generate, _kernel,
                               _map_cache, _power_lines,
                               check_symmetry_on_trajectory, compile_field,
                               compile_map, integrate, measure_order,
@@ -31,6 +31,8 @@ A5 = make_autonomous5()
 NA3 = make_nonautonomous3()
 PARAMS5 = NumericParams("autonomous5", {"a": 1, "e1": 1, "e2": 1}, 5)
 PARAMS3 = NumericParams("nonautonomous3", {"a1": 1, "a2": 1, "a3": 1}, 5)
+# from q0 = 0.01, p0 = 0, q' = q^4 + q^3 - 1 takes q through 0 near t = 0.01
+A5_PASS_THROUGH = {"a": 1, "e1": 1, "e2": -1}
 # H = a*p^100 - q*p: between |p| = 1208 and 1298, p^100 overflows and the
 # field's p^99 does not; with a = 1e-300 the field stays below 1e9 there,
 # and p grows as e^t
@@ -220,9 +222,25 @@ class TestStepRK4:
         assert abs(p1 - pr) < 1e-10
 
     def test_singularity_guard(self):
-        field = compile_field(A5, PARAMS5)
-        with pytest.raises(SingularityError):
-            field.step(_RK4)(1e-10 + 0j, 0j, 0.0, 1e-3, 0.0)
+        # q = 0 is a regular point of the polynomial field, so a step near
+        # it returns; the guard stops a stage whose q is not finite or
+        # above OVERFLOW_GUARD
+        step = compile_field(A5, PARAMS5).step(_RK4)
+        for q in (1e-10 + 0j, 0j):
+            qn, pn, *_ = step(q, 0j, 0.0, 1e-3, 0.0)
+            assert cmath.isfinite(qn) and cmath.isfinite(pn)
+        for q in (2 * OVERFLOW_GUARD + 0j, complex(math.nan, 0),
+                  complex(1, math.inf)):
+            with pytest.raises(OverflowError, match="overflow guard"):
+                step(q, 0j, 0.0, 1e-3, 0.0)
+
+    def test_field_with_a_pole_raises(self):
+        # H = p^2 + 1/q: its pole at q = 0 is no state the guard stops at
+        tbl = A5.table
+        sys = HamSystem("pole", tbl, LaurentPoly.var(tbl, "p", 2)
+                        + LaurentPoly.var(tbl, "q", -1), A5.params, True, 5)
+        with pytest.raises(ValueError, match="negative power of q or p"):
+            integrate(sys, PARAMS5, 0, 1, (0, 0.01))
 
     def test_matches_textbook_step_bit_for_bit(self, rng):
         field = compile_field(A5, PARAMS5)
@@ -281,12 +299,34 @@ class TestIntegrate:
 
     def test_blowup_terminates_cleanly(self):
         traj = integrate(A5, PARAMS5, 100, 1, (0, 1), h=1e-3)
-        assert traj.termination in ("singularity", "overflow")
+        assert traj.termination == "overflow"
         assert np.all(np.isfinite(traj.q.view(float)))
 
     def test_immediate_singularity(self):
-        with pytest.raises(SingularityError):
-            integrate(A5, PARAMS5, 1e-12, 0, (0, 1))
+        # q = 0 is a regular point: a run that starts at or next to it
+        # completes
+        for q0 in (1e-12, 0):
+            traj = integrate(A5, PARAMS5, q0, 0, (0, 0.01))
+            assert traj.termination == "completed" and len(traj.times) == 11
+
+    @pytest.mark.parametrize("q0, p0", [(math.nan, 0),
+                                        (1, complex(0, math.inf)),
+                                        (complex(math.nan, 1), 0)])
+    def test_start_state_must_be_finite(self, q0, p0):
+        with pytest.raises(ValueError, match="start state must be finite"):
+            integrate(A5, PARAMS5, q0, p0, (0, 0.01))
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
+    def test_passes_through_q_zero(self, method):
+        # each method runs on through q = 0 to t1 and agrees with DOP853
+        params = NumericParams("autonomous5", A5_PASS_THROUGH, 5)
+        traj = integrate(A5, params, 0.01, 0, (0, 0.05), h=1e-3, tol=1e-9,
+                         method=method)
+        assert traj.termination == "completed" and traj.times[-1] == 0.05
+        assert traj.q[0].real > 0 > traj.q[-1].real
+        qr, pr = scipy_reference(A5, params, 0.01, 0, (0, 0.05))
+        assert abs(traj.q[-1] - qr) < 1e-10
+        assert abs(traj.p[-1] - pr) < 1e-10
 
     @pytest.mark.parametrize("t_span,h,samples", [((0, 0.3), 1e-4, 3001),
                                                   ((0, 0.1), 1e-2, 11)],
@@ -646,6 +686,27 @@ class TestApplyNumeric:
                 want = naive_eval(rule, values)
                 assert abs(mapped[name] - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("case", list(APPLY_CASES))
+    def test_parameter_rules_have_kernel_bits(self, case):
+        # a constant rule is summed as a kernel sums it, signed zeros kept
+        sys, m = APPLY_CASES[case]
+        for parts in ((0.7, -0.2), (-0.0, 0.0), (0.0, -0.0), (-1.5, -0.0)):
+            values = dict.fromkeys(sys.params, complex(*parts))
+            mapped = dict(compile_map(m, values)[0])
+            for name, rule in m.param_rules.items():
+                assert_same(mapped[name],
+                            _kernel(_bind(rule, values))(0, 0, 0))
+
+    @pytest.mark.parametrize("coord", ["q", "p", "t"])
+    def test_parameter_rule_reading_a_coordinate_raises(self, coord):
+        ident = identity_map(A5.table, A5.params)
+        m = dataclasses.replace(ident, param_rules={
+            **ident.param_rules,
+            "e1": ident.param_rules["e1"] + LaurentPoly.var(A5.table, coord)})
+        with pytest.raises(ValueError,
+                           match="rule of parameter 'e1' reads q, p or t"):
+            m.apply_numeric({"q": 1, "p": 0, "t": 0}, PARAMS5.values)
+
     def test_unknown_parameter_raises(self):
         m = autonomous_map(A5)
         with pytest.raises(ValueError, match="unknown parameter 'zz'"):
@@ -797,6 +858,13 @@ class RefField:
         return self.f_q(q, p, t), self.f_p(q, p, t)
 
 
+def ref_guard(t, q):
+    """The one stage failure: q not finite or above OVERFLOW_GUARD."""
+    if not cmath.isfinite(q) or abs(q) > OVERFLOW_GUARD:
+        raise OverflowError(f"|q| = {abs(q):.3e} outside the overflow guard "
+                            f"at t = {t}")
+
+
 def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
     kq, kp = [], []
     for row, c in zip(tab.a, tab.c):
@@ -805,7 +873,7 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
             if a:
                 qi += h * a * dq
                 pi += h * a * dp
-        _guard(t, qi)
+        ref_guard(t, qi)
         dq, dp = field(qi, pi, t + c * h)
         kq.append(dq)
         kp.append(dp)
@@ -825,7 +893,7 @@ def ref_step(tab, q, p, t, h, field, tol=0.0):
     """``ref_rk_step`` and H at (q, p, t), in the order the generated step
     evaluates them: the first stage's field, then H, then the later
     stages."""
-    _guard(t, q)
+    ref_guard(t, q)
     field(q, p, t + tab.c[0] * h)
     H = field.H(q, p, t)
     return (*ref_rk_step(tab, q, p, t, h, field, tol), H)
@@ -882,10 +950,7 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
         calls = field.calls
         try:
             qn, pn, err, dq = ref_rk_step(tab, q, p, t, step, field, tol)
-        except SingularityError:
-            termination = "singularity"
-            break
-        except (BlowupError, OverflowError):
+        except OverflowError:
             termination = "overflow"
             break
         evals += field.calls - calls
@@ -1049,7 +1114,7 @@ class TestKernelsMatchLoopReference:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([_RK4, _FEHLBERG45]),
            st.sampled_from(STEP_SYSTEMS), st.data(),
-           st.one_of(states, st.tuples(st.sampled_from((1e-9 + 0j,
+           st.one_of(states, st.tuples(st.sampled_from((0j, 1e-9 + 0j,
                                                         5e11 + 0j)),
                                        scalars)),
            st.one_of(zeros, st.floats(0, 1)), st.floats(1e-4, 1e-1),
@@ -1060,7 +1125,7 @@ class TestKernelsMatchLoopReference:
         assert_same_step(sys, values, tab, q, p, t, h, tol)
 
     # magnitudes at which powers in the field and in H overflow at some
-    # stage, and the |q| guard fires
+    # stage, and the overflow guard fires
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([_RK4, _FEHLBERG45]),
            st.sampled_from(STEP_SYSTEMS), st.data(), st.floats(-3, 12.5),
@@ -1230,9 +1295,6 @@ def assert_same_run(got, want):
             assert getattr(got, name).hex() == value.hex(), name
 
 
-A5_PASS_THROUGH = {"a": 1, "e1": 1, "e2": -1}
-
-
 @pytest.mark.filterwarnings("ignore:parameter e")
 class TestIntegrateMatchesLoopReference:
     # spans are short, so a run that never ends fails fast; starts scaled
@@ -1263,8 +1325,8 @@ class TestIntegrateMatchesLoopReference:
     @pytest.mark.parametrize("values,q0,p0,t1,method,tol,label", [
         (PARAMS5.values, 1, 0.3, 0.05, "fixed-rk4", 1e-9, "completed"),
         (PARAMS5.values, 1, 0.3, 0.05, "adaptive-rk45", 1e-9, "completed"),
-        # q passes through 0; fixed-rk4 stops at the |q| floor
-        (A5_PASS_THROUGH, 0.01, 0, 0.05, "fixed-rk4", 1e-9, "singularity"),
+        # q passes through 0, a regular point
+        (A5_PASS_THROUGH, 0.01, 0, 0.05, "fixed-rk4", 1e-9, "completed"),
         # the movable singularity at t* = 0.16164
         (PARAMS5.values, 1, 0, 0.2, "fixed-rk4", 1e-9, "overflow"),
         (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-9, "blow-up"),
@@ -1272,7 +1334,7 @@ class TestIntegrateMatchesLoopReference:
         # the step underflows first
         (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-16,
          "step-underflow")],
-        ids=["completed-fixed", "completed-adaptive", "singularity",
+        ids=["completed-fixed", "completed-adaptive", "pass-through",
              "overflow", "blow-up", "step-underflow"])
     def test_each_label(self, values, q0, p0, t1, method, tol, label):
         params = NumericParams("autonomous5", values, 5)
