@@ -13,9 +13,8 @@ from .symmetry import (BirationalMap, autonomous_map, certificate_battery,
                        jacobian_determinant, make_map, map_order,
                        nonautonomous_map, pushforward_H, resolve_inverse,
                        verify_invariance)
-from .integrate import (NumericParams, SingularityError, Trajectory,
-                        check_symmetry_on_trajectory, compile_field,
-                        compile_map, integrate, measure_order,
+from .integrate import (NumericParams, Trajectory, compile_field, compile_map,
+                        check_symmetry_on_trajectory, integrate, measure_order,
                         richardson_order, write_trajectory_csv)
 
 __version__ = "0.1.0"

@@ -23,9 +23,8 @@ import sys
 import time
 
 from .hamiltonian import make_system
-from .integrate import (SINGULARITY_FLOOR, NumericParams, SingularityError,
-                        check_symmetry_on_trajectory, integrate,
-                        richardson_order, write_trajectory_csv)
+from .integrate import (NumericParams, check_symmetry_on_trajectory,
+                        integrate, richardson_order, write_trajectory_csv)
 from .symmetry import certificate_battery, make_map
 
 SCHEMA_VERSION = 1
@@ -71,6 +70,8 @@ def parse_n_range(text: str) -> list[int]:
     """The n of ``verify --n`` ("7" or "2..5"), each checked to lie in
     2..N_MAX before the list is built."""
     lo, _, hi = text.partition("..")
+    if not (lo.isdecimal() and (hi or lo).isdecimal()):
+        raise UsageError(f"n {text!r} is not of the form 'n' or 'lo..hi'")
     lo, hi = int(lo), int(hi or lo)
     if lo > hi:
         raise UsageError(f"empty n range {text!r}")
@@ -152,8 +153,6 @@ def cmd_integrate(args) -> int:
 def cmd_symmetry(args) -> int:
     sys_ = make_system(args.family, args.n_int)
     m = make_map(args.map, args.branch, sys_)
-    if abs(args.q0) < SINGULARITY_FLOOR:
-        raise UsageError("q0 inside the singularity floor: the map divides by q")
     params = NumericParams(sys_.name, parse_params(args.params), sys_.n)
     params.check_complete(sys_)
     (Q, P, T), mapped = m.apply_numeric(
@@ -313,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
             argv = argv[:1] + _config_args(cfg_path, argv, parser) + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, SingularityError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

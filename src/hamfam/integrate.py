@@ -28,7 +28,8 @@ is sampled and drift can be monitored: for the autonomous families H is a
 first integral and the drift is a direct error measure; for the
 non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
 against finite differences instead.  The compiled map rules serve both the
-trajectory check and ``BirationalMap.apply_numeric``.
+trajectory check and ``BirationalMap.apply_numeric``; each raises ValueError
+only where the image is not finite, as at q = 0 for a map that divides by q.
 
 Hamilton's equations are polynomial, so q = 0 is a regular point that a
 run passes through.  A step fails only where the state leaves the finite
@@ -58,17 +59,7 @@ from .poly import LaurentPoly
 if TYPE_CHECKING:
     from .symmetry import BirationalMap
 
-SINGULARITY_FLOOR = 1e-8
 OVERFLOW_GUARD = 1e12
-
-
-class SingularityError(RuntimeError):
-    """A map that divides by q met a sample inside the |q| floor."""
-
-    def __init__(self, t: float, q: complex):
-        super().__init__(f"|q| = {abs(q):.3e} inside singularity floor at t = {t}")
-        self.t = t
-        self.q = q
 
 
 @dataclass
@@ -647,19 +638,21 @@ def check_symmetry_on_trajectory(traj: Trajectory, m: BirationalMap,
     Maps all samples at once with the compiled map rules, central-differences
     (Q, P) against the (possibly complex) transformed time grid, and compares
     with the compiled field of the system at the mapped parameters.  Returns
-    the max defect.
+    the max defect.  A sample without a finite image raises ValueError.
     """
     import numpy as np
     params.check_complete(sys)
-    near = np.abs(traj.q) < SINGULARITY_FLOOR
-    if near.any():
-        raise SingularityError(float("nan"), traj.q[near.argmax()])
-    if len(traj.times) < 3:
-        return 0.0
     mapped, coords = compile_map(m, params.values)
     q, p, t = traj.q, traj.p, traj.times.astype(complex)
-    # a rule free of q, p and t evaluates to one number: spread it per sample
-    Q, P, T = (np.broadcast_to(v, q.shape) for v in coords(q, p, t))
+    with np.errstate(all="ignore"):  # tested below, sample by sample
+        # a rule free of q, p and t evaluates to one number: spread it
+        Q, P, T = (np.broadcast_to(v, q.shape) for v in coords(q, p, t))
+    finite = np.isfinite(Q) & np.isfinite(P) & np.isfinite(T)
+    if not finite.all():
+        when = traj.times[finite.argmin()]
+        raise ValueError(f"{m.name} has no finite image at t = {when}")
+    if len(traj.times) < 3:
+        return 0.0
     field = compile_field(sys, NumericParams(sys.name, dict(mapped), sys.n))
     fq, fp = field(Q[1:-1], P[1:-1], T[1:-1])
     dT = T[2:] - T[:-2]
@@ -698,8 +691,8 @@ def richardson_order(sys: HamSystem, params: NumericParams, q0: complex,
     for h in hs:
         traj = integrate(sys, params, q0, p0, t_span, h=h, method="fixed-rk4")
         if traj.termination != "completed":
-            raise RuntimeError(f"sweep run at h={h} ended with "
-                               f"{traj.termination}")
+            raise ValueError(f"sweep run at h={h} ended with "
+                             f"{traj.termination}")
         finals.append((traj.q[-1], traj.p[-1]))
     diffs = [math.hypot(abs(qa - qb), abs(pa - pb))
              for (qa, pa), (qb, pb) in zip(finals, finals[1:])]

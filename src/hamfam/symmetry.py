@@ -14,6 +14,7 @@ exact zero residuals in Q(z8); ``certificate_battery`` runs all a family owes.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 from .cyclo import CycloRat, fourth_root_of_minus_one
@@ -59,12 +60,18 @@ class BirationalMap:
     def apply_numeric(self, point: dict[str, complex],
                       params: dict[str, complex]):
         """Map a numeric phase point; returns ((Q, P, T), mapped params).
-        Evaluates the same compiled rules as the trajectory check, on the
-        point's q, p and t as complex numbers, so an int, float or complex
-        point gives the same mapped point."""
+        Evaluates the same compiled rules as the trajectory check, on q, p
+        and t as complex numbers (so int, float and complex points agree);
+        raises ValueError where the image is not finite, as at q = 0."""
         mapped, coords = compile_map(self, params)
-        return coords(complex(point["q"]), complex(point["p"]),
-                      complex(point["t"])), dict(mapped)
+        qpt = tuple(complex(point[v]) for v in "qpt")
+        try:
+            image = coords(*qpt)
+        except (ZeroDivisionError, OverflowError):  # where ** raises
+            image = (cmath.nan,)
+        if all(map(cmath.isfinite, image)):
+            return image, dict(mapped)
+        raise ValueError(f"{self.name} has no finite image at {qpt}")
 
 
 def identity_map(table: VarTable, params: tuple[str, ...]) -> BirationalMap:
@@ -117,12 +124,14 @@ def nonautonomous_map(branch: int = 1) -> BirationalMap:
 def make_map(name: str, branch: int = 1,
              sys: HamSystem | None = None) -> BirationalMap:
     """Map addressable by name: 's-auto' or 's-auto:n' for the system's own
-    n (needs the system), or 's-nonauto'."""
+    n (needs the system; branch 1 only), or 's-nonauto' on an odd branch."""
     if name.startswith("s-auto"):
         if sys is None:
             raise ValueError("s-auto map needs its family")
         if name not in ("s-auto", f"s-auto:{sys.n}"):
             raise ValueError(f"unknown map {name!r} for {sys.name}")
+        if branch != 1:
+            raise ValueError(f"the shear has branch 1 only, not {branch}")
         return autonomous_map(sys)
     if name == "s-nonauto":
         if sys is not None and sys.name != "nonautonomous3":

@@ -79,12 +79,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "general:64" in out and "[FAIL]" not in out
 
-    @pytest.mark.parametrize("n", ["65", "60..65", "1..3"])
-    def test_n_past_limit(self, n, capsys):
+    @pytest.mark.parametrize("n,message", [
+        ("65", "outside the supported range 2..64"),
+        ("60..65", "outside the supported range 2..64"),
+        ("1..3", "outside the supported range 2..64"),
+        ("abc", "n 'abc' is not of the form 'n' or 'lo..hi'"),
+        ("2..x", "n '2..x' is not of the form 'n' or 'lo..hi'")],
+        ids=["65", "60..65", "1..3", "abc", "2..x"])
+    def test_n_past_limit(self, n, message, capsys):
         # the range is checked before any system is built or certified
         assert run(["verify", "--family", "general", "--n", n]) == 2
         captured = capsys.readouterr()
-        assert "outside the supported range 2..64" in captured.err
+        assert message in captured.err
         assert captured.out == ""
 
     def test_empty_n_range(self, capsys):
@@ -188,6 +194,14 @@ class TestIntegrate:
         assert "error: no order from (h, error) pairs" in \
             capsys.readouterr().err
 
+    def test_sweep_into_blowup_is_usage_error(self, capsys):
+        # the flow from q0 = 1 blows up at t* = 0.16164, before t1
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", "--t1", "0.2",
+                    "--sweep", "1e-2,5e-3"]) == 2
+        assert "error: sweep run at h=0.01 ended with overflow" in \
+            capsys.readouterr().err
+
     def test_missing_params(self):
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1", "--t1", "0.01"]) == 2
@@ -262,7 +276,10 @@ def test_exact_work_does_not_import_numpy():
             "certificate_battery(make_system('autonomous5'))\n"
             "assert 'numpy' not in sys.modules, 'battery'\n"
             "assert main(['verify', '--family', 'autonomous5']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'verify'\n")
+            "assert 'numpy' not in sys.modules, 'verify'\n"
+            "assert main(['symmetry', '--family', 'autonomous5', '--map',\n"
+            "             's-auto', '--params', 'a=1,e1=1,e2=1']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'symmetry'\n")
     done = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
@@ -318,9 +335,36 @@ class TestSymmetry:
                     *extra]) == 2
         assert "map of nonautonomous3" in capsys.readouterr().err
 
-    def test_singular_point_rejected(self):
+    def test_singular_point_rejected(self, capsys):
         assert run(["symmetry", "--family", "nonautonomous3",
-                    "--map", "s-nonauto", "--q0", "0"]) == 2
+                    "--map", "s-nonauto", "--params", "a1=1,a2=1,a3=1",
+                    "--q0", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error: s-nonauto(branch=1) has no finite image at " \
+            "(0j, 0j, 0j)" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("family,params,q0", [
+        ("autonomous5", "a=1,e1=1,e2=1", "nan"),
+        ("general:64", ",".join(["a=1"] + [f"e{i}=1" for i in range(1, 64)]),
+         "1e-5")], ids=["nan", "overflow"])
+    def test_point_without_finite_image(self, family, params, q0, capsys):
+        # NaN maps to NaN; on general:64 the shear's q^-64 overflows
+        assert run(["symmetry", "--family", family, "--map", "s-auto",
+                    "--params", params, "--q0", q0]) == 2
+        captured = capsys.readouterr()
+        assert "has no finite image at" in captured.err
+        assert captured.out == ""
+
+    def test_point_next_to_zero_maps(self, capsys):
+        # q0 = 1e-9 maps p to about 1e45: a finite image
+        assert run(["symmetry", "--family", "autonomous5", "--map", "s-auto",
+                    "--params", "a=1,e1=1,e2=1", "--q0", "1e-9"]) == 0
+        assert "9.9999999999999993e+44+0i" in capsys.readouterr().out
+
+    def test_shear_has_one_branch(self, capsys):
+        assert run(["symmetry", "--family", "autonomous5", "--map", "s-auto",
+                    "--branch", "3", "--params", "a=1,e1=1,e2=1"]) == 2
+        assert "the shear has branch 1 only, not 3" in capsys.readouterr().err
 
     def test_unknown_map(self):
         assert run(["symmetry", "--family", "autonomous5",

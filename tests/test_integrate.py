@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import importlib
 import math
+import re
 import struct
+import warnings
 from operator import mul
 
 import numpy as np
@@ -16,7 +18,7 @@ from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
                                 make_autonomous5, make_general_n,
                                 make_nonautonomous3, time_derivative_of_H)
 from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD,
-                              NumericParams, SingularityError, Trajectory,
+                              NumericParams, Trajectory,
                               _bind, _field_cache, _generate, _kernel,
                               _map_cache, _power_lines,
                               check_symmetry_on_trajectory, compile_field,
@@ -45,6 +47,10 @@ STEEP_PARAMS = NumericParams("steep", {"a": 1e-300, "e1": 1, "e2": 1}, 5)
 BLOWUP = HamSystem("blowup", A5.table,
                    A5.var("p") * A5.var("q", 2) + A5.var("a") * A5.var("q", 52),
                    A5.params, True, 5)
+# the shear of general:64 adds a/q + e1/q^2 + ... + e63/q^64 to p: at
+# q = 1e-5, q^-64 = 1e320 overflows
+G64 = make_general_n(64)
+PARAMS64 = NumericParams(G64.name, dict.fromkeys(G64.params, 1), 64)
 
 
 def scipy_reference(sys, params, q0, p0, t_span, rtol=1e-12, atol=1e-12):
@@ -469,6 +475,12 @@ class TestRichardsonOrder:
         order = richardson_order(A5, PARAMS5, 1, 0, (0, 0.03))
         assert 3.7 <= order <= 4.3
 
+    def test_run_that_does_not_complete_raises(self):
+        # from q0 = 1 the flow blows up at t* = 0.16164, before t1
+        with pytest.raises(ValueError, match="sweep run at h=0.01 ended "
+                                             "with overflow"):
+            richardson_order(A5, PARAMS5, 1, 0, (0, 0.2), (1e-2, 5e-3))
+
     @pytest.mark.parametrize("pairs,message", [
         ([(1e-2, 1e-8), (5e-3, 0.0)], "finite and positive"),
         ([(1e-2, 0.0), (5e-3, 0.0)], "finite and positive"),
@@ -589,14 +601,33 @@ class TestSymmetryCheckMatchesScalarRoute:
         assert check_symmetry_on_trajectory(traj, autonomous_map(A5), A5,
                                             PARAMS5) == 0.0
 
-    def test_sample_inside_floor_raises(self):
-        q = np.array([1, 1e-9, 1], dtype=complex)
-        traj = Trajectory(np.array([0.0, 1e-3, 2e-3]), q,
+    @staticmethod
+    def through(q):
+        """Three samples from t = 0 by 1e-3, the middle one at ``q``."""
+        return Trajectory(np.array([0.0, 1e-3, 2e-3]),
+                          np.array([1, q, 1], dtype=complex),
                           np.zeros(3, dtype=complex),
                           np.zeros(3, dtype=complex), "completed")
-        with pytest.raises(SingularityError):
-            check_symmetry_on_trajectory(traj, autonomous_map(A5), A5,
-                                         PARAMS5)
+
+    @pytest.mark.parametrize("sys, params, q", [(A5, PARAMS5, 0),
+                                                (G64, PARAMS64, 1e-5)],
+                             ids=["zero", "overflow"])
+    def test_sample_without_finite_image_raises(self, sys, params, q):
+        # the map divides by q: the sample is named by its time, and numpy
+        # does not warn on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"s-auto:\d+ has no finite image at "
+                                     r"t = 0\.001$"):
+                check_symmetry_on_trajectory(self.through(q),
+                                             autonomous_map(sys), sys, params)
+
+    def test_sample_next_to_zero_maps(self):
+        # q = 1e-9 maps p to about 1e45: a finite image, so a finite defect
+        defect = check_symmetry_on_trajectory(self.through(1e-9),
+                                              autonomous_map(A5), A5, PARAMS5)
+        assert math.isfinite(defect)
 
 
 class TestMapRuleCache:
@@ -732,6 +763,19 @@ class TestApplyNumeric:
                 got = m.apply_numeric(point, values)
                 assert_same(got[0], want[0])
                 assert got[1] == want[1]
+
+    @pytest.mark.parametrize("sys, params, q", [(A5, PARAMS5, 0),
+                                                (A5, PARAMS5, math.nan),
+                                                (G64, PARAMS64, 1e-5)],
+                             ids=["zero", "nan", "overflow"])
+    def test_point_without_finite_image_raises(self, sys, params, q):
+        # q = 0 raises ZeroDivisionError in ** and q = 1e-5 OverflowError on
+        # general:64; NaN runs through: each is a ValueError naming the point
+        point = (complex(q), 0j, 0j)
+        with pytest.raises(ValueError, match=re.escape(
+                f"s-auto:{sys.n} has no finite image at {point}")):
+            autonomous_map(sys).apply_numeric(dict(zip("qpt", point)),
+                                              params.values)
 
     def test_same_bits_as_trajectory_check(self):
         # the point map and the trajectory check share one compiled kernel
@@ -1159,7 +1203,7 @@ def assert_same_step(sys, values, tab, q, p, t, h, tol):
     step = field.step(tab)
     try:
         want = ref_step(tab, q, p, t, h, RefField(sys, values), tol)
-    except (ArithmeticError, RuntimeError) as exc:
+    except ArithmeticError as exc:
         with pytest.raises(type(exc)) as got:
             step(q, p, t, h, tol)
         assert type(got.value) is type(exc)

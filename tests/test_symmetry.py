@@ -223,6 +223,8 @@ def test_make_map_dispatch():
             make_map(name, sys=sys)
     with pytest.raises(ValueError, match="needs its family"):
         make_map("s-auto")
+    with pytest.raises(ValueError, match="branch 1 only, not 3"):
+        make_map("s-auto", branch=3, sys=sys)
     assert make_map("s-nonauto", branch=7).name == "s-nonauto(branch=7)"
     assert make_map("s-nonauto", branch=7,
                     sys=make_nonautonomous3()).name == "s-nonauto(branch=7)"
