@@ -7,7 +7,8 @@ from .hamiltonian import (HamSystem, SecondOrderODE, eliminate_momentum,
                           hamilton_equations, make_autonomous5,
                           make_general_n, make_nonautonomous3, make_system,
                           reference_ode, second_order_form,
-                          time_derivative_of_H, verify_equivalence)
+                          regularising_chart, time_derivative_of_H,
+                          verify_equivalence)
 from .symmetry import (BirationalMap, autonomous_map, certificate_battery,
                        compose, identity_map, iterate_map,
                        jacobian_determinant, make_map, map_order,

@@ -69,10 +69,11 @@ N_MAX = 64
 def parse_n_range(text: str) -> list[int]:
     """The n of ``verify --n`` ("7" or "2..5"), each checked to lie in
     2..N_MAX before the list is built."""
-    lo, _, hi = text.partition("..")
-    if not (lo.isdecimal() and (hi or lo).isdecimal()):
+    lo, dots, hi = text.partition("..")
+    hi = hi if dots else lo
+    if not (lo.isdecimal() and hi.isdecimal()):
         raise UsageError(f"n {text!r} is not of the form 'n' or 'lo..hi'")
-    lo, hi = int(lo), int(hi or lo)
+    lo, hi = int(lo), int(hi)
     if lo > hi:
         raise UsageError(f"empty n range {text!r}")
     for n in (lo, hi):

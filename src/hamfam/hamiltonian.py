@@ -143,6 +143,25 @@ def second_order_form(sys: HamSystem) -> SecondOrderODE:
     return SecondOrderODE(sys.table, qddot.substitute({"p": p_expr}))
 
 
+def regularising_chart(sys: HamSystem) -> LaurentPoly | None:
+    """H~(w, u) = H(1/w, u w^(n-1)) in the chart (w, u) = (1/q, p q^(n-1)),
+    with w in the q slot and u in the p slot, or None where H~ keeps a
+    negative power of w (nonautonomous3) or the system has no n.
+
+    The substitution q -> 1/q, p -> p q^(n-1) is its own inverse, so
+    H~(1/q, p q^(n-1)) = H as well.  For autonomous5 and general:n,
+    H~ = u^2 w^(n-2) + u A~(w) with A~(w) = w^(n-1) A(1/w): a polynomial,
+    regular at w = 0 (q = infinity) where a != 0.  The Jacobian of the
+    change is -q^(n-3), so in a variable s with dt = -w^(n-3) ds the flow in
+    the chart is Hamilton's equations of H~ (Filipuk & Halburd, J. Math.
+    Phys. 50, 2009)."""
+    if sys.n is None:
+        return None
+    chart = sys.H.substitute({"q": sys.var("q", -1),
+                              "p": sys.var("p") * sys.var("q", sys.n - 1)})
+    return chart if chart.min_exponent("q") >= 0 else None
+
+
 def verify_equivalence(sys: HamSystem, target: SecondOrderODE) -> LaurentPoly:
     """Residual of second_order_form(sys) against target, denominators cleared.
 

@@ -34,14 +34,25 @@ only where the image is not finite, as at q = 0 for a map that divides by q.
 Hamilton's equations are polynomial, so q = 0 is a regular point that a
 run passes through.  A step fails only where the state leaves the finite
 range, and integration then stops cleanly with ``overflow`` (never
-NaN-propagates).  Near a movable singularity t*, q ~ C(t* - t)^-alpha, so
-u = q/q' equals (t* - t)/alpha; the adaptive run reads u at each sample from
-its step's first stage, at no extra field evaluation, and estimates
-alpha = -dt/du and t* = t + alpha*u from each two samples, which is a Newton
-step on u = 0 (Corliss & Chang, ACM TOMS 8, 1982).  It stops with the
-blow-up located once it is within sqrt(tol) of t* and three estimates in a
-row agree to its own tolerance, instead of chasing t* until its step
-underflows.
+NaN-propagates).
+
+Near a movable singularity t*, q ~ C(t* - t)^-alpha.  For autonomous5 and
+general:n the regularising chart (w, u) = (1/q, p q^(n-1)) carries H to a
+polynomial H~ = u^2 w^(n-2) + u A~(w) that is regular at w = 0, where q is
+infinite (``hamiltonian.regularising_chart``).  H is conserved, so one
+sample gives t* in closed form, as a quadrature in w, and alpha is exactly
+1/(n-2).  Under either method, a run whose accepted sample reaches
+|q| >= ESCAPE_RADIUS reads t* there from the chart, again each time |q|
+doubles, and ends at that sample with ``blow-up`` when t* lies on its path
+inside the span.  Where no chart applies (nonautonomous3, or a = 0) the
+adaptive run keeps its own estimates: u = q/q' equals (t* - t)/alpha; the
+run reads u at each sample from its step's first stage, at no extra field
+evaluation, and estimates alpha = -dt/du and t* = t + alpha*u from each two
+samples, which is a Newton step on u = 0 (Corliss & Chang, ACM TOMS 8,
+1982).  It stops with the blow-up located once it is within sqrt(tol) of t*
+and three estimates in a row agree to its own tolerance, instead of chasing
+t* until its step underflows.  The estimates also end runs of the charted
+families whose estimates agree before |q| reaches ESCAPE_RADIUS.
 """
 
 from __future__ import annotations
@@ -57,9 +68,14 @@ from .hamiltonian import COORD_VARS, HamSystem, hamilton_equations
 from .poly import LaurentPoly
 
 if TYPE_CHECKING:
+    from .chart import Chart
     from .symmetry import BirationalMap
 
 OVERFLOW_GUARD = 1e12
+# |q| at which a run reads t* from the regularising chart: past it the
+# chart's series in w = 1/q converges fast, and an autonomous5 orbit is
+# still about 3e-4 from t*, well inside the benchmark's margin of 0.004
+ESCAPE_RADIUS = 10.0
 
 
 @dataclass
@@ -300,7 +316,7 @@ class CompiledField:
     Runge-Kutta step of each tableau over the field, generated on its first
     use by ``step``."""
 
-    __slots__ = ("_kernel", "H", "_spans", "_steps")
+    __slots__ = ("_kernel", "H", "_spans", "_steps", "_source", "_chart")
 
     def __init__(self, sys: HamSystem, values: dict[str, complex]):
         f_q, f_p = hamilton_equations(sys)
@@ -309,6 +325,8 @@ class CompiledField:
         self._kernel = _kernel(*self._spans[:2])
         self.H = _kernel(self._spans[2])
         self._steps = {}
+        self._source = sys, values
+        self._chart = _UNBOUND
 
     def __call__(self, q: complex, p: complex, t) -> tuple[complex, complex]:
         return self._kernel(q, p, t)
@@ -322,6 +340,17 @@ class CompiledField:
             step = self._steps[tab] = _generate("(q, p, t, h, tol)",
                                                 *_step_source(tab, self))
         return step
+
+    def chart(self) -> Chart | None:
+        """The field's regularising chart, bound on the first call, or None
+        where the field has none (see ``chart.Chart``)."""
+        if self._chart is _UNBOUND:
+            from .chart import Chart
+            self._chart = Chart.bind(*self._source)
+        return self._chart
+
+
+_UNBOUND = object()
 
 
 def _bits(values: dict) -> tuple:
@@ -472,6 +501,15 @@ _FEHLBERG45 = _Tableau(
 _METHODS = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}
 
 
+def _ends(star: complex, t: float, t1: float, tol: float) -> bool:
+    """Whether an estimate t* ends a run at t that spans to t1: with
+    gap = Re t* - t and s = max(1, |Re t*|), gap > 0, |Im t*| <= tol*gap and
+    Re t* <= t1 - tol*s.  A non-finite t* fails."""
+    gap = star.real - t
+    return (gap > 0 and abs(star.imag) <= tol * gap
+            and star.real <= t1 - tol * max(1.0, abs(star.real)))
+
+
 def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
               t_span: tuple[float, float], h: float = 1e-3, tol: float = 1e-9,
               method: str = "fixed-rk4") -> Trajectory:
@@ -479,7 +517,8 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
 
     fixed-rk4 takes steps of h, the last one ending exactly at t1;
     adaptive-rk45 sizes them by PI control.  h and tol must be finite and
-    positive (fixed-rk4 ignores tol), and q0 and p0 finite.  Samples
+    positive (fixed-rk4 uses tol only to read the chart), and q0 and p0
+    finite.  Samples
     (t, q, p, H) at every accepted step; q = 0 is a regular point.  Stops
     cleanly (with the reason recorded) on ``overflow``, where |q| or |p| is
     not finite or exceeds OVERFLOW_GUARD or a power overflows, on a located
@@ -492,21 +531,39 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     H is computed by the step that leaves it, so such a step is found only
     when the run has ended.
 
-    adaptive-rk45 locates a blow-up q ~ C(t* - t)^-alpha: from u = q/q' at
-    each two successive samples it estimates alpha = -dt/du and
-    t* = t + alpha*u.  With s = max(1, |Re t*|), an estimate counts when
-    Re alpha > 0, the gap Re t* - t lies in (0, sqrt(tol)*s],
-    |Im t*| <= tol*gap and Re t* <= t1 - tol*s.  Once three in a row count
-    and each agrees with the one before to tol*s, the attempt in hand is
-    accepted or rejected as usual and the run stops with ``blow-up``,
-    recording Re t* and Re alpha of the last estimate.  So a run is never
-    cut more than sqrt(tol)*s before t*, however early its estimates agree
-    (sqrt(tol)*s is halfway, on a log scale, from their agreement to s).
+    A field with a regularising chart (``chart.Chart``: autonomous5 and
+    general:n, n >= 3, with a != 0) is read where an accepted sample first
+    has |q| >= ESCAPE_RADIUS, and again at the first sample each time |q|
+    doubles; |q| < ESCAPE_RADIUS starts the count afresh.  The reading gives
+    t* with alpha = 1/(n-2) from the sample and its H, or nothing where the
+    chart's series may not converge.  It counts only where the step into
+    the sample is shorter than the gap t* - t it reads: a longer step may
+    have crossed the true t* onto an orbit whose own t* lies just ahead, as
+    fixed-rk4 at h = 1e-3 does on autonomous5, which then runs on to
+    ``overflow``.  Once a reading counts, the chart alone decides and the
+    run makes no more estimates.  With s = max(1, |Re t*|) and
+    gap = Re t* - t, the run ends at that sample with ``blow-up`` when
+    gap > 0, |Im t*| <= tol*gap and Re t* <= t1 - tol*s, recording Re t*
+    and alpha; its statistics are those of a run cut at that sample.  So
+    the run never chases t*, and a t1 just before t* completes unless the
+    run's own error at the sample exceeds the margin.
+
+    Until a chart's reading counts, adaptive-rk45 also locates a blow-up
+    q ~ C(t* - t)^-alpha from u = q/q': at each two successive samples it
+    estimates alpha = -dt/du and t* = t + alpha*u.  With
+    s = max(1, |Re t*|), an estimate counts when Re alpha > 0, the gap
+    Re t* - t lies in (0, sqrt(tol)*s], |Im t*| <= tol*gap and
+    Re t* <= t1 - tol*s.  Once three in a row count and each agrees with
+    the one before to tol*s, the attempt in hand is accepted or rejected as
+    usual and the run stops with ``blow-up``, recording Re t* and Re alpha
+    of the last estimate.  So the estimates never cut a run more than
+    sqrt(tol)*s before t*, however early they agree (sqrt(tol)*s is
+    halfway, on a log scale, from their agreement to s).
     Their error can exceed their agreement: a t1 within a few tol*s of t*
     may end in ``blow-up`` though q is regular on [t0, t1], and a flow
     that passes within tol*gap of a complex singularity counts as meeting
-    it.  Step control does not depend on the estimates, so each
-    sample is the one a run without the locator makes.  fixed-rk4 makes no
+    it.  Step control depends on neither the estimates nor the chart, so
+    each sample is the one a run without them makes.  fixed-rk4 makes no
     estimates.
     """
     import numpy as np
@@ -547,18 +604,35 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     t_u = u = star = math.nan
     agreed = 0
     near = math.sqrt(tol)
+    # the chart: the |q| that the next probe waits for, the step into the
+    # sample in hand where it reached that |q| (else 0), and whether a
+    # reading has counted in this run
+    escape_at, into, charted = ESCAPE_RADIUS, 0.0, False
     while t < t_end:
         if adaptive:
             step = min(step, t1 - t)
         else:  # end on t1 rather than leave a rounding-level sliver
             step = t1 - t if t1 - t <= h + len(times) * t_ulp else h
         try:
+            if into:  # H at the sample overflows where the step's would
+                chart = field.chart()
+                ahead = chart and chart.gap(q, p, field.H(q, p, t))
+                # a step longer than the gap it leads to may have crossed
+                # t*, onto an orbit whose own t* lies just ahead: its
+                # reading does not count
+                if ahead is not None and into < ahead.real:
+                    charted = True
+                    if _ends(t + ahead, t, t1, tol):
+                        termination = "blow-up"
+                        star, alpha = t + ahead, chart.exponent
+                        break
+                into = 0.0
             qn, pn, err, dq, H = advance(q, p, t, step, tol)
         except OverflowError:
             termination, raised = "overflow", 1
             break
         returned += 1
-        if adaptive and t != t_u and dq:
+        if adaptive and not charted and t != t_u and dq:
             # q ~ C(t* - t)^-alpha has u = (t* - t)/alpha: a Newton step on
             # u = 0 through the last two samples
             u_prev, u = u, q / dq
@@ -568,11 +642,10 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
                 # counts only within sqrt(tol) of t*, heading into it to tol
                 # and ending before t1 by the agreement bound; a non-finite
                 # t* fails one of the tests
-                gap, scale = star.real - t, max(1.0, abs(star.real))
+                scale = max(1.0, abs(star.real))
                 close = tol * scale
-                if not (alpha.real > 0 and 0 < gap <= near * scale
-                        and abs(star.imag) <= tol * gap
-                        and star.real <= t1 - close):
+                if not (alpha.real > 0 and star.real - t <= near * scale
+                        and _ends(star, t, t1, tol)):
                     agreed = 0
                 elif agreed and abs(star - star_prev) <= close:
                     agreed += 1
@@ -580,7 +653,8 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
                     agreed = 1
             t_u = t
         if err <= 1.0:  # accept (a fixed step has err = 0)
-            if not (abs(qn) <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
+            size = abs(qn)
+            if not (size <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
                 termination = "overflow"
                 break
             add_h(H)
@@ -592,6 +666,10 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
             min_before = min_step
             if step < min_step:
                 min_step = step
+            if size >= escape_at:
+                escape_at, into = 2 * size, step
+            elif size < ESCAPE_RADIUS:
+                escape_at = ESCAPE_RADIUS
         if not adaptive:
             continue
         if err <= 1.0:  # PI controller

@@ -84,8 +84,11 @@ class TestVerify:
         ("60..65", "outside the supported range 2..64"),
         ("1..3", "outside the supported range 2..64"),
         ("abc", "n 'abc' is not of the form 'n' or 'lo..hi'"),
-        ("2..x", "n '2..x' is not of the form 'n' or 'lo..hi'")],
-        ids=["65", "60..65", "1..3", "abc", "2..x"])
+        ("2..x", "n '2..x' is not of the form 'n' or 'lo..hi'"),
+        # an open end is no range, not the range of its one bound
+        ("2..", "n '2..' is not of the form 'n' or 'lo..hi'"),
+        ("..5", "n '..5' is not of the form 'n' or 'lo..hi'")],
+        ids=["65", "60..65", "1..3", "abc", "2..x", "2..", "..5"])
     def test_n_past_limit(self, n, message, capsys):
         # the range is checked before any system is built or certified
         assert run(["verify", "--family", "general", "--n", n]) == 2

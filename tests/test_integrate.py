@@ -1,8 +1,10 @@
 import cmath
+import collections
 import dataclasses
 import hashlib
 import importlib
 import math
+import random
 import re
 import struct
 import warnings
@@ -17,8 +19,9 @@ from conftest import compiled_poly
 from hamfam.hamiltonian import (COORD_VARS, HamSystem, hamilton_equations,
                                 make_autonomous5, make_general_n,
                                 make_nonautonomous3, time_derivative_of_H)
-from hamfam.integrate import (_FEHLBERG45, _RK4, OVERFLOW_GUARD,
-                              NumericParams, Trajectory,
+from hamfam.chart import Chart
+from hamfam.integrate import (_FEHLBERG45, _RK4, ESCAPE_RADIUS,
+                              OVERFLOW_GUARD, NumericParams, Trajectory,
                               _bind, _field_cache, _generate, _kernel,
                               _map_cache, _power_lines,
                               check_symmetry_on_trajectory, compile_field,
@@ -47,6 +50,13 @@ STEEP_PARAMS = NumericParams("steep", {"a": 1e-300, "e1": 1, "e2": 1}, 5)
 BLOWUP = HamSystem("blowup", A5.table,
                    A5.var("p") * A5.var("q", 2) + A5.var("a") * A5.var("q", 52),
                    A5.params, True, 5)
+# the autonomous5 field without an n, and so without a chart
+A5_UNCHARTED = dataclasses.replace(A5, name="autonomous5-uncharted", n=None)
+# H = p(q^4 + a) with n = 5: H~ = u(1 + a w^4) has no term u^2 w^3, so no
+# chart, though q' = q^4 + a blows up like autonomous5's q
+LINEAR_IN_P = HamSystem("linear-in-p", A5.table,
+                        A5.var("p") * (A5.var("q", 4) + A5.var("a")),
+                        A5.params, True, 5)
 # the shear of general:64 adds a/q + e1/q^2 + ... + e63/q^64 to p: at
 # q = 1e-5, q^-64 = 1e320 overflows
 G64 = make_general_n(64)
@@ -962,6 +972,15 @@ def locates_blowup(estimates, tol, t1):
                for a, b in zip(last, last[1:]))
 
 
+def chart_ends(star, t, t1, tol):
+    """Whether the chart's t* ends a run at t: with s = max(1, |Re t*|),
+    the gap Re t* - t is positive and at least |Im t*|/tol, and
+    Re t* <= t1 - tol*s."""
+    gap = star.real - t
+    return (gap > 0 and abs(star.imag) <= tol * gap
+            and star.real <= t1 - tol * max(1.0, abs(star.real)))
+
+
 def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     """The stepping loop of ``integrate`` that the generated steps replaced,
     driven by ``ref_rk_step`` and ``RefField``, with its own count of the
@@ -969,7 +988,12 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     smallest step whose sample was recorded.  An adaptive run keeps
     u = q/q' at each sample whose q' is nonzero; from the last two distinct
     u it estimates alpha = -(t_b - t_a)/(u_b - u_a) and t* = t_b + alpha*u_b,
-    and stops once ``locates_blowup``."""
+    and stops once ``locates_blowup``.  Before each attempt from a sample
+    at which |q| first reached ESCAPE_RADIUS, or doubled since the last
+    probe, the run reads t* - t from the field's chart with the sample's H.
+    The reading counts where the step into the sample is shorter than
+    Re(t* - t).  Once one counts the run makes no more estimates, and it
+    ends at that sample with ``blow-up`` where ``chart_ends``."""
     tab = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}[method]
     adaptive = tab.b_err is not None
     t0, t1 = t_span
@@ -985,7 +1009,21 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     safety, p_order = 0.9, 5.0
     err_prev = 1.0
     t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
+    chart = Chart.bind(sys, values)
+    escape_at, probing, charted = ESCAPE_RADIUS, False, False
     while t < t1 - 1e-15 * max(1.0, abs(t1)):
+        if probing:
+            probing = False
+            gap = chart and chart.gap(q, p, hs[-1])
+            if gap is not None and accepted_steps[-1] < gap.real:
+                charted = True
+                if chart_ends(t + gap, t, t1, tol):
+                    return Trajectory(
+                        np.array(times), np.array(qs), np.array(ps),
+                        np.array(hs), "blow-up", steps_attempted=attempted,
+                        steps_rejected=rejected, field_evals=evals,
+                        min_step=min(accepted_steps, default=None),
+                        t_star=(t + gap).real, exponent=chart.exponent)
         if adaptive:
             step = min(step, t1 - t)
         else:
@@ -999,7 +1037,8 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
             break
         evals += field.calls - calls
         new_estimate = False
-        if adaptive and dq != 0 and not (us and us[-1][0] == t):
+        if adaptive and not charted and dq != 0 \
+                and not (us and us[-1][0] == t):
             us.append((t, q / dq))
             if len(us) > 1 and us[-1][1] != us[-2][1]:
                 (ta, ua), (tb, ub) = us[-2:]
@@ -1018,6 +1057,10 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
             ps.append(p)
             hs.append(field.H(q, p, t))
             accepted_steps.append(step)
+            if abs(q) >= escape_at:
+                escape_at, probing = 2 * abs(q), True
+            elif abs(q) < ESCAPE_RADIUS:
+                escape_at = ESCAPE_RADIUS
         else:
             rejected += 1
         if not adaptive:
@@ -1366,32 +1409,43 @@ class TestIntegrateMatchesLoopReference:
         want = ref_integrate(sys, values, q0, p0, t_span, h, tol, method)
         assert_same_run(got, want)
 
-    @pytest.mark.parametrize("values,q0,p0,t1,method,tol,label", [
-        (PARAMS5.values, 1, 0.3, 0.05, "fixed-rk4", 1e-9, "completed"),
-        (PARAMS5.values, 1, 0.3, 0.05, "adaptive-rk45", 1e-9, "completed"),
+    @pytest.mark.parametrize("sys,values,q0,p0,t1,method,tol,label", [
+        (A5, PARAMS5.values, 1, 0.3, 0.05, "fixed-rk4", 1e-9, "completed"),
+        (A5, PARAMS5.values, 1, 0.3, 0.05, "adaptive-rk45", 1e-9,
+         "completed"),
         # q passes through 0, a regular point
-        (A5_PASS_THROUGH, 0.01, 0, 0.05, "fixed-rk4", 1e-9, "completed"),
-        # the movable singularity at t* = 0.16164
-        (PARAMS5.values, 1, 0, 0.2, "fixed-rk4", 1e-9, "overflow"),
-        (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-9, "blow-up"),
-        # no three estimates of t* agree to 1e-16, a few ulps of t*, so
-        # the step underflows first
-        (PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-16,
+        (A5, A5_PASS_THROUGH, 0.01, 0, 0.05, "fixed-rk4", 1e-9,
+         "completed"),
+        # the movable singularity at t* = 0.16164: h = 1e-3 steps past it
+        # before |q| reaches 10, so the chart's readings do not count
+        (A5, PARAMS5.values, 1, 0, 0.2, "fixed-rk4", 1e-9, "overflow"),
+        # with a = 0, q' = q^3 + 1 blows up at t* = 0.37355, and the field
+        # has no chart: A~(0) = a
+        (A5, {"a": 0, "e1": 1, "e2": 1}, 1, 0, 0.6, "fixed-rk4", 1e-9,
+         "overflow"),
+        (A5, PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-9, "blow-up"),
+        # the same field without its chart: no three estimates of t* agree
+        # to 1e-16, a few ulps of t*, so the step underflows first
+        (A5_UNCHARTED, PARAMS5.values, 1, 0, 0.2, "adaptive-rk45", 1e-16,
          "step-underflow")],
         ids=["completed-fixed", "completed-adaptive", "pass-through",
-             "overflow", "blow-up", "step-underflow"])
-    def test_each_label(self, values, q0, p0, t1, method, tol, label):
-        params = NumericParams("autonomous5", values, 5)
-        got = integrate(A5, params, q0, p0, (0, t1), h=1e-3, tol=tol,
+             "overflow", "overflow-uncharted", "blow-up", "step-underflow"])
+    def test_each_label(self, sys, values, q0, p0, t1, method, tol, label):
+        params = NumericParams(sys.name, values, sys.n)
+        got = integrate(sys, params, q0, p0, (0, t1), h=1e-3, tol=tol,
                         method=method)
-        want = ref_integrate(A5, values, q0, p0, (0, t1), 1e-3, tol, method)
+        want = ref_integrate(sys, values, q0, p0, (0, t1), 1e-3, tol, method)
         assert got.termination == label
         assert (got.t_star is None) == (label != "blow-up")
         assert_same_run(got, want)
 
     def test_located_blowup_matches_reference(self):
         # two agreeing estimates of t* would stop this run at t = 0.087,
-        # far before its blow-up at 0.26043; three do not
+        # far before its blow-up at 0.26043; three do not, and the run goes
+        # on into the chart.  Its reading counts once |q| > 22, where
+        # |r_1|*2|w| = 4|a e1 w| falls below |a|^2: the probes at |q| = 10.4
+        # and 21.3 do not count, and the one at 44.3 ends the run 7.6e-4
+        # before t*
         values = {"a": 0.3067, "e1": -1.707, "e2": -0.6642, "e3": 0.3004}
         sys = make_general_n(4)
         got = integrate(sys, NumericParams(sys.name, values, 4), -0.9307,
@@ -1400,7 +1454,9 @@ class TestIntegrateMatchesLoopReference:
         want = ref_integrate(sys, values, -0.9307, -1.4827, (0, 0.5), 1e-3,
                              1e-6, "adaptive-rk45")
         assert got.termination == "blow-up"
-        assert got.times[-1] >= 0.26 and got.steps_rejected >= 1
+        assert got.times[-1] >= 0.259 and got.steps_rejected >= 1
+        assert abs(got.q[-1]) >= 4 * ESCAPE_RADIUS
+        assert got.t_star - got.times[-1] < 1e-3 and got.exponent == 1 / 2
         assert_same_run(got, want)
 
     def test_statistics_take_no_part_in_comparison(self):
@@ -1432,11 +1488,12 @@ class TestBlowupLocator:
                          t_span, h=h, tol=tol, method="adaptive-rk45")
 
     def test_autonomous5_against_exact_series(self):
-        # t* = 0.161640436200 from the exact singularity series
+        # t* = 0.161640436200 from the exact singularity series; the run
+        # reads it from the chart where |q| reaches ESCAPE_RADIUS, 3e-12 off
         traj = self.run(A5, A5_ONES, 1, 0, (0, 0.2), 1e-4, 1e-12)
         assert traj.termination == "blow-up"
-        assert abs(traj.t_star - 0.161640436200) <= 1e-8
-        assert abs(traj.exponent - 1 / 3) <= 5e-3
+        assert abs(traj.t_star - 0.161640436200) <= 1e-11
+        assert traj.exponent == 1 / 3
         assert traj.times[-1] < traj.t_star
         assert traj.steps_attempted == len(traj.times) - 1 \
             + traj.steps_rejected
@@ -1474,11 +1531,19 @@ class TestBlowupLocator:
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_early_agreement_keeps_the_regular_stretch(self, tol):
         # the estimates of t* ~ 1/3 agree from the first samples, but the run
-        # goes on until it is within sqrt(tol) of t*
+        # goes on until it is within sqrt(tol) of t*, or until |q| reaches
+        # ESCAPE_RADIUS, 3.3e-4 before t*, where the chart ends it: at
+        # tol = 1e-6 the estimates come first (|q| = 9.0), at 1e-9 the chart
         traj = self.run(A5, Q4_FLOW, 1, 0, (0, 0.4), 1e-3, tol)
         assert traj.termination == "blow-up"
         assert abs(traj.t_star - 1 / 3) <= 10 * tol
-        assert traj.t_star - math.sqrt(tol) <= traj.times[-1] < traj.t_star
+        if tol == 1e-6:
+            assert traj.t_star - math.sqrt(tol) <= traj.times[-1] \
+                < traj.t_star
+        else:
+            assert traj.times[-1] < traj.t_star - math.sqrt(tol)
+            assert abs(traj.q[-1]) >= ESCAPE_RADIUS > abs(traj.q[-2])
+            assert traj.exponent == 1 / 3
         assert_same_run(traj, ref_integrate(A5, Q4_FLOW, 1, 0, (0, 0.4),
                                             1e-3, tol, "adaptive-rk45"))
 
@@ -1495,9 +1560,10 @@ class TestBlowupLocator:
     @pytest.mark.parametrize("before,label", [(1e-8, "completed"),
                                               (1e-9, "blow-up")])
     def test_span_ending_just_before_t_star(self, before, label):
-        # t1 = t* - 1e-8 completes.  The estimates err by a few tol: at
-        # t1 = t* - 1e-9 they place t* before t1 and the run ends in
-        # blow-up, where a run without the locator ends in step-underflow
+        # t1 = t* - 1e-8 completes.  The run reaches |q| = ESCAPE_RADIUS,
+        # and its sample there errs by a few tol: at t1 = t* - 1e-9 the
+        # chart reads t* 4.8e-9 early, before t1, and the run ends in
+        # blow-up.  At tol = 1e-12 it completes (see the next test)
         t1 = 0.161640436200 - before
         traj = self.run(A5, A5_ONES, 1, 0, (0, t1), 1e-3, 1e-9)
         assert traj.termination == label
@@ -1505,6 +1571,14 @@ class TestBlowupLocator:
             assert traj.t_star <= t1 < 0.161640436200
         assert_same_run(traj, ref_integrate(A5, A5_ONES, 1, 0, (0, t1), 1e-3,
                                             1e-9, "adaptive-rk45"))
+
+    def test_span_ending_just_before_t_star_at_tight_tol(self):
+        # at tol = 1e-12 the chart reads t* 3e-12 early, so a span that
+        # ends 1e-9 before t* completes, as the mathematics says
+        t1 = 0.161640436200 - 1e-9
+        traj = self.run(A5, A5_ONES, 1, 0, (0, t1), 1e-3, 1e-12)
+        assert traj.termination == "completed" and traj.times[-1] == t1
+        assert abs(traj.q[-1]) > 500
 
     def test_zero_of_q_is_no_blowup(self):
         # q' = -3 gives u = q/q' = t - 1/3: the estimates find q's zero at
@@ -1536,3 +1610,140 @@ class TestBlowupLocator:
         assert traj.t_star is None and traj.exponent is None
         assert len(traj.times) == samples
         assert sample_digest(traj) == digest
+
+
+class TestEscapeIntoChart:
+    """A run of a field with a chart probes it where |q| first reaches
+    ESCAPE_RADIUS and again each time |q| doubles, and ends at that sample
+    with ``blow-up`` where the chart places t* on the path inside the
+    span."""
+
+    def probes(self, monkeypatch):
+        """|q| at each sample the chart reads, and each reading."""
+        seen = []
+        gap = Chart.gap
+
+        def record(chart, q, p, H):
+            seen.append((abs(q), gap(chart, q, p, H)))
+            return seen[-1][1]
+        monkeypatch.setattr(Chart, "gap", record)
+        return seen
+
+    def test_probe_once_per_doubling(self, monkeypatch):
+        # q0 = exp(1e-7 i) passes t* = 1/3 - 1e-7 i with |q| near 150: the
+        # chart's t* has |Im t*| above tol times the gap at every probe, so
+        # the run completes, with no estimates once the first reading counts
+        seen = self.probes(monkeypatch)
+        q0 = cmath.exp(1e-7j)
+        traj = integrate(A5, NumericParams("autonomous5", Q4_FLOW, 5), q0, 0,
+                         (0, 0.4), h=1e-3, tol=1e-6, method="adaptive-rk45")
+        assert traj.termination == "completed"
+        sizes = [size for size, _ in seen]
+        assert len(sizes) >= 4 and all(gap is not None for _, gap in seen)
+        assert all(b >= 2 * a for a, b in zip(sizes, sizes[1:]))
+        # each probe reads the first sample of at least twice the last size
+        size = ESCAPE_RADIUS
+        expected = []
+        for q in map(abs, map(complex, traj.q[1:-1])):
+            if q >= size:
+                expected.append(q)
+                size = 2 * q
+            elif q < ESCAPE_RADIUS:
+                size = ESCAPE_RADIUS
+        assert sizes == expected
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
+    def test_escaping_run_keeps_every_sample_before(self, method):
+        # the same field without a chart makes the same samples up to the
+        # escape sample, and goes on past it
+        h = 1e-4
+        charted = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=h, tol=1e-12,
+                            method=method)
+        plain = integrate(A5_UNCHARTED, PARAMS5, 1, 0, (0, 0.2), h=h,
+                          tol=1e-12, method=method)
+        n = len(charted.times)
+        assert charted.termination == "blow-up"
+        assert len(plain.times) > n
+        for name in ("times", "q", "p", "H_values"):
+            assert bits(getattr(charted, name)) \
+                == bits(getattr(plain, name)[:n]), name
+        assert abs(charted.q[-1]) >= ESCAPE_RADIUS > abs(charted.q[-2])
+        assert charted.steps_attempted == n - 1 + charted.steps_rejected
+
+    def test_fixed_rk4_reads_t_star(self):
+        # the benchmark's blow-up fixed-rk4 run: its sample at |q| = 10.9
+        # errs by the method's h^4, and the chart reads t* 6.0e-9 late
+        traj = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4,
+                         method="fixed-rk4")
+        assert traj.termination == "blow-up" and traj.exponent == 1 / 3
+        assert abs(traj.t_star - 0.161640436200) <= 1e-8
+        assert traj.times[-1] < traj.t_star
+        assert_same_run(traj, ref_integrate(A5, PARAMS5.values, 1, 0,
+                                            (0, 0.2), 1e-4, 1e-9,
+                                            "fixed-rk4"))
+
+    @pytest.mark.parametrize("q0,t_star", [(1, 0.161640436200),
+                                           (1.5362, 0.0595638521)])
+    def test_fixed_step_past_t_star_reads_nothing(self, monkeypatch, q0,
+                                                  t_star):
+        # at h = 1e-3 the last sample before t* has |q| < 10, and the next
+        # step lands past t* on an orbit whose own t* lies just ahead.  The
+        # chart reads that later t*, but the step into the sample is longer
+        # than the gap it reads, so the run places no t* and overflows
+        seen = self.probes(monkeypatch)
+        traj = integrate(A5, PARAMS5, q0, 0, (0, 0.2), h=1e-3,
+                         method="fixed-rk4")
+        assert traj.termination == "overflow" and traj.t_star is None
+        escape = next(i for i, q in enumerate(traj.q)
+                      if abs(q) >= ESCAPE_RADIUS)
+        t = traj.times[escape]
+        assert t > t_star and seen[0][0] == abs(traj.q[escape])
+        assert 0 < seen[0][1].real < 1e-3 and t + seen[0][1].real > t_star
+        assert_same_run(traj, ref_integrate(A5, PARAMS5.values, q0, 0,
+                                            (0, 0.2), 1e-3, 1e-9,
+                                            "fixed-rk4"))
+
+    @pytest.mark.parametrize("sys,values,p0,t1,alpha", [
+        (NA3, PARAMS3.values, 0, 0.3, 1 / 2),
+        (A5, {"a": 0, "e1": 1, "e2": 1}, 0, 0.6, 1 / 2),
+        (LINEAR_IN_P, PARAMS5.values, 0.1, 0.4, 1 / 3)],
+        ids=["nonautonomous3", "a=0", "linear-in-p"])
+    def test_no_chart_keeps_the_estimates(self, sys, values, p0, t1, alpha):
+        # nonautonomous3 has no chart, with a = 0, A~(0) = 0 leaves
+        # autonomous5 none, and an H linear in p has no u^2 term: their
+        # runs pass |q| = 10 and end on the estimates
+        params = NumericParams(sys.name, values, sys.n)
+        assert compile_field(sys, params).chart() is None
+        traj = integrate(sys, params, 1, p0, (0, t1), h=1e-3, tol=1e-9,
+                         method="adaptive-rk45")
+        assert traj.termination == "blow-up"
+        assert abs(traj.q).max() > 2 * ESCAPE_RADIUS
+        assert abs(traj.exponent - alpha) <= 0.03
+
+    def test_seeded_draws_match_loop_reference(self):
+        # real flows of the charted families near their blow-ups: fixed-seed
+        # draws, each checked bit for bit against the loop reference, which
+        # escapes by its own loop
+        rng = random.Random("escapes")
+        systems = [A5, *(make_general_n(n) for n in range(3, 9))]
+        ends = collections.Counter()
+        for i in range(24):
+            sys = rng.choice(systems)
+            values = {name: complex(rng.uniform(0.5, 1.5) if name == "a"
+                                    else rng.uniform(-0.5, 0.5))
+                      for name in sys.params}
+            q0 = complex(rng.uniform(1, 2),
+                         rng.choice((0, rng.uniform(-0.05, 0.05))))
+            p0 = complex(rng.choice((0, rng.uniform(-0.05, 0.05))))
+            method = ("fixed-rk4", "adaptive-rk45")[i % 2]
+            h = 2e-4 if method == "fixed-rk4" else 1e-3
+            tol = rng.choice((1e-9, 1e-12))
+            got = integrate(sys, NumericParams(sys.name, values, sys.n), q0,
+                            p0, (0, 1), h=h, tol=tol, method=method)
+            assert_same_run(got, ref_integrate(sys, values, q0, p0, (0, 1),
+                                               h, tol, method))
+            charted = got.exponent == (1 / (sys.n - 2))
+            ends[method, got.termination, charted] += 1
+        # the draws cover the chart's ending under both methods
+        assert ends["fixed-rk4", "blow-up", True] >= 3
+        assert ends["adaptive-rk45", "blow-up", True] >= 3
