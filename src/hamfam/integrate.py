@@ -16,17 +16,20 @@ map's rules.  The generated source holds only names, so each distinct text
 goes through the compiler once: fields whose parameters leave the same
 terms nonzero share the code of their kernels and steps.
 The field is stepped by one explicit Runge-Kutta engine driven by a Butcher
-tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair
-with PI step-size control.  A field's step for a tableau is generated the
-same way on the first ``integrate`` with that method, and kept on the
-compiled field: one straight-line function with its stages unrolled, the
-field's kernel lines inlined at each stage, and the same operations in the
-same order as a stage loop.  Its first stage also sums H at the step's
-start on the same power chain, so each sample's H comes from the step that
-leaves it and only the last sample's from the H kernel.  So the Hamiltonian
-is sampled and drift can be monitored: for the autonomous families H is a
-first integral and the drift is a direct error measure; for the
-non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
+tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair,
+which propagates its 5th-order solution, estimates the error with the 4th,
+and sizes steps by PI control (Gustafsson, ACM TOMS 17, 1991) whose memory
+of the last accepted error is floored at 1e-4, as DOPRI5's is (Hairer,
+Norsett & Wanner, Solving ODEs I, II.4).  A field's step for a tableau is
+generated the same way on the first ``integrate`` with that method, and
+kept on the compiled field: one straight-line function with its stages
+unrolled, the field's kernel lines inlined at each stage, and the same
+operations in the same order as a stage loop.  Its first stage also sums H
+at the step's start on the same power chain, so each sample's H comes from
+the step that leaves it and only the last sample's from the H kernel.  So
+the Hamiltonian is sampled and drift can be monitored: for the autonomous
+families H is a first integral and the drift is a direct error measure; for
+the non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
 against finite differences instead.  The compiled map rules serve both the
 trajectory check and ``BirationalMap.apply_numeric``; each raises ValueError
 only where the image is not finite, as at q = 0 for a map that divides by q.
@@ -487,7 +490,8 @@ def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
 # classical RK4, weights over 6: the update is h/6*(k1 + 2k2 + 2k3 + k4)
 _RK4 = _Tableau(a=((), (1 / 2,), (0, 1 / 2), (0, 0, 1)),
                 c=(0, 1 / 2, 1 / 2, 1), b=(1, 2, 2, 1), div=6)
-# Fehlberg 4(5): 4th-order propagation, 5th-order error estimate
+# Fehlberg 4(5) with local extrapolation: the step propagates the
+# 5th-order solution, and the 4th-order one estimates its error
 _FEHLBERG45 = _Tableau(
     a=((),
        (1 / 4,),
@@ -496,8 +500,8 @@ _FEHLBERG45 = _Tableau(
        (439 / 216, -8, 3680 / 513, -845 / 4104),
        (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40)),
     c=(0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2),
-    b=(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0),
-    b_err=(16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55))
+    b=(16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+    b_err=(25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0))
 _METHODS = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}
 
 
@@ -516,20 +520,22 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     """Integrate the Hamilton equations over a finite time span.
 
     fixed-rk4 takes steps of h, the last one ending exactly at t1;
-    adaptive-rk45 sizes them by PI control.  h and tol must be finite and
-    positive (fixed-rk4 uses tol only to read the chart), and q0 and p0
-    finite.  Samples
-    (t, q, p, H) at every accepted step; q = 0 is a regular point.  Stops
-    cleanly (with the reason recorded) on ``overflow``, where |q| or |p| is
-    not finite or exceeds OVERFLOW_GUARD or a power overflows, on a located
-    blow-up, or on adaptive step underflow.  A negative power of q or p in
-    the field or H is a ValueError, as is a start at which H overflows.  A
-    step to a later sample at which H overflows is not accepted, like one
-    to a q or p that overflows: the run ends at the sample before with
-    ``overflow`` whatever it would have ended with, and its statistics are
-    those of a run that evaluates H at each accepted sample.  Each sample's
-    H is computed by the step that leaves it, so such a step is found only
-    when the run has ended.
+    adaptive-rk45 propagates Fehlberg's 5th-order solution and sizes its
+    steps by PI control, remembering each accepted step's error floored at
+    1e-4, so that an error estimate of 0 does not cut the next step.  h and
+    tol must be finite and positive (fixed-rk4 uses tol only to read the
+    chart), and q0 and p0 finite.  Samples (t, q, p, H) at every accepted
+    step; q = 0 is a regular point.  Stops cleanly (with the reason
+    recorded) on ``overflow``, where |q| or |p| is not finite or exceeds
+    OVERFLOW_GUARD or a power overflows, on a located blow-up, or on
+    adaptive step underflow.  A negative power of q or p in the field or H
+    is a ValueError, as is a start at which H overflows.  A step to a later
+    sample at which H overflows is not accepted, like one to a q or p that
+    overflows: the run ends at the sample before with ``overflow`` whatever
+    it would have ended with, and its statistics are those of a run that
+    evaluates H at each accepted sample.  Each sample's H is computed by the
+    step that leaves it, so such a step is found only when the run has
+    ended.
 
     A field with a regularising chart (``chart.Chart``: autonomous5 and
     general:n, n >= 3, with a != 0) is read where an accepted sample first
@@ -675,7 +681,10 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
         if err <= 1.0:  # PI controller
             fac = safety * (err + 1e-16) ** (-0.7 / p_order) \
                 * (err_prev + 1e-16) ** (0.4 / p_order)
-            err_prev = err
+            # the memory is floored, as DOPRI5's FACOLD is: an estimate of
+            # exactly 0, where both solutions agree to the last bit, would
+            # cut the next step about 20-fold
+            err_prev = max(err, 1e-4)
         else:
             rejected += 1
             fac = max(0.1, safety * err ** (-1 / p_order))
