@@ -22,7 +22,7 @@ import json
 import sys
 import time
 
-from .hamiltonian import make_system
+from .hamiltonian import make_general_n, make_system
 from .integrate import (NumericParams, check_symmetry_on_trajectory,
                         integrate, richardson_order, write_trajectory_csv)
 from .symmetry import certificate_battery, make_map
@@ -86,7 +86,7 @@ def parse_n_range(text: str) -> list[int]:
 
 def cmd_verify(args) -> int:
     if args.family == "general":
-        families = [make_system("general", n)
+        families = [make_general_n(n)
                     for n in parse_n_range(args.n or "2..8")]
     elif args.n:
         raise UsageError("--n applies only to --family general")
@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
 # -- integrate ----------------------------------------------------------------
 
 def cmd_integrate(args) -> int:
-    sys_ = make_system(args.family, args.n_int)
+    sys_ = make_system(args.family)
     params = NumericParams(sys_.name, parse_params(args.params), sys_.n)
     traj = integrate(sys_, params, args.q0, args.p0, (args.t0, args.t1),
                      h=args.h, tol=args.tol, method=args.method)
@@ -152,7 +152,7 @@ def cmd_integrate(args) -> int:
 # -- symmetry ------------------------------------------------------------------
 
 def cmd_symmetry(args) -> int:
-    sys_ = make_system(args.family, args.n_int)
+    sys_ = make_system(args.family)
     m = make_map(args.map, args.branch, sys_)
     params = NumericParams(sys_.name, parse_params(args.params), sys_.n)
     params.check_complete(sys_)
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("integrate", help="integrate one trajectory")
     pi.add_argument("--family", required=True)
-    pi.add_argument("--n", dest="n_int", type=int)
     pi.add_argument("--params", default="")
     pi.add_argument("--method", default="fixed-rk4",
                     choices=["fixed-rk4", "adaptive-rk45"])
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("symmetry", help="apply a symmetry map numerically")
     ps.add_argument("--family", required=True)
-    ps.add_argument("--n", dest="n_int", type=int)
     ps.add_argument("--map", required=True)
     ps.add_argument("--branch", type=int, default=1)
     ps.add_argument("--params", default="")

@@ -85,31 +85,25 @@ def make_nonautonomous3() -> HamSystem:
                      autonomous=False, n=5)
 
 
-def make_system(family: str, n: int | None = None) -> HamSystem:
-    """Constructor addressable by name: 'autonomous5', 'general:n',
-    'nonautonomous3', or 'general' with ``n``.  An ``n`` that selects
-    nothing (another family, or one that disagrees with 'general:n')
-    raises ``ValueError``."""
+def make_system(family: str) -> HamSystem:
+    """The system whose ``name`` is ``family``: 'autonomous5',
+    'nonautonomous3' or 'general:<n>'.  Any other name raises
+    ``ValueError``."""
     if family.startswith("general:"):
         try:
-            named = int(family.split(":", 1)[1])
+            n = int(family.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"family {family!r} is not of the form "
                              f"'general:<n>' with an integer n") from None
-        if n not in (None, named):
-            raise ValueError(f"n = {n} disagrees with family {family!r}")
-        return make_general_n(named)
-    if family == "general":
-        if n is None:
-            raise ValueError("family 'general' needs n")
+        if family != f"general:{n}":
+            raise ValueError(f"family {family!r} is spelled 'general:{n}'")
         return make_general_n(n)
-    if family not in ("autonomous5", "nonautonomous3"):
-        raise ValueError(f"unknown family {family!r}")
-    if n is not None:
-        raise ValueError(f"n applies only to family 'general', "
-                         f"not to {family!r}")
-    return make_autonomous5() if family == "autonomous5" \
-        else make_nonautonomous3()
+    if family == "autonomous5":
+        return make_autonomous5()
+    if family == "nonautonomous3":
+        return make_nonautonomous3()
+    raise ValueError(f"unknown family {family!r}: the families are "
+                     f"'autonomous5', 'nonautonomous3' and 'general:<n>'")
 
 
 # -- symbolic calculus --------------------------------------------------------

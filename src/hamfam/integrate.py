@@ -44,18 +44,13 @@ general:n the regularising chart (w, u) = (1/q, p q^(n-1)) carries H to a
 polynomial H~ = u^2 w^(n-2) + u A~(w) that is regular at w = 0, where q is
 infinite (``hamiltonian.regularising_chart``).  H is conserved, so one
 sample gives t* in closed form, as a quadrature in w, and alpha is exactly
-1/(n-2).  Under either method, a run whose accepted sample reaches
-|q| >= ESCAPE_RADIUS reads t* there from the chart, again each time |q|
-doubles, and ends at that sample with ``blow-up`` when t* lies on its path
-inside the span.  Where no chart applies (nonautonomous3, or a = 0) the
-adaptive run keeps its own estimates: u = q/q' equals (t* - t)/alpha; the
-run reads u at each sample from its step's first stage, at no extra field
-evaluation, and estimates alpha = -dt/du and t* = t + alpha*u from each two
-samples, which is a Newton step on u = 0 (Corliss & Chang, ACM TOMS 8,
-1982).  It stops with the blow-up located once it is within sqrt(tol) of t*
-and three estimates in a row agree to its own tolerance, instead of chasing
-t* until its step underflows.  The estimates also end runs of the charted
-families whose estimates agree before |q| reaches ESCAPE_RADIUS.
+1/(n-2).  Where no chart applies (nonautonomous3, or a = 0), u = q/q'
+equals (t* - t)/alpha; the adaptive run reads u at each sample from its
+step's first stage, at no extra field evaluation, and two samples estimate
+alpha = -dt/du and t* = t + alpha*u, which is a Newton step on u = 0
+(Corliss & Chang, ACM TOMS 8, 1982).  ``integrate``'s docstring states
+when a run reads the chart or makes the estimates, and when it ends with
+``blow-up``.
 """
 
 from __future__ import annotations

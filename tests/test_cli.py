@@ -148,7 +148,7 @@ class TestIntegrate:
         # a general:4 orbit whose run to its blow-up rejects steps
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            assert run(["integrate", "--family", "general", "--n", "4",
+            assert run(["integrate", "--family", "general:4",
                         "--params", "a=0.3067,e1=-1.707,e2=-0.6642,"
                         "e3=0.3004", "--q0", "-0.9307", "--p0", "-1.4827",
                         "--t1", "0.5", "--tol", "1e-6",
@@ -214,15 +214,16 @@ class TestIntegrate:
                     "--params", "a=1,e1=1,e2=1,zz=3", "--t1", "0.01"]) == 2
         assert "unknown ['zz']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("family,n,message", [
-        ("general:5", "7", "n = 7 disagrees with family 'general:5'"),
-        ("autonomous5", "3", "n applies only to family 'general'")])
-    def test_n_that_selects_nothing(self, family, n, message, capsys):
-        assert run(["integrate", "--family", family, "--n", n,
-                    "--params", "a=1,e1=1,e2=1,e3=1,e4=1",
-                    "--t1", "0.01"]) == 2
-        captured = capsys.readouterr()
-        assert message in captured.err and captured.out == ""
+    def test_general_without_n(self, capsys):
+        # general:<n> is the one name of each general system
+        assert run(["integrate", "--family", "general",
+                    "--params", "a=1", "--t1", "0.01"]) == 2
+        assert "unknown family 'general'" in capsys.readouterr().err
+        for command in (["integrate"], ["symmetry", "--map", "s-auto"]):
+            with pytest.raises(SystemExit) as raised:
+                run(command + ["--family", "general", "--n", "5"])
+            assert raised.value.code == 2
+            assert "unrecognized arguments: --n 5" in capsys.readouterr().err
 
     def test_family_without_integer_n(self, capsys):
         assert run(["integrate", "--family", "general:abc",
@@ -375,8 +376,7 @@ class TestSymmetry:
 
     @pytest.mark.parametrize("name", ["s-auto:7", "s-autoXYZ"])
     def test_shear_of_other_n(self, name, capsys):
-        assert run(["symmetry", "--family", "general", "--n", "5",
-                    "--map", name,
+        assert run(["symmetry", "--family", "general:5", "--map", name,
                     "--params", "a=1,e1=1,e2=1,e3=1,e4=1"]) == 2
         captured = capsys.readouterr()
         assert f"unknown map {name!r}" in captured.err

@@ -80,21 +80,18 @@ class TestConstructors:
     def test_make_system_names(self):
         assert make_system("autonomous5").name == "autonomous5"
         assert make_system("general:3").n == 3
-        assert make_system("general", 4).n == 4
         with pytest.raises(ValueError):
             make_system("unknown")
-        assert make_system("general:5", 5).n == 5
-        with pytest.raises(ValueError, match="family 'general' needs n"):
+        # each system comes back from its own name, and from no other spelling
+        for sys in ([make_autonomous5(), make_nonautonomous3()]
+                    + [make_general_n(n) for n in range(2, 65)]):
+            again = make_system(sys.name)
+            assert again.name == sys.name and again.H == sys.H
+        with pytest.raises(ValueError, match="'general:<n>'"):
             make_system("general")
-
-    @pytest.mark.parametrize("family,n,message", [
-        ("general:5", 7, "n = 7 disagrees with family 'general:5'"),
-        ("autonomous5", 3, "n applies only to family 'general'"),
-        ("autonomous5", 5, "n applies only to family 'general'"),
-        ("nonautonomous3", 3, "n applies only to family 'general'")])
-    def test_make_system_n_that_selects_nothing(self, family, n, message):
-        with pytest.raises(ValueError, match=message):
-            make_system(family, n)
+        for other in ("general:05", "general: 5", "general:+5"):
+            with pytest.raises(ValueError, match="is spelled 'general:5'"):
+                make_system(other)
 
     @pytest.mark.parametrize("family", ["general:abc", "general:",
                                         "general:2.5"])

@@ -69,7 +69,7 @@ class TestMul:
     def test_no_degree_cap(self):
         # general:32 has terms of total degree 65; the family is certified
         # for every n >= 2
-        entries = certificate_battery(make_system("general", 32))
+        entries = certificate_battery(make_system("general:32"))
         assert [e["status"] for e in entries] == ["PASS"] * 5
 
 

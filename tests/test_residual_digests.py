@@ -123,22 +123,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _system(family: str):
-    name, _, n = family.partition(":")
-    return make_system(name, int(n)) if n else make_system(name)
-
-
 @pytest.mark.parametrize("family,mutate", sorted(FAIL_DIGESTS))
 def test_mutation_residuals_are_byte_identical(family, mutate):
     fails = {e["check"]: hashlib.sha256(e["residual"].encode()).hexdigest()
-             for e in certificate_battery(_system(family), mutate)
+             for e in certificate_battery(make_system(family), mutate)
              if e["status"] == "FAIL"}
     assert fails == FAIL_DIGESTS[family, mutate]
 
 
 @pytest.mark.parametrize("family", sorted(FORM_DIGESTS))
 def test_forms_are_byte_identical(family):
-    sys = _system(family)
+    sys = make_system(family)
     got = (_sha(second_order_form(sys).rhs.serialize()),
            _sha(pushforward_H(autonomous_map(sys), sys).serialize()))
     assert got == FORM_DIGESTS[family]
@@ -164,7 +159,7 @@ def _compiled_polys(family: str) -> list:
     """H, f_q and f_p of a family and, for an autonomous one, every rule of
     its shear: the polynomials the numeric layer compiles, in the order
     their ``.terms`` feed it."""
-    sys = _system(family)
+    sys = make_system(family)
     polys = [sys.H, *hamilton_equations(sys)]
     if sys.autonomous:
         m = autonomous_map(sys)
@@ -181,7 +176,7 @@ def _iterate_polys(branch: int) -> list:
 
 
 def _general_fail_text(n: int) -> str:
-    sys = make_system("general", n)
+    sys = make_system(f"general:{n}")
     return "\n".join(f"{mutate} {e['check']}: {e['residual']}"
                      for mutate in ("ode", "hamiltonian", "map")
                      for e in certificate_battery(sys, mutate)
