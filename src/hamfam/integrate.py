@@ -14,19 +14,24 @@ are two compile entries, each with a bounded cache keyed by exact parameter
 bits: ``compile_field`` for a system's field, and ``compile_map`` for a
 map's rules.  The generated source holds only names, so each distinct text
 goes through the compiler once: fields whose parameters leave the same
-terms nonzero share the code of their kernels and steps.
+terms nonzero share the code of their kernels, steps and loops.
 The field is stepped by one explicit Runge-Kutta engine driven by a Butcher
 tableau: classical RK4 at a fixed step, or the embedded Fehlberg 4(5) pair,
 which propagates its 5th-order solution, estimates the error with the 4th,
 and sizes steps by PI control (Gustafsson, ACM TOMS 17, 1991) whose memory
 of the last accepted error is floored at 1e-4, as DOPRI5's is (Hairer,
-Norsett & Wanner, Solving ODEs I, II.4).  A field's step for a tableau is
-generated the same way on the first ``integrate`` with that method, and
-kept on the compiled field: one straight-line function with its stages
-unrolled, the field's kernel lines inlined at each stage, and the same
-operations in the same order as a stage loop.  Its first stage also sums H
-at the step's start on the same power chain, so each sample's H comes from
-the step that leaves it and only the last sample's from the H kernel.  So
+Norsett & Wanner, Solving ODEs I, II.4).  A step of a tableau over a field
+is generated the same way, as straight-line code with its stages unrolled,
+the field's kernel lines inlined at each stage, and the same operations in
+the same order as a stage loop.  Its first stage also sums H at the step's
+start on the same power chain, so each sample's H comes from the step that
+leaves it and only the last sample's from the H kernel.  On the first
+``integrate`` with a method, the compiled field generates and keeps what
+that method runs: adaptive-rk45 calls a function of one step from its
+Python loop, which controls the step; fixed-rk4 calls one generated loop
+that holds the step's lines, computes the products of the step length
+once, appends the samples itself, and returns only at a sample that
+reaches the chart's escape radius and where the run ends.  So
 the Hamiltonian is sampled and drift can be monitored: for the autonomous
 families H is a first integral and the drift is a direct error measure; for
 the non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is checked
@@ -310,11 +315,13 @@ def _kernel(*polys: list):
 
 class CompiledField:
     """Numeric vector field (q, p, t) -> (dq/dt, dp/dt) for one parameter
-    set: one kernel for both components, ``H`` for the Hamiltonian, and the
-    Runge-Kutta step of each tableau over the field, generated on its first
-    use by ``step``."""
+    set: one kernel for both components, ``H`` for the Hamiltonian, and,
+    generated on first use, the Runge-Kutta step of a tableau over the field
+    (``step``, which adaptive-rk45 drives) and the loop of fixed steps
+    (``loop``, which runs fixed-rk4)."""
 
-    __slots__ = ("_kernel", "H", "_spans", "_steps", "_source", "_chart")
+    __slots__ = ("_kernel", "H", "_spans", "_steps", "_loops", "_source",
+                 "_chart")
 
     def __init__(self, sys: HamSystem, values: dict[str, complex]):
         f_q, f_p = hamilton_equations(sys)
@@ -322,7 +329,7 @@ class CompiledField:
                        _bind(sys.H, values))
         self._kernel = _kernel(*self._spans[:2])
         self.H = _kernel(self._spans[2])
-        self._steps = {}
+        self._steps, self._loops = {}, {}
         self._source = sys, values
         self._chart = _UNBOUND
 
@@ -338,6 +345,29 @@ class CompiledField:
             step = self._steps[tab] = _generate("(q, p, t, h, tol)",
                                                 *_step_source(tab, self))
         return step
+
+    def loop(self, tab: _Tableau):
+        """loop(times, qs, ps, hs, h, t_final, t_end, t_ulp, escape_at,
+        min_step, min_before) -> (end, step, escape_at, min_step,
+        min_before): steps of ``tab`` and length h from the last sample of
+        the lists, generated on the first call for ``tab``.
+
+        Each step's bits are those of ``step``'s.  The loop takes steps
+        while t < t_end, the last one onto t_final where
+        t_final - t <= h + len(times)*t_ulp.  It appends each sample's t, q
+        and p, and H at the sample before, and keeps the smallest step
+        (min_step, and min_before before the last one).  It returns, with
+        the step it took last, at the first of: a sample with
+        |q| >= escape_at (end 'escape', with escape_at = 2|q|); a stage that
+        raises OverflowError or a start with |q| > OVERFLOW_GUARD
+        ('raised'); a step to |q| or |p| beyond OVERFLOW_GUARD, not taken
+        ('overflow'); t >= t_end ('completed').  A sample with
+        |q| < ESCAPE_RADIUS resets escape_at to ESCAPE_RADIUS."""
+        loop = self._loops.get(tab)
+        if loop is None:
+            loop = self._loops[tab] = _generate(
+                f"({', '.join(_LOOP_ARGS)})", *_loop_source(tab, self))
+        return loop
 
     def chart(self) -> Chart | None:
         """The field's regularising chart, bound on the first call, or None
@@ -411,26 +441,29 @@ class _Tableau:
     b_err: tuple[float, ...] | None = None
 
 
-def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
-                                                                 dict]:
-    """The body of one explicit RK step of ``tab`` over ``field``, and the
-    values it names.  err is the RMS over q and p of the embedded pair's
-    error over tol*(1 + max(|old|, |new|)), else 0.  The step also returns
-    its first stage's dq/dt, the field at the start when c_0 = 0, and H at
-    (q, p, t).
+def _stages(tab: _Tableau, field: CompiledField, size: str,
+            guard_start=True) -> tuple[list[str], list[str], dict]:
+    """The lines of one explicit RK step of ``tab`` over ``field`` from
+    (q, p, t), of the length that the local ``size`` holds, and the values
+    they name: (products, stages, args).  The products set
+    h{i}_{j} = size*a_ij, dt{i} = c_i*size and w = size/div from the step
+    length alone, so a run of equal steps computes them once.  The stages
+    set the field at each stage, kq{i} and kp{i}, H at (q, p, t), and the
+    update qn, pn; with an embedded pair, also its solution qe, pe.
 
-    Stage i starts from q + h*a_i0*k0 + h*a_i1*k1 + ..., summed left to
-    right over the nonzero a_ij (RK4 then matches its textbook form), and
-    raises OverflowError unless |q| <= OVERFLOW_GUARD there (a non-finite
-    q fails that test too) before it evaluates the field, whose kernel lines
-    it holds, at that start and t + c_i*h.  Stage 0 also sums H's terms at
+    Stage i starts from q + h_i0*k0 + h_i1*k1 + ..., summed left to right
+    over the nonzero a_ij (RK4 then matches its textbook form), and raises
+    OverflowError unless |q| <= OVERFLOW_GUARD there (a non-finite q fails
+    that test too) before it evaluates the field, whose kernel lines it
+    holds, at that start and t + dt_i.  Without ``guard_start`` stage 0,
+    which starts from q, skips the test.  Stage 0 also sums H's terms at
     (q, p, t) on the field's power chain, after the field, so a step raises
     what the field kernel at its stages raises, or what ``field.H`` raises
-    at (q, p, t) after stage 0's field.  Each h*a_ij is computed once per
-    stage, for q and p: h*a*k is (h*a)*k.  The weights, zeros included, are
-    summed left to right from 0j, as ``sum`` does from the int 0.  Tableau
-    entries enter as floats and weights as complex numbers, the values to
-    which CPython converts them in each product."""
+    at (q, p, t) after stage 0's field.  h*a*k is (h*a)*k and t + c*h is
+    t + (c*h), as a stage loop computes them.  The weights, zeros included,
+    are summed left to right from 0j, as ``sum`` does from the int 0.
+    Tableau entries enter as floats and weights as complex numbers, the
+    values to which CPython converts them in each product."""
     if any(eq < 0 or ep < 0 for spans in field._spans
            for _, eq, ep, _ in spans):
         raise ValueError("a negative power of q or p in the field or H: "
@@ -438,24 +471,25 @@ def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
     coeffs = {}
     f_q, f_p, H = (_named(coeffs, spans) for spans in field._spans)
     timed = any(et for *_, et in f_q + f_p)
-    args = {**coeffs, "div": float(tab.div), "GUARD": OVERFLOW_GUARD,
-            "sqrt": math.sqrt}
-    lines = []
+    args = {**coeffs, "div": float(tab.div), "GUARD": OVERFLOW_GUARD}
+    products, lines = [], []
     for i, (row, c) in enumerate(zip(tab.a, tab.c)):
         js = [j for j, a in enumerate(row) if a]
         qi, pi = ("qi", "pi") if js else ("q", "p")
         for j in js:
             args[f"a{i}_{j}"] = float(row[j])
-            lines.append(f"ha{j} = h * a{i}_{j}")
+            products.append(f"h{i}_{j} = {size} * a{i}_{j}")
         if js:
-            lines += [f"{v}i = {v}" + "".join(f" + ha{j} * k{v}{j}"
+            lines += [f"{v}i = {v}" + "".join(f" + h{i}_{j} * k{v}{j}"
                                               for j in js) for v in "qp"]
-        args[f"node{i}"] = float(c)
-        lines += [f"if not abs({qi}) <= GUARD:",
-                  f"    raise OverflowError(f'|q| = {{abs({qi}):.3e}} outside "
-                  f"the overflow guard at t = {{t}}')"]
+        if js or guard_start:
+            lines += [f"if not abs({qi}) <= GUARD:",
+                      f"    raise OverflowError(f'|q| = {{abs({qi}):.3e}} "
+                      f"outside the overflow guard at t = {{t}}')"]
         if timed:
-            lines.append(f"ti = t + node{i} * h")
+            args[f"node{i}"] = float(c)
+            products.append(f"dt{i} = node{i} * {size}")
+            lines.append(f"ti = t + dt{i}")
         sums = [(f"kq{i}", f_q, (qi, pi, "ti")),
                 (f"kp{i}", f_p, (qi, pi, "ti"))]
         if i == 0:
@@ -469,17 +503,90 @@ def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
                     for j, w in enumerate(weights))
         return " + ".join(["0j"] + [f"{prefix}{j} * {k}{j}"
                                     for j in range(len(weights))])
-    lines += ["w = h / div",
-              f"qn = q + w * ({weighted('b', tab.b, 'kq')})",
+    products.append(f"w = {size} / div")
+    lines += [f"qn = q + w * ({weighted('b', tab.b, 'kq')})",
               f"pn = p + w * ({weighted('b', tab.b, 'kp')})"]
+    if tab.b_err is not None:
+        lines += [f"qe = q + w * ({weighted('e', tab.b_err, 'kq')})",
+                  f"pe = p + w * ({weighted('e', tab.b_err, 'kp')})"]
+    return products, lines, args
+
+
+def _step_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
+                                                                 dict]:
+    """The body of ``CompiledField.step``'s function for ``tab``, from
+    ``_stages``, and the values it names.  err is the RMS over q and p of
+    the embedded pair's error over tol*(1 + max(|old|, |new|)), else 0."""
+    products, lines, args = _stages(tab, field, "h")
+    lines = products + lines
     if tab.b_err is None:
         return lines + ["return qn, pn, 0.0, kq0, H"], args
+    args["sqrt"] = math.sqrt
     return lines + [
-        f"qe = q + w * ({weighted('e', tab.b_err, 'kq')})",
-        f"pe = p + w * ({weighted('e', tab.b_err, 'kp')})",
         "eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))",
         "ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))",
         "return qn, pn, sqrt((eq ** 2 + ep ** 2) / 2), kq0, H"], args
+
+
+# the names of a fixed-step loop's own arguments and locals, which its
+# stages must not assign: the stages of nonautonomous3 set t1 = t**1, for
+# one, which a loop argument t1 would lose after the first step
+_LOOP_ARGS = ("times", "qs", "ps", "hs", "h", "t_final", "t_end", "t_ulp",
+              "escape_at", "min_step", "min_before")
+_LOOP_NAMES = (*_LOOP_ARGS, "add_t", "add_q", "add_p", "add_h", "t", "q",
+               "p", "n", "s", "size", "RADIUS")
+
+
+def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list[str],
+                                                                 dict]:
+    """The body of ``CompiledField.loop``'s function for ``tab``, and the
+    values it names.
+
+    The loop holds the stages of ``_stages``, with its step products
+    computed once for h and again where the last step is shortened.  The
+    stage-0 test of |q| <= OVERFLOW_GUARD runs once, for the state the
+    loop starts from: each later step starts from a sample whose |q| passed
+    that test.  Once the last step's rule holds, it holds at every step
+    after: the rounding left in t by a step onto t1 is below two t_ulp."""
+    products, stages, args = _stages(tab, field, "s", guard_start=False)
+    assigned = {line.partition(" = ")[0] for line in products + stages}
+    clash = (assigned | set(args)) & set(_LOOP_NAMES)
+    assert not clash, f"the stages assign the loop's names {sorted(clash)}"
+    args["RADIUS"] = ESCAPE_RADIUS
+    state = "escape_at, min_step, min_before"
+    return ["add_t, add_q, add_p, add_h = (times.append, qs.append, "
+            "ps.append, hs.append)",
+            "t, q, p, n = times[-1], qs[-1], ps[-1], len(times)",
+            "s = h",
+            *products,
+            "if t < t_end and not abs(q) <= GUARD:",
+            f"    return 'raised', s, {state}",
+            "try:",
+            "    while t < t_end:",
+            "        if t_final - t <= h + n * t_ulp:",
+            "            s = t_final - t",
+            *(f"            {line}" for line in products),
+            *(f"        {line}" for line in stages),
+            "        size = abs(qn)",
+            "        if not (size <= GUARD and abs(pn) <= GUARD):",
+            f"            return 'overflow', s, {state}",
+            "        add_h(H)",
+            "        t += s",
+            "        q, p = qn, pn",
+            "        add_t(t)",
+            "        add_q(q)",
+            "        add_p(p)",
+            "        n += 1",
+            "        min_before = min_step",
+            "        if s < min_step:",
+            "            min_step = s",
+            "        if size >= escape_at:",
+            "            return 'escape', s, 2 * size, min_step, min_before",
+            "        if size < RADIUS:",
+            "            escape_at = RADIUS",
+            "except OverflowError:",
+            f"    return 'raised', s, {state}",
+            f"return 'completed', s, {state}"], args
 
 
 # classical RK4, weights over 6: the update is h/6*(k1 + 2k2 + 2k3 + k4)
@@ -509,12 +616,26 @@ def _ends(star: complex, t: float, t1: float, tol: float) -> bool:
             and star.real <= t1 - tol * max(1.0, abs(star.real)))
 
 
+def _chart_gap(field: CompiledField, q: complex, p: complex, t: float,
+               into: float) -> complex | None:
+    """t* - t read from the field's chart at the sample (q, p, t) where it
+    counts, else None.  A reading counts only where the step ``into`` the
+    sample is shorter than its real part: a longer step may have crossed
+    t*, onto an orbit whose own t* lies just ahead.  Raises OverflowError
+    where H at the sample overflows, as the step from it would."""
+    chart = field.chart()
+    ahead = chart and chart.gap(q, p, field.H(q, p, t))
+    return ahead if ahead is not None and into < ahead.real else None
+
+
 def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
               t_span: tuple[float, float], h: float = 1e-3, tol: float = 1e-9,
               method: str = "fixed-rk4") -> Trajectory:
     """Integrate the Hamilton equations over a finite time span.
 
-    fixed-rk4 takes steps of h, the last one ending exactly at t1;
+    fixed-rk4 takes steps of h, the last one ending exactly at t1, in the
+    field's generated loop (``CompiledField.loop``), whose samples, H
+    values and statistics are those of a Python loop over the field's step;
     adaptive-rk45 propagates Fehlberg's 5th-order solution and sizes its
     steps by PI control, remembering each accepted step's error floored at
     1e-4, so that an error estimate of 0 does not cut the next step.  h and
@@ -582,117 +703,136 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
         raise ValueError(f"start state must be finite, got q0 = {q0}, "
                          f"p0 = {p0}")
     field = compile_field(sys, params)
-    advance = field.step(tab)
-
     t, q, p = t0, complex(q0), complex(p0)
     # each sample's H comes from the step that leaves it, the last one's
-    # from field.H after the loop
+    # from field.H after the run
     times, qs, ps, hs = [t], [q], [p], []
-    add_t, add_q, add_p, add_h = times.append, qs.append, ps.append, hs.append
     termination = "completed"
     returned = raised = rejected = 0
     min_step = min_before = math.inf
-    span = t1 - t0
-    h_min, h_max = 1e-12, max(span / 10, 1e-12)
-    step = min(h, h_max) if span > 0 else 0.0
-    safety, p_order = 0.9, 5.0
-    err_prev = 1.0
     # bound on the rounding each summed step leaves in t
     t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
     t_end = t1 - 1e-15 * max(1.0, abs(t1))
-    # the blow-up locator: the time of the last sample it read, u = q/q' at
-    # that sample, its t* estimate, and how many estimates in a row counted
-    t_u = u = star = math.nan
-    agreed = 0
-    near = math.sqrt(tol)
-    # the chart: the |q| that the next probe waits for, the step into the
-    # sample in hand where it reached that |q| (else 0), and whether a
-    # reading has counted in this run
-    escape_at, into, charted = ESCAPE_RADIUS, 0.0, False
-    while t < t_end:
-        if adaptive:
+    # the located t* and alpha, and the |q| that the next chart probe waits
+    # for
+    star = alpha = math.nan
+    escape_at = ESCAPE_RADIUS
+    if not adaptive:
+        # the generated loop ends the run on t1 rather than leave a
+        # rounding-level sliver; it returns at each sample that reaches
+        # escape_at, for the chart, and where the run ends
+        run = field.loop(tab)
+        end = "escape"
+        while end == "escape":
+            end, into, escape_at, min_step, min_before = run(
+                times, qs, ps, hs, h, t1, t_end, t_ulp, escape_at, min_step,
+                min_before)
+            t, q, p = times[-1], qs[-1], ps[-1]
+            if end == "escape" and t < t_end:
+                try:
+                    ahead = _chart_gap(field, q, p, t, into)
+                except OverflowError:
+                    end = "raised"
+                    break
+                if ahead is not None and _ends(t + ahead, t, t1, tol):
+                    end = "blow-up"
+                    star, alpha = t + ahead, field.chart().exponent
+        returned = len(times) - 1 + (end == "overflow")
+        raised = int(end == "raised")
+        termination = "overflow" if end == "raised" else end
+    else:
+        advance = field.step(tab)
+        add_t, add_q, add_p, add_h = (times.append, qs.append, ps.append,
+                                      hs.append)
+        span = t1 - t0
+        h_min, h_max = 1e-12, max(span / 10, 1e-12)
+        step = min(h, h_max) if span > 0 else 0.0
+        safety, p_order = 0.9, 5.0
+        err_prev = 1.0
+        # the blow-up locator: the time of the last sample it read, u = q/q'
+        # at that sample, and how many t* estimates in a row counted
+        t_u = u = math.nan
+        agreed = 0
+        near = math.sqrt(tol)
+        # the step into the sample in hand where it reached escape_at (else
+        # 0), and whether a chart reading has counted in this run
+        into, charted = 0.0, False
+        while t < t_end:
             step = min(step, t1 - t)
-        else:  # end on t1 rather than leave a rounding-level sliver
-            step = t1 - t if t1 - t <= h + len(times) * t_ulp else h
-        try:
-            if into:  # H at the sample overflows where the step's would
-                chart = field.chart()
-                ahead = chart and chart.gap(q, p, field.H(q, p, t))
-                # a step longer than the gap it leads to may have crossed
-                # t*, onto an orbit whose own t* lies just ahead: its
-                # reading does not count
-                if ahead is not None and into < ahead.real:
-                    charted = True
-                    if _ends(t + ahead, t, t1, tol):
-                        termination = "blow-up"
-                        star, alpha = t + ahead, chart.exponent
-                        break
-                into = 0.0
-            qn, pn, err, dq, H = advance(q, p, t, step, tol)
-        except OverflowError:
-            termination, raised = "overflow", 1
-            break
-        returned += 1
-        if adaptive and not charted and t != t_u and dq:
-            # q ~ C(t* - t)^-alpha has u = (t* - t)/alpha: a Newton step on
-            # u = 0 through the last two samples
-            u_prev, u = u, q / dq
-            if u != u_prev:
-                alpha = (t_u - t) / (u - u_prev)
-                star_prev, star = star, t + alpha * u
-                # counts only within sqrt(tol) of t*, heading into it to tol
-                # and ending before t1 by the agreement bound; a non-finite
-                # t* fails one of the tests
-                scale = max(1.0, abs(star.real))
-                close = tol * scale
-                if not (alpha.real > 0 and star.real - t <= near * scale
-                        and _ends(star, t, t1, tol)):
-                    agreed = 0
-                elif agreed and abs(star - star_prev) <= close:
-                    agreed += 1
-                else:
-                    agreed = 1
-            t_u = t
-        if err <= 1.0:  # accept (a fixed step has err = 0)
-            size = abs(qn)
-            if not (size <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
-                termination = "overflow"
+            try:
+                if into:
+                    ahead = _chart_gap(field, q, p, t, into)
+                    if ahead is not None:
+                        charted = True
+                        if _ends(t + ahead, t, t1, tol):
+                            termination = "blow-up"
+                            star, alpha = t + ahead, field.chart().exponent
+                            break
+                    into = 0.0
+                qn, pn, err, dq, H = advance(q, p, t, step, tol)
+            except OverflowError:
+                termination, raised = "overflow", 1
                 break
-            add_h(H)
-            t += step
-            q, p = qn, pn
-            add_t(t)
-            add_q(q)
-            add_p(p)
-            min_before = min_step
-            if step < min_step:
-                min_step = step
-            if size >= escape_at:
-                escape_at, into = 2 * size, step
-            elif size < ESCAPE_RADIUS:
-                escape_at = ESCAPE_RADIUS
-        if not adaptive:
-            continue
-        if err <= 1.0:  # PI controller
-            fac = safety * (err + 1e-16) ** (-0.7 / p_order) \
-                * (err_prev + 1e-16) ** (0.4 / p_order)
-            # the memory is floored, as DOPRI5's FACOLD is: an estimate of
-            # exactly 0, where both solutions agree to the last bit, would
-            # cut the next step about 20-fold
-            err_prev = max(err, 1e-4)
-        else:
-            rejected += 1
-            fac = max(0.1, safety * err ** (-1 / p_order))
-        step = min(max(step * min(5.0, fac), h_min), h_max)
-        if agreed == 3:
-            termination = "blow-up"
-            break
-        if step <= h_min and err > 1.0:
-            termination = "step-underflow"
-            break
+            returned += 1
+            if not charted and t != t_u and dq:
+                # q ~ C(t* - t)^-alpha has u = (t* - t)/alpha: a Newton step
+                # on u = 0 through the last two samples
+                u_prev, u = u, q / dq
+                if u != u_prev:
+                    alpha = (t_u - t) / (u - u_prev)
+                    star_prev, star = star, t + alpha * u
+                    # counts only within sqrt(tol) of t*, heading into it to
+                    # tol and ending before t1 by the agreement bound; a
+                    # non-finite t* fails one of the tests
+                    scale = max(1.0, abs(star.real))
+                    close = tol * scale
+                    if not (alpha.real > 0 and star.real - t <= near * scale
+                            and _ends(star, t, t1, tol)):
+                        agreed = 0
+                    elif agreed and abs(star - star_prev) <= close:
+                        agreed += 1
+                    else:
+                        agreed = 1
+                t_u = t
+            if err <= 1.0:  # accept
+                size = abs(qn)
+                if not (size <= OVERFLOW_GUARD
+                        and abs(pn) <= OVERFLOW_GUARD):
+                    termination = "overflow"
+                    break
+                add_h(H)
+                t += step
+                q, p = qn, pn
+                add_t(t)
+                add_q(q)
+                add_p(p)
+                min_before = min_step
+                if step < min_step:
+                    min_step = step
+                if size >= escape_at:
+                    escape_at, into = 2 * size, step
+                elif size < ESCAPE_RADIUS:
+                    escape_at = ESCAPE_RADIUS
+            if err <= 1.0:  # PI controller
+                fac = safety * (err + 1e-16) ** (-0.7 / p_order) \
+                    * (err_prev + 1e-16) ** (0.4 / p_order)
+                # the memory is floored, as DOPRI5's FACOLD is: an estimate of
+                # exactly 0, where both solutions agree to the last bit, would
+                # cut the next step about 20-fold
+                err_prev = max(err, 1e-4)
+            else:
+                rejected += 1
+                fac = max(0.1, safety * err ** (-1 / p_order))
+            step = min(max(step * min(5.0, fac), h_min), h_max)
+            if agreed == 3:
+                termination = "blow-up"
+                break
+            if step <= h_min and err > 1.0:
+                termination = "step-underflow"
+                break
 
     try:
-        add_h(field.H(q, p, t))
+        hs.append(field.H(q, p, t))
     except OverflowError as exc:
         if len(times) == 1:
             raise ValueError(f"H cannot be evaluated at the start state "
@@ -702,8 +842,9 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
         del times[-1], qs[-1], ps[-1]
         termination, raised, min_step = "overflow", 0, min_before
     located = termination == "blow-up"
-    return Trajectory(np.array(times), np.array(qs), np.array(ps),
-                      np.array(hs), termination,
+    return Trajectory(np.array(times, np.float64),
+                      np.array(qs, np.complex128), np.array(ps, np.complex128),
+                      np.array(hs, np.complex128), termination,
                       steps_attempted=returned + raised,
                       steps_rejected=rejected,
                       field_evals=len(tab.c) * returned,

@@ -703,6 +703,8 @@ class TestMapRuleCache:
 
 class TestStepCache:
     def test_step_generated_once_on_first_integrate(self, monkeypatch):
+        # fixed-rk4 generates its loop and adaptive-rk45 its step, each on
+        # the first run with the field
         _field_cache.cache_clear()
         generated = []
         generate = integrate_module._generate
@@ -711,25 +713,33 @@ class TestStepCache:
                                 signature) or generate(signature, *rest))
         compile_field(NA3, PARAMS3)
         assert generated == ["(q, p, t)"] * 2  # the field and H, no step
-        runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3)
-                for _ in range(2)]
-        assert generated[2:] == ["(q, p, t, h, tol)"]
-        assert_same_run(*runs)
+        loop = ("(times, qs, ps, hs, h, t_final, t_end, t_ulp, escape_at, "
+                "min_step, min_before)")
+        for method, signatures in (("fixed-rk4", [loop]),
+                                   ("adaptive-rk45",
+                                    [loop, "(q, p, t, h, tol)"])):
+            runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3,
+                              method=method) for _ in range(2)]
+            assert generated[2:] == signatures
+            assert_same_run(*runs)
 
     def test_fields_with_the_same_terms_share_compiled_code(self):
         compiled = integrate_module._compile
-        run = lambda a: integrate(A5, NumericParams("autonomous5", {
-            "a": a, "e1": 1, "e2": 1}, 5), 1, 0.3, (0, 0.05))
-        _field_cache.cache_clear()
-        compiled.cache_clear()
-        run(1)  # compiles the field, H and the RK4 step
-        before = compiled.cache_info()
-        shared = run(2)
-        after = compiled.cache_info()
-        assert (after.hits - before.hits, after.misses) == (3, before.misses)
-        _field_cache.cache_clear()
-        compiled.cache_clear()
-        assert_same_run(shared, run(2))
+        for method in ("fixed-rk4", "adaptive-rk45"):
+            run = lambda a: integrate(A5, NumericParams("autonomous5", {
+                "a": a, "e1": 1, "e2": 1}, 5), 1, 0.3, (0, 0.05),
+                method=method)
+            _field_cache.cache_clear()
+            compiled.cache_clear()
+            run(1)  # compiles the field, H and the method's loop or step
+            before = compiled.cache_info()
+            shared = run(2)
+            after = compiled.cache_info()
+            assert (after.hits - before.hits, after.misses) \
+                == (3, before.misses), method
+            _field_cache.cache_clear()
+            compiled.cache_clear()
+            assert_same_run(shared, run(2))
 
     @pytest.mark.parametrize("q0, t_span, method", [
         (1, (0, 0.05), "fixed-rk4"), (1, (0, 0.05), "adaptive-rk45"),
@@ -1029,15 +1039,18 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     """The stepping loop of ``integrate`` that the generated steps replaced,
     driven by ``ref_rk_step`` and ``RefField``, with its own count of the
     run statistics: the field calls of the steps that returned, and the
-    smallest step whose sample was recorded.  An adaptive run keeps
-    u = q/q' at each sample whose q' is nonzero; from the last two distinct
-    u it estimates alpha = -(t_b - t_a)/(u_b - u_a) and t* = t_b + alpha*u_b,
-    and stops once ``locates_blowup``.  Before each attempt from a sample
-    at which |q| first reached ESCAPE_RADIUS, or doubled since the last
-    probe, the run reads t* - t from the field's chart with the sample's H.
-    The reading counts where the step into the sample is shorter than
-    Re(t* - t).  Once one counts the run makes no more estimates, and it
-    ends at that sample with ``blow-up`` where ``chart_ends``."""
+    smallest step whose sample was recorded.  A step to a q or p that is
+    not finite or beyond OVERFLOW_GUARD, or to a sample at which H
+    overflows, is not taken: the run ends with ``overflow``.  An adaptive
+    run keeps u = q/q' at each sample whose q' is nonzero; from the last two
+    distinct u it estimates alpha = -(t_b - t_a)/(u_b - u_a) and
+    t* = t_b + alpha*u_b, and stops once ``locates_blowup``.  Before each
+    attempt from a sample at which |q| first reached ESCAPE_RADIUS, or
+    doubled since the last probe, the run reads t* - t from the field's
+    chart with the sample's H.  The reading counts where the step into the
+    sample is shorter than Re(t* - t).  Once one counts the run makes no
+    more estimates, and it ends at that sample with ``blow-up`` where
+    ``chart_ends``."""
     tab = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}[method]
     adaptive = tab.b_err is not None
     t0, t1 = t_span
@@ -1096,10 +1109,15 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
                     or abs(q) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
                 termination = "overflow"
                 break
+            try:
+                H = field.H(q, p, t)
+            except OverflowError:  # nor is a sample at which H overflows
+                termination = "overflow"
+                break
             times.append(t)
             qs.append(q)
             ps.append(p)
-            hs.append(field.H(q, p, t))
+            hs.append(H)
             accepted_steps.append(step)
             if abs(q) >= escape_at:
                 escape_at, probing = 2 * abs(q), True
@@ -1787,3 +1805,101 @@ class TestEscapeIntoChart:
         # the draws cover the chart's ending under both methods
         assert ends["fixed-rk4", "blow-up", True] >= 3
         assert ends["adaptive-rk45", "blow-up", True] >= 3
+
+
+# H = -q*p: q' = -q and p' = p, so p grows as e^t with nothing for the
+# stages to guard; from p0 = 5e11 it passes OVERFLOW_GUARD at t = ln 2
+GROWING_P = HamSystem("growing-p", A5.table, -A5.var("q") * A5.var("p"),
+                      A5.params, True, 5)
+GENERAL12 = make_general_n(12)
+GENERAL12_ONES = {"a": 1, **{f"e{i}": 1 for i in range(1, 12)}}
+
+
+class TestFixedStepLoop:
+    """fixed-rk4 runs in one generated loop per field, which returns to
+    ``integrate`` only at a sample that reaches the chart's escape radius
+    and where the run ends."""
+
+    def record(self, monkeypatch, sys, values):
+        """The end of each call of the field's fixed-rk4 loop."""
+        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+        loop, ends = field.loop(_RK4), []
+
+        def record(*args):
+            out = loop(*args)
+            ends.append(out[0])
+            return out
+        monkeypatch.setitem(field._loops, _RK4, record)
+        return ends
+
+    @pytest.mark.parametrize("sys, values, q0, p0, t1, h", [
+        (NA3, PARAMS3.values, 1, -1.5, 0.3, 1e-4),
+        (GENERAL12, GENERAL12_ONES, 0.9j, 0.1, 0.1, 1e-3)],
+        ids=["nonautonomous3-long", "general:12-grid"])
+    def test_run_enters_the_loop_once(self, monkeypatch, sys, values, q0, p0,
+                                      t1, h):
+        # a stage that set one of the loop's own names, as nonautonomous3's
+        # t1 = t**1 would set a loop argument t1, sends the run back to
+        # integrate after each step with every bit unchanged
+        ends = self.record(monkeypatch, sys, values)
+        traj = integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
+                         (0, t1), h=h)
+        assert ends == ["completed"]
+        assert traj.termination == "completed"
+        assert len(traj.times) == round(t1 / h) + 1
+
+    def test_stages_may_not_assign_the_loops_names(self, monkeypatch):
+        field = compile_field(NA3, PARAMS3)
+        monkeypatch.setattr(integrate_module, "_LOOP_NAMES",
+                            (*integrate_module._LOOP_NAMES, "t1"))
+        with pytest.raises(AssertionError, match=r"\['t1'\]"):
+            integrate_module._loop_source(_RK4, field)
+
+    # each way out of the loop, against the loop reference, which steps
+    # with no loop; a probe that reads nothing that counts, or an escape at
+    # the last sample, sends the run back into the loop.  t0 is a float: the
+    # reference's times of a run with one sample keep the type of t0
+    @pytest.mark.parametrize("sys, values, q0, p0, t_span, h, ends, label", [
+        (A5, PARAMS5.values, 1, -1.5, (0.0, 0.3), 1e-4, ["completed"],
+         "completed"),
+        (A5, PARAMS5.values, 1, -1.5, (0.0, 0.1), 1e-2, ["completed"],
+         "completed"),
+        (A5, PARAMS5.values, 100, 1, (0.0, 1), 1e-3, ["raised"], "overflow"),
+        # the stages after the first would pass q = 1.02e12, which falls as
+        # e^-t: the start itself is tested
+        (GROWING_P, PARAMS5.values, 1.02e12, 1, (0.0, 1), 0.1, ["raised"],
+         "overflow"),
+        (GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1), 0.1, ["overflow"],
+         "overflow"),
+        (STEEP, STEEP_PARAMS.values, 1, 1200, (0.0, 0.01), 1e-3,
+         ["escape"] * 4 + ["raised"], "overflow"),
+        (A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-3, ["escape", "raised"],
+         "overflow"),
+        (A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-4, ["escape"], "blow-up"),
+        (A5, PARAMS5.values, 1, 0, (0.0, 0.1614), 1e-4,
+         ["escape", "completed"], "completed"),
+        (A5, PARAMS5.values, 1, 0.5, (0.0, 0), 1e-3, ["completed"],
+         "completed"),
+        (A5, A5_PASS_THROUGH, 0.01, 0, (0.0, 0.05), 1e-3, ["completed"],
+         "completed")],
+        ids=["sliver-after", "short-by-rounding", "stage-overflow",
+             "start-beyond-guard", "sample-overflow", "H-overflow",
+             "reading-does-not-count", "blow-up", "escape-at-t1",
+             "zero-span", "pass-through"])
+    def test_each_exit_matches_loop_reference(self, monkeypatch, sys, values,
+                                              q0, p0, t_span, h, ends, label):
+        seen = self.record(monkeypatch, sys, values)
+        got = integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
+                        t_span, h=h)
+        assert seen == ends
+        assert got.termination == label
+        assert_same_run(got, ref_integrate(sys, values, q0, p0, t_span, h,
+                                           1e-9, "fixed-rk4"))
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
+    @pytest.mark.parametrize("t1", [0, 0.05])
+    def test_sample_dtypes(self, method, t1):
+        traj = integrate(A5, PARAMS5, 1, 0.3, (0, t1), method=method)
+        assert traj.times.dtype == np.float64
+        for name in ("q", "p", "H_values"):
+            assert getattr(traj, name).dtype == np.complex128, name
