@@ -14,7 +14,7 @@ residuals, never by numerical tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import LaurentPoly, LaurentError, VarTable
@@ -28,7 +28,7 @@ class HamSystem:
 
     name: str
     table: VarTable
-    H: LaurentPoly
+    H: LaurentPoly = field(hash=False)  # compared, not hashed: slow to hash
     params: tuple[str, ...]
     autonomous: bool
     n: int | None = None

@@ -23,7 +23,7 @@ from hamfam.chart import Chart
 from hamfam.integrate import (_FEHLBERG45, _RK4, ESCAPE_RADIUS,
                               OVERFLOW_GUARD, NumericParams, Trajectory,
                               _bind, _field_cache, _generate, _kernel,
-                              _map_cache, _power_lines,
+                              _map_cache, _power_lines, _power_name,
                               check_symmetry_on_trajectory, compile_field,
                               compile_map, integrate, measure_order,
                               richardson_order, write_trajectory_csv)
@@ -893,38 +893,49 @@ class TestTrajectoryInvariants:
 # generated kernels and the precomputed tableau rows replaced; both must
 # agree with them bit for bit, signed zeros included -----------------------
 
-def c_powu(z, k):
-    """z**k for an int 0 < k <= 100, written out as CPython computes it:
-    r = 1+0j, and for each bit of k from the lowest, r = r*z^(2^i) where the
-    bit is set, the square z^(2^i) squared once per bit.  A complex result
-    with an infinite part raises OverflowError, as ``**`` does; arrays go
-    on."""
-    r, square = 1 + 0j, z
+def c_powu(z, k, r=None):
+    """z^k for an int 0 < k <= 100 by CPython's binary exponentiation
+    (c_powu in Objects/complexobject.c): for each bit of k from the lowest,
+    r = r*z^(2^i) where the bit is set, the square z^(2^i) squared once per
+    bit.  With r = 1+0j this is ``z**k``, whose complex result with an
+    infinite part raises OverflowError; with r = None, r starts as the
+    lowest set bit's square, as the kernels' chain does, and goes on."""
+    from_one, square = r is not None, z
     while True:
         if k & 1:
-            r = r * square
+            r = square if r is None else r * square
         k >>= 1
         if not k:
             break
         square = square * square
-    if type(r) is complex and (math.isinf(r.real) or math.isinf(r.imag)):
+    if from_one and type(r) is complex \
+            and (math.isinf(r.real) or math.isinf(r.imag)):
         raise OverflowError("complex exponentiation")
     return r
 
 
 def chain_power(z, k):
-    """z**k, with ``c_powu`` for 0 < k <= 100."""
-    return c_powu(z, k) if 0 < k <= 100 else z ** k
+    """z**k as the kernels compute it: for 0 < k <= 100, ``c_powu``'s chain
+    from the lowest set bit's square, which on a complex scalar raises
+    where ``**`` raises; ``**`` otherwise."""
+    if not 0 < k <= 100:
+        return z ** k
+    if type(z) is complex:
+        z ** k
+    return c_powu(z, k)
 
 
 class RefCompiledPoly:
     """A LaurentPoly with parameters bound, reduced to (coeff, eq, ep, et)
-    terms and evaluated term by term.  Powers of q and p come from ``power``
-    (on arrays, ``chain_power`` makes the multiplications of the kernels'
-    power chain); powers of t always from ``**``."""
+    terms and evaluated term by term as the kernels evaluate them: powers
+    of q and p from ``chain_power`` (on arrays, the multiplications of the
+    kernels' power chain), powers of t from ``**`` but t**1, which is t
+    where ``**`` does not raise, and each term added to the one before.
+    With ``old``, as the loop that the kernels replaced: every power from
+    ``**``, and the terms added to 0j."""
 
-    def __init__(self, poly, params, power=chain_power):
-        self.power = power
+    def __init__(self, poly, params, old=False):
+        self.old = old
         tbl = poly.table
         iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
         pidx = {tbl.index(k): complex(v) for k, v in params.items()}
@@ -940,25 +951,27 @@ class RefCompiledPoly:
                       if c != 0]
 
     def __call__(self, q, p, t):
-        total = 0j
+        power = pow if self.old else chain_power
+        total = 0j if self.old else None
         for c, eq, ep, et in self.spans:
             v = c
             if eq:
-                v *= self.power(q, eq)
+                v *= power(q, eq)
             if ep:
-                v *= self.power(p, ep)
+                v *= power(p, ep)
             if et:
-                v *= t ** et
-            total += v
-        return total
+                t_power = t ** et
+                v *= t if et == 1 and not self.old else t_power
+            total = v if total is None else total + v
+        return 0j if total is None else total
 
 
 class RefField:
-    def __init__(self, sys, values, power=chain_power):
+    def __init__(self, sys, values, old=False):
         f_q, f_p = hamilton_equations(sys)
-        self.f_q = RefCompiledPoly(f_q, values, power)
-        self.f_p = RefCompiledPoly(f_p, values, power)
-        self.H = RefCompiledPoly(sys.H, values, power)
+        self.f_q = RefCompiledPoly(f_q, values, old)
+        self.f_p = RefCompiledPoly(f_p, values, old)
+        self.H = RefCompiledPoly(sys.H, values, old)
         self.calls = 0
 
     def __call__(self, q, p, t):
@@ -973,7 +986,14 @@ def ref_guard(t, q):
                             f"at t = {t}")
 
 
-def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
+def weigh(weights, ks):
+    """The weighted sum of ``ks`` as the step computes it: from the first
+    term, zero weights left out and a unit weight's term k, not 1*k."""
+    terms = [k if w == 1 else w * k for w, k in zip(weights, ks) if w]
+    return sum(terms[1:], terms[0])
+
+
+def ref_rk_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
     kq, kp = [], []
     for row, c in zip(tab.a, tab.c):
         qi, pi = q, p
@@ -986,25 +1006,25 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0):
         kq.append(dq)
         kp.append(dp)
     w = h / tab.div
-    qn = q + w * sum(map(mul, tab.b, kq))
-    pn = p + w * sum(map(mul, tab.b, kp))
+    qn = q + w * weigh(tab.b, kq)
+    pn = p + w * weigh(tab.b, kp)
     if tab.b_err is None:
         return qn, pn, 0.0, kq[0]
-    qe = q + w * sum(map(mul, tab.b_err, kq))
-    pe = p + w * sum(map(mul, tab.b_err, kp))
+    qe = q + w * weigh(tab.b_err, kq)
+    pe = p + w * weigh(tab.b_err, kp)
     eq = abs(qe - qn) / (tol + tol * max(abs(q), abs(qn)))
     ep = abs(pe - pn) / (tol + tol * max(abs(p), abs(pn)))
     return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2), kq[0]
 
 
-def ref_step(tab, q, p, t, h, field, tol=0.0):
+def ref_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
     """``ref_rk_step`` and H at (q, p, t), in the order the generated step
     evaluates them: the first stage's field, then H, then the later
     stages."""
     ref_guard(t, q)
     field(q, p, t + tab.c[0] * h)
     H = field.H(q, p, t)
-    return (*ref_rk_step(tab, q, p, t, h, field, tol), H)
+    return (*ref_rk_step(tab, q, p, t, h, field, tol, weigh), H)
 
 
 def locates_blowup(estimates, tol, t1):
@@ -1330,6 +1350,22 @@ def outcome(fn, *args):
     return "value", tuple(map(bits, got if isinstance(got, tuple) else (got,)))
 
 
+def canonical(out):
+    """A scalar ``outcome`` with each zero part read as +0.0 and each
+    infinite or NaN part as inf."""
+    if out[0] != "value":
+        return out
+    parts = lambda b: (x or 0.0 if math.isfinite(x) else math.inf
+                       for x in struct.unpack("<2d", b))
+    return "value", tuple(struct.pack("<2d", *parts(b)) for b in out[1])
+
+
+def pow_and_sum_weigh(weights, ks):
+    """The weighted sum of the step that the generated step replaced:
+    every weight's product, summed from 0."""
+    return sum(map(mul, weights, ks))
+
+
 def quiet_nan(sign, payload):
     return struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF8 << 48
                                            | payload))[0]
@@ -1354,28 +1390,28 @@ chain_exponents = st.lists(st.integers(1, 100), max_size=3, unique=True)
 
 @pytest.mark.filterwarnings("ignore:parameter e")
 class TestPowerChain:
-    # 1*z and z*1 differ where z has an infinite part and a NaN, or two
-    # NaNs with different payloads
+    # z and 1*z differ where z has an infinite part and a NaN, or two NaNs
+    # with different payloads
     @example(complex(-math.inf, NAN_5), 0j, [1], [])
     @example(complex(NAN_5, -math.nan), complex(math.nan, NAN_5), [3], [1])
     @settings(max_examples=500, deadline=None)
     @given(wide, wide, chain_exponents.filter(bool), chain_exponents)
     def test_generated_powers_match_pow(self, z, w, qks, pks):
-        # the power lines of a kernel, on their own: same bits as **, and
-        # the same exception type and message
-        powers = {**{f"q{k}": ("q", k) for k in qks},
-                  **{f"p{k}": ("p", k) for k in pks}}
+        # the power lines of a kernel, on their own: the bits of the chain
+        # reference, and the exception type and message of **
+        powers = [*(("q", k) for k in qks), *(("p", k) for k in pks)]
         lines, args = _power_lines(powers)
-        fn = _generate("(q, p, t)", lines + [f"return ({', '.join(powers)},)"],
-                       args)
-        by_pow = lambda: tuple(z ** k for k in qks) + tuple(w ** k
-                                                            for k in pks)
-        assert outcome(fn, z, w, 0.0) == outcome(by_pow)
+        fn = _generate("(q, p, t)", lines + [
+            f"return ({', '.join(_power_name(*power) for power in powers)},)"],
+            args)
+        by_chain = lambda: tuple(chain_power(z, k) for k in qks) \
+            + tuple(chain_power(w, k) for k in pks)
+        assert outcome(fn, z, w, 0.0) == outcome(by_chain)
 
     @settings(max_examples=500, deadline=None)
     @given(wide, st.integers(1, 100))
     def test_loop_reference_matches_pow(self, z, k):
-        assert outcome(c_powu, z, k) == outcome(pow, z, k)
+        assert outcome(c_powu, z, k, 1 + 0j) == outcome(pow, z, k)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), st.floats(-3, 70),
@@ -1385,10 +1421,12 @@ class TestPowerChain:
                                                    aq, ap, t):
         values = data.draw(param_values(sys))
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-        ref = RefField(sys, values, power=pow)
+        ref = RefField(sys, values, old=True)
         q, p = cmath.rect(10 ** lq, aq), cmath.rect(10 ** lp, ap)
-        assert outcome(field, q, p, t) == outcome(ref, q, p, t)
-        assert outcome(field.H, q, p, t) == outcome(ref.H, q, p, t)
+        assert canonical(outcome(field, q, p, t)) \
+            == canonical(outcome(ref, q, p, t))
+        assert canonical(outcome(field.H, q, p, t)) \
+            == canonical(outcome(ref.H, q, p, t))
 
     # f_p of autonomous5 has a p**2 term, which overflows past |p| ~ 1.3e154;
     # at 1e155*(1 + 1j) both parts of p*p overflow and p**2 comes out NaN
@@ -1400,9 +1438,9 @@ class TestPowerChain:
                                            (complex(0, math.nan), False)])
     def test_field_overflow_on_large_p(self, p, raises):
         field = compile_field(A5, PARAMS5)
-        ref = RefField(A5, PARAMS5.values, power=pow)
+        ref = RefField(A5, PARAMS5.values, old=True)
         got = outcome(field, 1 + 0j, p, 0.0)
-        assert got == outcome(ref, 1 + 0j, p, 0.0)
+        assert canonical(got) == canonical(outcome(ref, 1 + 0j, p, 0.0))
         assert (got == (OverflowError, "complex exponentiation")) == raises
 
     def test_first_failing_power_in_term_order_raises(self):
@@ -1423,10 +1461,51 @@ class TestPowerChain:
     def test_other_powers_keep_pow(self, var, k, point):
         fn = compiled_poly(LaurentPoly.var(A5.table, var, k), {})
         x = point["qpt".index(var)]
-        assert outcome(fn, *point) == outcome(lambda: 0j + (1 + 0j) * x ** k)
+        assert outcome(fn, *point) == outcome(lambda: (1 + 0j) * x ** k)
         if k > 0:  # the chain would give other bits here
             assert outcome(fn, *point) != outcome(
-                lambda: 0j + (1 + 0j) * c_powu(x, k))
+                lambda: (1 + 0j) * c_powu(x, k))
+
+
+# drawn parameters may be zero
+@pytest.mark.filterwarnings("ignore:parameter e")
+class TestPowAndSumLoop:
+    """The kernels and steps against the loop they replaced, which took each
+    power with ``**`` and summed each polynomial and each weighted sum from
+    0j, with every weight's product.  They raise the same exception, type
+    and message.  A part of a value that the loop leaves finite keeps its
+    bits but for the sign of a zero, and one that it leaves infinite or NaN
+    is infinite or NaN: where z is finite, 1*z, 0j + z and z + 0*k differ
+    from z only in zero signs, and the chain's powers from ``**``, but z
+    and 1*z differ where z is not, as (inf, inf) and (nan, nan) do, and so
+    do p*p and p**2 at p = 1e200 + 1e110j."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([_RK4, _FEHLBERG45]),
+           st.sampled_from(STEP_SYSTEMS), st.data(), wide, wide,
+           st.one_of(wide_parts, wide), wide_parts, st.floats(1e-4, 1e-1))
+    def test_kernels_and_steps(self, tab, sys, data, q, p, t, s, h):
+        values = data.draw(param_values(sys))
+        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+        old = RefField(sys, values, old=True)
+        for got, want in ((field, old), (field.H, old.H)):
+            assert canonical(outcome(got, q, p, t)) \
+                == canonical(outcome(want, q, p, t))
+        assert canonical(outcome(field.step(tab), q, p, s, h, 1e-9)) \
+            == canonical(outcome(ref_step, tab, q, p, s, h, old, 1e-9,
+                                 pow_and_sum_weigh))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(), wide, wide,
+           st.one_of(wide_parts, wide))
+    def test_laurent_rules(self, which, data, q, p, t):
+        polys = LAURENT_RULES[which]
+        values = {name: data.draw(scalars) for name in polys[0].table.names
+                  if name not in COORD_VARS}
+        for poly in polys:
+            old = RefCompiledPoly(poly, values, old=True)
+            assert canonical(outcome(compiled_poly(poly, values), q, p, t)) \
+                == canonical(outcome(old, q, p, t))
 
 
 def assert_same_run(got, want):
@@ -1839,7 +1918,7 @@ class TestFixedStepLoop:
     def test_run_enters_the_loop_once(self, monkeypatch, sys, values, q0, p0,
                                       t1, h):
         # a stage that set one of the loop's own names, as nonautonomous3's
-        # t1 = t**1 would set a loop argument t1, sends the run back to
+        # ti = t + dt_i would set a loop argument ti, sends the run back to
         # integrate after each step with every bit unchanged
         ends = self.record(monkeypatch, sys, values)
         traj = integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
@@ -1851,8 +1930,8 @@ class TestFixedStepLoop:
     def test_stages_may_not_assign_the_loops_names(self, monkeypatch):
         field = compile_field(NA3, PARAMS3)
         monkeypatch.setattr(integrate_module, "_LOOP_NAMES",
-                            (*integrate_module._LOOP_NAMES, "t1"))
-        with pytest.raises(AssertionError, match=r"\['t1'\]"):
+                            (*integrate_module._LOOP_NAMES, "ti"))
+        with pytest.raises(AssertionError, match=r"\['ti'\]"):
             integrate_module._loop_source(_RK4, field)
 
     # each way out of the loop, against the loop reference, which steps
