@@ -56,7 +56,10 @@ def parse_params(text: str) -> dict[str, complex]:
         if "=" not in item:
             raise UsageError(f"bad parameter assignment {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = parse_complex(v)
+        k = k.strip()
+        if k in out:
+            raise UsageError(f"parameter {k!r} is given twice")
+        out[k] = parse_complex(v)
     return out
 
 

@@ -201,9 +201,21 @@ class TestIntegrate:
         # the flow from q0 = 1 blows up at t* = 0.16164, before t1
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1,e1=1,e2=1", "--t1", "0.2",
-                    "--sweep", "1e-2,5e-3"]) == 2
+                    "--sweep", "1e-2,5e-3,2.5e-3"]) == 2
         assert "error: sweep run at h=0.01 ended with overflow" in \
             capsys.readouterr().err
+
+    def test_two_value_sweep_is_usage_error(self, capsys):
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", "--t1", "0.03",
+                    "--sweep", "1e-2,5e-3"]) == 2
+        assert "error: a sweep needs at least three h values, got 2" in \
+            capsys.readouterr().err
+
+    def test_repeated_param_is_usage_error(self, capsys):
+        assert run(["integrate", "--family", "nonautonomous3",
+                    "--params", "a1=1,a2=1,a3=1,a1=2", "--t1", "0.01"]) == 2
+        assert "parameter 'a1' is given twice" in capsys.readouterr().err
 
     def test_missing_params(self):
         assert run(["integrate", "--family", "autonomous5",
@@ -331,6 +343,11 @@ class TestSymmetry:
         assert run(["symmetry", "--family", "autonomous5", "--map", "s-auto",
                     "--params", "a=1"]) == 2
         assert "unbound ['e1', 'e2']" in capsys.readouterr().err
+
+    def test_repeated_param_is_usage_error(self, capsys):
+        assert run(["symmetry", "--family", "autonomous5", "--map", "s-auto",
+                    "--params", "a=1,e1=1,a=2,e2=1"]) == 2
+        assert "parameter 'a' is given twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--check-trajectory"]])
     def test_map_of_other_family(self, extra, capsys):

@@ -206,49 +206,49 @@ class TestFieldCache:
 
 class TestStepRK4:
     def test_zero_step(self):
-        field = compile_field(A5, PARAMS5)
+        # a zero span takes no step: the run keeps its start, and H there
         state = (1.3 - 0.2j, 0.4 + 0.1j)
-        assert field.step(_RK4)(*state, 0.0, 0.0, 0.0) \
-            == (*state, 0.0, field(*state, 0.0)[0], field.H(*state, 0.0))
+        traj = integrate(A5, PARAMS5, *state, (0.0, 0.0))
+        assert traj.termination == "completed" and traj.steps_attempted == 0
+        assert (complex(traj.q[0]), complex(traj.p[0])) == state
+        assert bits(traj.H_values) == bits(np.array([
+            compile_field(A5, PARAMS5).H(*state, 0.0)]))
 
     def test_constant_field_is_exact(self):
         # degenerate H = c*p gives qdot = c, pdot = 0; RK4 is exact
         tbl = A5.table
-        H = LaurentPoly.var(tbl, "p")
-        sys = HamSystem("degenerate", tbl, H, A5.params, True, 5)
-        field = compile_field(sys, PARAMS5)
-        q, p, _, dq, H0 = field.step(_RK4)(1 + 0j, 0j, 0.0, 0.25, 0.0)
-        assert q == 1 + 0.25  # unit constant field
-        assert p == 0j
-        assert dq == 1  # the field at the start
-        assert bits(H0) == bits(field.H(1 + 0j, 0j, 0.0))  # H at the start
-        # scaled variant through the compiled path
-        sys2 = HamSystem("degenerate2", tbl,
-                         LaurentPoly.var(tbl, "p", coeff=3), A5.params, True, 5)
-        q2, *_ = compile_field(sys2, PARAMS5).step(_RK4)(1 + 0j, 0j, 0.0,
-                                                         0.25, 0.0)
-        assert q2 == 1 + 3 * 0.25
+        for c in (1, 3):
+            sys = HamSystem(f"degenerate{c}", tbl,
+                            LaurentPoly.var(tbl, "p", coeff=c), A5.params,
+                            True, 5)
+            traj = integrate(sys, PARAMS5, 1, 0, (0, 1), h=0.25)
+            assert list(traj.times) == [0, 0.25, 0.5, 0.75, 1]
+            assert list(traj.q) == [1 + c * t for t in traj.times]
+            assert not traj.p.any()
+            # H at the start
+            assert bits(complex(traj.H_values[0])) \
+                == bits(compile_field(sys, PARAMS5).H(1 + 0j, 0j, 0))
 
     def test_against_reference_solve(self):
         h = 1e-3
-        field = compile_field(A5, PARAMS5)
-        q1, p1, *_ = field.step(_RK4)(1 + 0j, 0j, 0.0, h, 0.0)
+        traj = integrate(A5, PARAMS5, 1, 0, (0.0, h), h=h)
+        assert len(traj.times) == 2
         qr, pr = scipy_reference(A5, PARAMS5, 1, 0, (0.0, h))
-        assert abs(q1 - qr) < 1e-10
-        assert abs(p1 - pr) < 1e-10
+        assert abs(traj.q[-1] - qr) < 1e-10
+        assert abs(traj.p[-1] - pr) < 1e-10
 
     def test_singularity_guard(self):
         # q = 0 is a regular point of the polynomial field, so a step near
-        # it returns; the guard stops a stage whose q is not finite or
+        # it returns; the guard stops a start whose q is not finite or
         # above OVERFLOW_GUARD
-        step = compile_field(A5, PARAMS5).step(_RK4)
+        field = compile_field(A5, PARAMS5)
         for q in (1e-10 + 0j, 0j):
-            qn, pn, *_ = step(q, 0j, 0.0, 1e-3, 0.0)
+            qn, pn, _ = loop_step(field, _RK4, q, 0j, 0.0, 1e-3, 1e-9)
             assert cmath.isfinite(qn) and cmath.isfinite(pn)
         for q in (2 * OVERFLOW_GUARD + 0j, complex(math.nan, 0),
                   complex(1, math.inf)):
-            with pytest.raises(OverflowError, match="overflow guard"):
-                step(q, 0j, 0.0, 1e-3, 0.0)
+            assert loop_step(field, _RK4, q, 0j, 0.0, 1e-3, 1e-9) \
+                == "raised"
 
     def test_field_with_a_pole_raises(self):
         # H = p^2 + 1/q: its pole at q = 0 is no state the guard stops at
@@ -270,8 +270,8 @@ class TestStepRK4:
             k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
             expected = (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
                         p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-            assert field.step(_RK4)(q, p, t, h, 0.0) \
-                == (*expected, 0.0, k1q, field.H(q, p, t))
+            assert loop_step(field, _RK4, q, p, t, h, 1e-9) \
+                == (*expected, field.H(q, p, t))
 
 
 class TestTableaus:
@@ -291,28 +291,22 @@ class TestStepControl:
     """adaptive-rk45 propagates Fehlberg's 5th-order solution, and its PI
     controller remembers an accepted step's error floored at 1e-4."""
 
-    def test_no_deep_cut_after_an_accepted_step(self, monkeypatch):
+    def test_no_deep_cut_after_an_accepted_step(self):
         # the benchmark's blow-up orbit, on which the 4th-order propagation
         # estimated an error of exactly 0 at more than half its steps.  With
         # err <= 1 the controller's smallest factor is
         # 0.9*(1e-4)**(0.4/5) = 0.4307, where an unfloored memory of 0
-        # allows 0.047; a step clamped onto t1 is exempt
-        field = compile_field(A5, PARAMS5)
-        step, attempts = field.step(_FEHLBERG45), []
-
-        def record(q, p, t, h, tol):
-            out = step(q, p, t, h, tol)
-            attempts.append((t, h, out[2]))
-            return out
-        monkeypatch.setitem(field._steps, _FEHLBERG45, record)
-        t1 = 0.2
-        traj = integrate(A5, PARAMS5, 1, 0, (0, t1), h=1e-4, tol=1e-12,
+        # allows 0.047.  The run rejects no attempt and ends before t1, so
+        # its samples are its attempts, none clamped onto t1
+        traj = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
                          method="adaptive-rk45")
-        assert traj.termination == "blow-up"
-        ratios = [h_next / h for (_, h, err), (t, h_next, err_next)
-                  in zip(attempts, attempts[1:])
-                  if err <= 1 and err_next <= 1 and h_next != t1 - t]
-        assert len(ratios) >= 300 and min(ratios) >= 0.43
+        assert_same_run(traj, ref_integrate(A5, PARAMS5.values, 1, 0,
+                                            (0, 0.2), 1e-4, 1e-12,
+                                            "adaptive-rk45"))
+        assert traj.termination == "blow-up" and traj.steps_rejected == 0
+        steps = np.diff(traj.times)
+        ratios = steps[1:] / steps[:-1]
+        assert len(ratios) >= 300 and ratios.min() >= 0.43
 
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
     def test_step_propagates_at_fifth_order(self):
@@ -320,10 +314,11 @@ class TestStepControl:
         # ratio is 6.19 and 6.10 here, and 5.05 and 5.01 for the 4th-order
         # solution
         q0, p0 = 0.5 + 0.3j, 0.2 - 0.1j
-        step = compile_field(A5, PARAMS5).step(_FEHLBERG45)
+        field = compile_field(A5, PARAMS5)
         errors = []
         for h in (0.04, 0.02, 0.01):
-            qn, pn, *_ = step(q0, p0, 0.0, h, 1e-9)
+            # at tol = 1 the error control accepts each step
+            qn, pn, _ = loop_step(field, _FEHLBERG45, q0, p0, 0.0, h, 1.0)
             qr, pr = scipy_reference(A5, PARAMS5, q0, p0, (0, h),
                                      rtol=1e-14, atol=1e-14)
             errors.append(math.hypot(abs(qn - qr), abs(pn - pr)))
@@ -469,7 +464,7 @@ class TestIntegrate:
         assert traj.steps_attempted == len(traj.times) + traj.steps_rejected
         if method == "fixed-rk4":
             q, p, t = samples[-1]
-            q, p, *_ = field.step(_RK4)(q, p, t, 1e-3, 0.0)
+            q, p, _ = loop_step(field, _RK4, q, p, t, 1e-3, 1e-9)
             with pytest.raises(OverflowError):
                 field.H(q, p, t + 1e-3)
 
@@ -480,15 +475,11 @@ class TestIntegrate:
         run = lambda: integrate(BLOWUP, STEEP_PARAMS, 5, 0, (0, 1),
                                 method="adaptive-rk45", tol=1.425e-12)
         traj = run()
+        assert_same_run(traj, ref_integrate(BLOWUP, STEEP_PARAMS.values, 5,
+                                            0, (0, 1), 1e-3, 1.425e-12,
+                                            "adaptive-rk45"))
         field = compile_field(BLOWUP, STEEP_PARAMS)
-        step, H, accepted = field.step(_FEHLBERG45), field.H, []
-
-        def record(q, p, t, h, tol):
-            out = step(q, p, t, h, tol)
-            if out[2] <= 1.0:
-                accepted.append(h)
-            return out
-        monkeypatch.setitem(field._steps, _FEHLBERG45, record)
+        H = field.H
         monkeypatch.setattr(field, "H", lambda q, p, t: complex("nan"))
         located = run()  # the same run, with an H that never raises
         assert located.termination == "blow-up"
@@ -506,8 +497,12 @@ class TestIntegrate:
                 == bits(getattr(located, name)[:n]), name
         for name in ("steps_attempted", "steps_rejected", "field_evals"):
             assert getattr(traj, name) == getattr(located, name), name
-        assert located.min_step == min(accepted) < traj.min_step
-        assert traj.min_step == min(accepted[:-1])
+        # the dropped step is the run's smallest: min_step is the one of the
+        # steps before, which the loop reference also reads
+        steps = np.diff(located.times)
+        assert located.min_step < traj.min_step
+        assert located.min_step == pytest.approx(steps[-1], rel=1e-9)
+        assert traj.min_step == pytest.approx(steps[:-1].min(), rel=1e-9)
 
 
 class TestStepAndTolValidation:
@@ -533,7 +528,16 @@ class TestRichardsonOrder:
         # from q0 = 1 the flow blows up at t* = 0.16164, before t1
         with pytest.raises(ValueError, match="sweep run at h=0.01 ended "
                                              "with overflow"):
-            richardson_order(A5, PARAMS5, 1, 0, (0, 0.2), (1e-2, 5e-3))
+            richardson_order(A5, PARAMS5, 1, 0, (0, 0.2),
+                             (1e-2, 5e-3, 2.5e-3))
+
+    @pytest.mark.parametrize("hs", [(), (1e-2,), (1e-2, 5e-3)])
+    def test_fewer_than_three_h_raise_before_any_run(self, monkeypatch, hs):
+        # two h give one difference, and an order needs two
+        monkeypatch.setattr(integrate_module, "integrate", None)
+        with pytest.raises(ValueError, match="a sweep needs at least three "
+                                             f"h values, got {len(hs)}"):
+            richardson_order(A5, PARAMS5, 1, 0, (0, 0.03), hs)
 
     @pytest.mark.parametrize("pairs,message", [
         ([(1e-2, 1e-8), (5e-3, 0.0)], "finite and positive"),
@@ -703,8 +707,7 @@ class TestMapRuleCache:
 
 class TestStepCache:
     def test_step_generated_once_on_first_integrate(self, monkeypatch):
-        # fixed-rk4 generates its loop and adaptive-rk45 its step, each on
-        # the first run with the field
+        # each method generates its loop on the first run with the field
         _field_cache.cache_clear()
         generated = []
         generate = integrate_module._generate
@@ -713,11 +716,9 @@ class TestStepCache:
                                 signature) or generate(signature, *rest))
         compile_field(NA3, PARAMS3)
         assert generated == ["(q, p, t)"] * 2  # the field and H, no step
-        loop = ("(times, qs, ps, hs, h, t_final, t_end, t_ulp, escape_at, "
-                "min_step, min_before)")
+        loop = "(times, qs, ps, hs, h, t1, tol, probe)"
         for method, signatures in (("fixed-rk4", [loop]),
-                                   ("adaptive-rk45",
-                                    [loop, "(q, p, t, h, tol)"])):
+                                   ("adaptive-rk45", [loop, loop])):
             runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3,
                               method=method) for _ in range(2)]
             assert generated[2:] == signatures
@@ -731,7 +732,7 @@ class TestStepCache:
                 method=method)
             _field_cache.cache_clear()
             compiled.cache_clear()
-            run(1)  # compiles the field, H and the method's loop or step
+            run(1)  # compiles the field, H and the method's loop
             before = compiled.cache_info()
             shared = run(2)
             after = compiled.cache_info()
@@ -1027,6 +1028,47 @@ def ref_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
     return (*ref_rk_step(tab, q, p, t, h, field, tol, weigh), H)
 
 
+class Sampled(Exception):
+    """Raised by ``StopAtSample``: the loop has taken its first sample."""
+
+
+class StopAtSample(list):
+    """A loop's list of p samples, the last list a sample appends to, which
+    stops the loop there."""
+
+    def append(self, p):
+        super().append(p)
+        raise Sampled
+
+
+def loop_step(field, tab, q, p, t, h, tol):
+    """One attempt of ``tab`` from (q, p, t) of length h, made by the
+    field's loop on a span of 100 h, stopped at its first sample: (qn, pn,
+    H at (q, p, t)) where the attempt is accepted, 'rejected' where the
+    embedded pair rejects it, 'raised' where the start or a stage fails,
+    and 'overflow' where qn or pn leaves the guard."""
+    times, qs, ps, hs = [t], [q], StopAtSample([p]), []
+    try:
+        end, _, rejected, *_ = field.loop(tab)(times, qs, ps, hs, h,
+                                               t + 100 * h, tol, None)
+    except Sampled:
+        return (qs[1], ps[1], hs[0]) if times[1] == t + h else "rejected"
+    return "rejected" if rejected else end
+
+
+def ref_loop_step(tab, q, p, t, h, field, tol, weigh=weigh):
+    """``loop_step``'s outcome from ``ref_step``."""
+    try:
+        qn, pn, err, _, H = ref_step(tab, q, p, t, h, field, tol, weigh)
+        if not err <= 1.0:
+            return "rejected"
+        if not (abs(qn) <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
+            return "overflow"
+    except OverflowError:
+        return "raised"
+    return qn, pn, H
+
+
 def locates_blowup(estimates, tol, t1):
     """Whether the last three (t, alpha, t*) estimates locate a blow-up:
     with s = max(1, |Re t*|), each has Re alpha > 0, a gap Re t* - t in
@@ -1313,31 +1355,26 @@ class TestKernelsMatchLoopReference:
         # when every stage of the field is finite
         ref = RefField(STEEP, STEEP_PARAMS.values)
         ref_rk_step(tab, 1 + 0j, 1250 + 0j, 0.0, 1e-3, ref, 1e-9)
+        with pytest.raises(OverflowError, match="complex exponentiation"):
+            ref.H(1 + 0j, 1250 + 0j, 0.0)
         assert_same_step(STEEP, STEEP_PARAMS.values, tab, 1 + 0j, 1250 + 0j,
                          0.0, 1e-3, 1e-9)
-        with pytest.raises(OverflowError, match="complex exponentiation"):
-            compile_field(STEEP, STEEP_PARAMS).step(tab)(1 + 0j, 1250 + 0j,
-                                                         0.0, 1e-3, 1e-9)
+        assert loop_step(compile_field(STEEP, STEEP_PARAMS), tab, 1 + 0j,
+                         1250 + 0j, 0.0, 1e-3, 1e-9) == "raised"
 
 
 def assert_same_step(sys, values, tab, q, p, t, h, tol):
-    """The generated step of ``tab`` raises what ``ref_step`` raises, the
-    same type with the same message, or returns its bits; its H has the
-    bits of ``field.H`` at (q, p, t)."""
+    """One attempt of ``tab`` in the field's loop ends as ``ref_step``'s
+    does, raised, rejected or leaving the guard, or has its bits; its H has
+    the bits of ``field.H`` at (q, p, t)."""
     field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-    step = field.step(tab)
-    try:
-        want = ref_step(tab, q, p, t, h, RefField(sys, values), tol)
-    except ArithmeticError as exc:
-        with pytest.raises(type(exc)) as got:
-            step(q, p, t, h, tol)
-        assert type(got.value) is type(exc)
-        assert str(got.value) == str(exc)
-        return
-    qn, pn, err, dq, H = step(q, p, t, h, tol)
-    assert_same((qn, pn, dq, H), (*want[:2], *want[3:]))
-    assert_same(H, field.H(q, p, t))
-    assert struct.pack("<d", err) == struct.pack("<d", want[2])
+    got = loop_step(field, tab, q, p, t, h, tol)
+    want = ref_loop_step(tab, q, p, t, h, RefField(sys, values), tol)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same(got, want)
+        assert_same(got[2], field.H(q, p, t))
 
 
 def outcome(fn, *args):
@@ -1483,17 +1520,24 @@ class TestPowAndSumLoop:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([_RK4, _FEHLBERG45]),
            st.sampled_from(STEP_SYSTEMS), st.data(), wide, wide,
-           st.one_of(wide_parts, wide), wide_parts, st.floats(1e-4, 1e-1))
+           st.one_of(wide_parts, wide), st.one_of(zeros, st.floats(-1e3, 1e3)),
+           st.floats(1e-4, 1e-1))
     def test_kernels_and_steps(self, tab, sys, data, q, p, t, s, h):
+        # a step starts where a run can: from a finite p at a finite time
+        # (a q beyond the guard stops the loop before its first stage)
         values = data.draw(param_values(sys))
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
         old = RefField(sys, values, old=True)
         for got, want in ((field, old), (field.H, old.H)):
             assert canonical(outcome(got, q, p, t)) \
                 == canonical(outcome(want, q, p, t))
-        assert canonical(outcome(field.step(tab), q, p, s, h, 1e-9)) \
-            == canonical(outcome(ref_step, tab, q, p, s, h, old, 1e-9,
-                                 pow_and_sum_weigh))
+        if cmath.isfinite(p):
+            got, want = (out if isinstance(out, str)
+                         else canonical(("value", tuple(map(bits, out))))
+                         for out in (loop_step(field, tab, q, p, s, h, 1e-9),
+                                     ref_loop_step(tab, q, p, s, h, old, 1e-9,
+                                                   pow_and_sum_weigh)))
+            assert got == want
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(), wide, wide,
@@ -1894,21 +1938,28 @@ GENERAL12 = make_general_n(12)
 GENERAL12_ONES = {"a": 1, **{f"e{i}": 1 for i in range(1, 12)}}
 
 
-class TestFixedStepLoop:
-    """fixed-rk4 runs in one generated loop per field, which returns to
-    ``integrate`` only at a sample that reaches the chart's escape radius
-    and where the run ends."""
+GENERAL4 = make_general_n(4)
+# the run of TestIntegrateMatchesLoopReference's located blow-up: the
+# probes at |q| = 10.4 and 21.3 read nothing that counts
+GENERAL4_DRAWN = {"a": 0.3067, "e1": -1.707, "e2": -0.6642, "e3": 0.3004}
+GENERAL34 = make_general_n(34)
+GENERAL34_ONES = {"a": 1, **{f"e{i}": 1 for i in range(1, 34)}}
 
-    def record(self, monkeypatch, sys, values):
-        """The end of each call of the field's fixed-rk4 loop."""
+
+class TestFixedStepLoop:
+    """Each method makes a whole run in one generated loop per field, which
+    ``integrate`` calls once."""
+
+    def record(self, monkeypatch, sys, values, tab=_RK4):
+        """The end of each call of the field's loop of ``tab``."""
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-        loop, ends = field.loop(_RK4), []
+        loop, ends = field.loop(tab), []
 
         def record(*args):
             out = loop(*args)
             ends.append(out[0])
             return out
-        monkeypatch.setitem(field._loops, _RK4, record)
+        monkeypatch.setitem(field._loops, tab, record)
         return ends
 
     @pytest.mark.parametrize("sys, values, q0, p0, t1, h", [
@@ -1918,8 +1969,7 @@ class TestFixedStepLoop:
     def test_run_enters_the_loop_once(self, monkeypatch, sys, values, q0, p0,
                                       t1, h):
         # a stage that set one of the loop's own names, as nonautonomous3's
-        # ti = t + dt_i would set a loop argument ti, sends the run back to
-        # integrate after each step with every bit unchanged
+        # ti = t + dt_i would set a loop argument ti, would change the run
         ends = self.record(monkeypatch, sys, values)
         traj = integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
                          (0, t1), h=h)
@@ -1934,46 +1984,84 @@ class TestFixedStepLoop:
         with pytest.raises(AssertionError, match=r"\['ti'\]"):
             integrate_module._loop_source(_RK4, field)
 
-    # each way out of the loop, against the loop reference, which steps
-    # with no loop; a probe that reads nothing that counts, or an escape at
-    # the last sample, sends the run back into the loop.  t0 is a float: the
-    # reference's times of a run with one sample keep the type of t0
-    @pytest.mark.parametrize("sys, values, q0, p0, t_span, h, ends, label", [
-        (A5, PARAMS5.values, 1, -1.5, (0.0, 0.3), 1e-4, ["completed"],
-         "completed"),
-        (A5, PARAMS5.values, 1, -1.5, (0.0, 0.1), 1e-2, ["completed"],
-         "completed"),
-        (A5, PARAMS5.values, 100, 1, (0.0, 1), 1e-3, ["raised"], "overflow"),
-        # the stages after the first would pass q = 1.02e12, which falls as
-        # e^-t: the start itself is tested
-        (GROWING_P, PARAMS5.values, 1.02e12, 1, (0.0, 1), 0.1, ["raised"],
-         "overflow"),
-        (GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1), 0.1, ["overflow"],
-         "overflow"),
-        (STEEP, STEEP_PARAMS.values, 1, 1200, (0.0, 0.01), 1e-3,
-         ["escape"] * 4 + ["raised"], "overflow"),
-        (A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-3, ["escape", "raised"],
-         "overflow"),
-        (A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-4, ["escape"], "blow-up"),
-        (A5, PARAMS5.values, 1, 0, (0.0, 0.1614), 1e-4,
-         ["escape", "completed"], "completed"),
-        (A5, PARAMS5.values, 1, 0.5, (0.0, 0), 1e-3, ["completed"],
-         "completed"),
-        (A5, A5_PASS_THROUGH, 0.01, 0, (0.0, 0.05), 1e-3, ["completed"],
-         "completed")],
+    # each way out of the loop, under each method, against the loop
+    # reference, which steps with no loop; each run calls the loop once.
+    # t0 is a float: the reference's times of a run with one sample keep
+    # the type of t0
+    @pytest.mark.parametrize(
+        "method, sys, values, q0, p0, t_span, h, tol, end, label", [
+            ("fixed-rk4", A5, PARAMS5.values, 1, -1.5, (0.0, 0.3), 1e-4,
+             1e-9, "completed", "completed"),
+            ("fixed-rk4", A5, PARAMS5.values, 1, -1.5, (0.0, 0.1), 1e-2,
+             1e-9, "completed", "completed"),
+            ("fixed-rk4", A5, PARAMS5.values, 100, 1, (0.0, 1), 1e-3, 1e-9,
+             "raised", "overflow"),
+            # the stages after the first would pass q = 1.02e12, which falls
+            # as e^-t: the start itself is tested
+            ("fixed-rk4", GROWING_P, PARAMS5.values, 1.02e12, 1, (0.0, 1),
+             0.1, 1e-9, "raised", "overflow"),
+            ("fixed-rk4", GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1), 0.1,
+             1e-9, "overflow", "overflow"),
+            # four probes read nothing; the step from the sample at which H
+            # overflows raises
+            ("fixed-rk4", STEEP, STEEP_PARAMS.values, 1, 1200, (0.0, 0.01),
+             1e-3, 1e-9, "raised", "overflow"),
+            # the probe at |q| = 6.3e9 raises where general:34's q^34
+            # overflows in H
+            ("fixed-rk4", GENERAL34, GENERAL34_ONES, 1, 0, (0.0, 1), 3e-3,
+             1e-9, "raised", "overflow"),
+            ("fixed-rk4", A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-3, 1e-9,
+             "raised", "overflow"),
+            ("fixed-rk4", A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-4, 1e-9,
+             "blow-up", "blow-up"),
+            ("fixed-rk4", A5, PARAMS5.values, 1, 0, (0.0, 0.1614), 1e-4,
+             1e-9, "completed", "completed"),
+            ("fixed-rk4", A5, PARAMS5.values, 1, 0.5, (0.0, 0), 1e-3, 1e-9,
+             "completed", "completed"),
+            ("fixed-rk4", A5, A5_PASS_THROUGH, 0.01, 0, (0.0, 0.05), 1e-3,
+             1e-9, "completed", "completed"),
+            ("adaptive-rk45", A5, PARAMS5.values, 1, -1.5, (0.0, 0.3), 1e-4,
+             1e-9, "completed", "completed"),
+            ("adaptive-rk45", GROWING_P, PARAMS5.values, 1.02e12, 1,
+             (0.0, 1), 0.1, 1e-9, "raised", "overflow"),
+            ("adaptive-rk45", A5, PARAMS5.values, 100, 1, (0.0, 1), 1e-3,
+             1e-9, "raised", "overflow"),
+            ("adaptive-rk45", GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1),
+             0.1, 1e-9, "overflow", "overflow"),
+            ("adaptive-rk45", STEEP, STEEP_PARAMS.values, 1, 1200,
+             (0.0, 0.01), 1e-3, 1e-9, "raised", "overflow"),
+            # ends at t1 before the probe at |q| = 44.3 that counts
+            ("adaptive-rk45", GENERAL4, GENERAL4_DRAWN, -0.9307, -1.4827,
+             (0.0, 0.2595), 1e-3, 1e-6, "completed", "completed"),
+            ("adaptive-rk45", A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-3,
+             1e-9, "blow-up", "blow-up"),
+            # the u-estimates agree at |q| = 3.2, before any probe
+            ("adaptive-rk45", GENERAL12, GENERAL12_ONES, 0.9, 0, (0.0, 1),
+             1e-3, 1e-9, "blow-up", "blow-up"),
+            ("adaptive-rk45", A5_UNCHARTED, PARAMS5.values, 1, 0, (0.0, 0.2),
+             1e-3, 1e-16, "step-underflow", "step-underflow"),
+            ("adaptive-rk45", A5, PARAMS5.values, 1, 0.5, (0.0, 0), 1e-3,
+             1e-9, "completed", "completed")],
         ids=["sliver-after", "short-by-rounding", "stage-overflow",
              "start-beyond-guard", "sample-overflow", "H-overflow",
-             "reading-does-not-count", "blow-up", "escape-at-t1",
-             "zero-span", "pass-through"])
-    def test_each_exit_matches_loop_reference(self, monkeypatch, sys, values,
-                                              q0, p0, t_span, h, ends, label):
-        seen = self.record(monkeypatch, sys, values)
+             "probe-H-overflow", "reading-does-not-count", "blow-up",
+             "escape-at-t1", "zero-span", "pass-through",
+             "adaptive-completed", "adaptive-start-beyond-guard",
+             "adaptive-stage-overflow", "adaptive-sample-overflow",
+             "adaptive-H-overflow", "adaptive-reading-does-not-count",
+             "adaptive-chart-blow-up", "adaptive-estimates-blow-up",
+             "adaptive-step-underflow", "adaptive-zero-span"])
+    def test_each_exit_matches_loop_reference(self, monkeypatch, method, sys,
+                                              values, q0, p0, t_span, h, tol,
+                                              end, label):
+        ends = self.record(monkeypatch, sys, values,
+                           integrate_module._METHODS[method])
         got = integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
-                        t_span, h=h)
-        assert seen == ends
+                        t_span, h=h, tol=tol, method=method)
+        assert ends == [end]
         assert got.termination == label
         assert_same_run(got, ref_integrate(sys, values, q0, p0, t_span, h,
-                                           1e-9, "fixed-rk4"))
+                                           tol, method))
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
     @pytest.mark.parametrize("t1", [0, 0.05])
