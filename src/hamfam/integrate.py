@@ -29,14 +29,14 @@ same power chain, so each sample's H comes from the step that leaves it and
 only the last sample's from the H kernel.  The loop appends the samples
 itself; for the embedded pair it also holds the error norm, the step
 control and the blow-up estimates below, and at a sample that reaches the
-chart's escape radius it calls the chart probe.  It returns once, where the
-run ends.  So the Hamiltonian is sampled and drift can be monitored: for the
-autonomous families H is a first integral and the drift is a direct error
-measure; for the non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and
-is checked against finite differences instead.  The compiled map rules serve
-both the trajectory check and ``BirationalMap.apply_numeric``; each raises
-ValueError only where the image is not finite, as at q = 0 for a map that
-divides by q.
+chart's escape radius it reads the field's chart.  It returns once, where
+the run ends.  So the Hamiltonian is sampled and drift can be monitored:
+for the autonomous families H is a first integral and the drift is a
+direct error measure; for the non-autonomous family dH/dt = q^3 p + a2 q^2
+is nonzero and is checked against finite differences instead.  The
+compiled map rules serve both the trajectory check and
+``BirationalMap.apply_numeric``; each raises ValueError only where the
+image is not finite, as at q = 0 for a map that divides by q.
 
 Hamilton's equations are polynomial, so q = 0 is a regular point that a
 run passes through.  A step fails only where the state leaves the finite
@@ -339,22 +339,26 @@ class CompiledField:
         return self._kernel(q, p, t)
 
     def loop(self, tab: _Tableau):
-        """loop(times, qs, ps, hs, h, t1, tol, probe) -> (end, returned,
-        rejected, min_step, min_before, t_star, alpha): a run of ``tab``
-        from the last sample of the lists to t1, generated on the first
-        call for ``tab``, as ``integrate``'s docstring states it.
+        """loop(times, qs, ps, hs, h, t1, tol) -> (end, returned, rejected,
+        min_step, min_before, t_star, alpha): a run of ``tab`` from the
+        last sample of the lists to t1, generated on the first call for
+        ``tab``, as ``integrate``'s docstring states it.
 
-        It appends each sample's t, q and p, and H at the sample before, and
-        counts the steps that returned and those rejected.  It keeps the
+        It appends each sample's t, q and p, and H at the sample before.  It
+        counts the steps that returned and those rejected, and keeps the
         smallest accepted step (min_step, and min_before before the last
-        one).  At a sample whose |q| reaches the chart's escape radius, or
-        doubles since the last probe, it calls probe(q, p, t, step into the
-        sample), which returns None or the chart's (t* - t, alpha) where
-        its reading counts.  It ends with 'completed', 'overflow' (a step
-        to |q| or |p| beyond OVERFLOW_GUARD, not taken), 'raised' (a start
-        with |q| > OVERFLOW_GUARD, or a stage or probe that raises
-        OverflowError), 'blow-up' (with Re t* and alpha, else None) or
-        'step-underflow'."""
+        one).  fixed-rk4 counts every sample of the lists after the first
+        as a step of the run, in that count and in its last-step rule
+        t1 - t <= h + len(times)*t_ulp, with t_ulp = 2**-52 times the larger
+        of |t1| and |t| at the first sample; adaptive-rk45 counts the
+        attempts of the call.  At a sample whose |q| reaches the chart's
+        escape radius, or doubles since the last reading, it reads the
+        field's chart (``_chart_reading``), which gives None or
+        (t* - t, alpha) where its reading counts.  It ends with
+        'completed', 'overflow' (a step to |q| or |p| beyond OVERFLOW_GUARD,
+        not taken), 'raised' (a start with |q| > OVERFLOW_GUARD, or a stage
+        or chart reading that raises OverflowError), 'blow-up' (with Re t*
+        and alpha, else None) or 'step-underflow'."""
         loop = self._loops.get(tab)
         if loop is None:
             loop = self._loops[tab] = _generate(
@@ -502,14 +506,14 @@ def _stages(tab: _Tableau, field: CompiledField,
 # the names of the loop's own arguments and locals, which its stages must
 # not assign: the stages of nonautonomous3 set ti = t + dt_i, for one, which
 # a loop argument ti would lose after the first step
-_LOOP_ARGS = ("times", "qs", "ps", "hs", "h", "t1", "tol", "probe")
+_LOOP_ARGS = ("times", "qs", "ps", "hs", "h", "t1", "tol")
 _LOOP_NAMES = (*_LOOP_ARGS, "add_t", "add_q", "add_p", "add_h", "t", "q",
                "p", "n", "s", "size", "t_ulp", "t_end", "returned",
                "rejected", "min_step", "min_before", "escape_at", "into",
                "charted", "reading", "star", "alpha", "span", "h_max",
                "err_prev", "t_u", "u", "u_prev", "agreed", "near", "eq", "ep",
-               "err", "scale", "star_prev", "fac", "RADIUS", "ends", "sqrt",
-               "inf", "nan")
+               "err", "scale", "star_prev", "fac", "RADIUS", "ends", "probe",
+               "sqrt", "inf", "nan")
 
 
 def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
@@ -529,8 +533,9 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
     assigned = {line.partition(" = ")[0] for line in products + stages}
     clash = (assigned | set(args)) & set(_LOOP_NAMES)
     assert not clash, f"the stages assign the loop's names {sorted(clash)}"
-    args.update(RADIUS=ESCAPE_RADIUS, ends=_ends, sqrt=math.sqrt,
-                inf=math.inf, nan=math.nan)
+    args.update(RADIUS=ESCAPE_RADIUS, ends=_ends,
+                probe=functools.partial(_chart_reading, field),
+                sqrt=math.sqrt, inf=math.inf, nan=math.nan)
     adaptive = tab.b_err is not None
 
     def out(end, located="None, None"):
@@ -609,7 +614,7 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
             "if s <= 1e-12 and err > 1.0:",
             "    " + out("step-underflow")]
     else:
-        start = ["n = 1", "s = h", *products]
+        start = ["n = len(times)", "s = h", *products]
         size = ["if t1 - t <= h + n * t_ulp:",
                 "    s = t1 - t",
                 *(f"    {line}" for line in products)]
@@ -618,7 +623,7 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
             "ps.append, hs.append)",
             "t, q, p = times[-1], qs[-1], ps[-1]",
             # bound on the rounding each summed step leaves in t
-            "t_ulp = 2.0 ** -52 * max(abs(t), abs(t1))",
+            "t_ulp = 2.0 ** -52 * max(abs(times[0]), abs(t1))",
             "t_end = t1 - 1e-15 * max(1.0, abs(t1))",
             "returned = rejected = 0",
             "min_step = min_before = inf",
@@ -769,8 +774,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     # from field.H after the run
     times, qs, ps, hs = [t0], [complex(q0)], [complex(p0)], []
     end, returned, rejected, min_step, min_before, t_star, alpha = \
-        field.loop(tab)(times, qs, ps, hs, h, t1, tol,
-                        functools.partial(_chart_reading, field))
+        field.loop(tab)(times, qs, ps, hs, h, t1, tol)
     raised = end == "raised"
     termination = "overflow" if raised else end
     t, q, p = times[-1], qs[-1], ps[-1]

@@ -716,7 +716,7 @@ class TestStepCache:
                                 signature) or generate(signature, *rest))
         compile_field(NA3, PARAMS3)
         assert generated == ["(q, p, t)"] * 2  # the field and H, no step
-        loop = "(times, qs, ps, hs, h, t1, tol, probe)"
+        loop = "(times, qs, ps, hs, h, t1, tol)"
         for method, signatures in (("fixed-rk4", [loop]),
                                    ("adaptive-rk45", [loop, loop])):
             runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3,
@@ -1041,32 +1041,62 @@ class StopAtSample(list):
         raise Sampled
 
 
+# a tol at which the embedded pair accepts every attempt but one whose
+# error estimate is not finite or whose two solutions differ by more than
+# 1e300 times the scale, so that the bits of nearly every attempt are seen
+ANY_TOL = 1e300
+
+
+def step_tols(tab, tol):
+    """The tols at which to compare an attempt of ``tab``: tol, and ANY_TOL
+    for an embedded pair, whose error test tol decides."""
+    return (tol, ANY_TOL) if tab.b_err is not None else (tol,)
+
+
 def loop_step(field, tab, q, p, t, h, tol):
     """One attempt of ``tab`` from (q, p, t) of length h, made by the
     field's loop on a span of 100 h, stopped at its first sample: (qn, pn,
-    H at (q, p, t)) where the attempt is accepted, 'rejected' where the
-    embedded pair rejects it, 'raised' where the start or a stage fails,
-    and 'overflow' where qn or pn leaves the guard."""
+    H at (q, p, t)) where the attempt is accepted, 'raised' where the start
+    or a stage fails, 'overflow' where qn or pn leaves the guard, and
+    ('rejected', H) where the embedded pair rejects it, with H the value
+    that a later attempt from (q, p, t) appends, or None where none does."""
     times, qs, ps, hs = [t], [q], StopAtSample([p]), []
     try:
         end, _, rejected, *_ = field.loop(tab)(times, qs, ps, hs, h,
-                                               t + 100 * h, tol, None)
+                                               t + 100 * h, tol)
     except Sampled:
-        return (qs[1], ps[1], hs[0]) if times[1] == t + h else "rejected"
-    return "rejected" if rejected else end
+        if times[1] == t + h:
+            return qs[1], ps[1], hs[0]
+        return "rejected", hs[0]
+    return ("rejected", None) if rejected else end
 
 
 def ref_loop_step(tab, q, p, t, h, field, tol, weigh=weigh):
     """``loop_step``'s outcome from ``ref_step``."""
     try:
         qn, pn, err, _, H = ref_step(tab, q, p, t, h, field, tol, weigh)
-        if not err <= 1.0:
-            return "rejected"
-        if not (abs(qn) <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
-            return "overflow"
     except OverflowError:
         return "raised"
+    if not err <= 1.0:
+        return "rejected", H
+    if not (abs(qn) <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
+        return "overflow"
     return qn, pn, H
+
+
+def step_outcomes(got, want, read):
+    """The outcomes of ``loop_step`` and ``ref_loop_step``, each with its
+    values read by ``read``: a rejected attempt's H only where a later
+    attempt of the loop appended it."""
+    seen = not (isinstance(got, tuple) and got[1] is None)
+
+    def key(out):
+        if isinstance(out, str):
+            return out
+        if isinstance(out[0], str):
+            return out[0], read(out[1]) if seen else None
+        return tuple(map(read, out))
+    return key(got), key(want)
 
 
 def locates_blowup(estimates, tol, t1):
@@ -1365,16 +1395,18 @@ class TestKernelsMatchLoopReference:
 
 def assert_same_step(sys, values, tab, q, p, t, h, tol):
     """One attempt of ``tab`` in the field's loop ends as ``ref_step``'s
-    does, raised, rejected or leaving the guard, or has its bits; its H has
-    the bits of ``field.H`` at (q, p, t)."""
+    does, raised, rejected or leaving the guard, or has its bits, at tol
+    and, for an embedded pair, at ANY_TOL; the H it sums has the bits of
+    ``field.H`` at (q, p, t)."""
     field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-    got = loop_step(field, tab, q, p, t, h, tol)
-    want = ref_loop_step(tab, q, p, t, h, RefField(sys, values), tol)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert_same(got, want)
-        assert_same(got[2], field.H(q, p, t))
+    ref = RefField(sys, values)
+    for each in step_tols(tab, tol):
+        got = loop_step(field, tab, q, p, t, h, each)
+        want = ref_loop_step(tab, q, p, t, h, ref, each)
+        got_key, want_key = step_outcomes(got, want, bits)
+        assert got_key == want_key
+        if not isinstance(got, str) and got[-1] is not None:
+            assert_same(got[-1], field.H(q, p, t))
 
 
 def outcome(fn, *args):
@@ -1532,12 +1564,13 @@ class TestPowAndSumLoop:
             assert canonical(outcome(got, q, p, t)) \
                 == canonical(outcome(want, q, p, t))
         if cmath.isfinite(p):
-            got, want = (out if isinstance(out, str)
-                         else canonical(("value", tuple(map(bits, out))))
-                         for out in (loop_step(field, tab, q, p, s, h, 1e-9),
-                                     ref_loop_step(tab, q, p, s, h, old, 1e-9,
-                                                   pow_and_sum_weigh)))
-            assert got == want
+            read = lambda v: canonical(("value", (bits(v),)))[1]
+            for tol in step_tols(tab, 1e-9):
+                got, want = step_outcomes(
+                    loop_step(field, tab, q, p, s, h, tol),
+                    ref_loop_step(tab, q, p, s, h, old, tol,
+                                  pow_and_sum_weigh), read)
+                assert got == want
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(), wide, wide,
@@ -1976,6 +2009,22 @@ class TestFixedStepLoop:
         assert ends == ["completed"]
         assert traj.termination == "completed"
         assert len(traj.times) == round(t1 / h) + 1
+
+    def test_loop_continues_a_run_from_its_lists(self):
+        # fixed-rk4 counts the lists' earlier samples as steps of the run,
+        # in its last-step rule and in its count: continued from the first
+        # k samples, the loop takes the run's later steps onto t1
+        field = compile_field(NA3, PARAMS3)
+        loop = field.loop(_RK4)
+        whole = [0.0], [1 + 0j], [-1.5 + 0j], []
+        end, returned, *_ = loop(*whole, 1e-4, 0.3, 1e-9)
+        assert (end, returned) == ("completed", 3000)
+        for k in (2, 1000, 2999):
+            part = [samples[:k] for samples in whole[:3]] + [whole[3][:k - 1]]
+            end, returned, *_ = loop(*part, 1e-4, 0.3, 1e-9)
+            assert (end, returned) == ("completed", 3000)
+            for got, want in zip(part, whole):
+                assert_same(tuple(got), tuple(want))
 
     def test_stages_may_not_assign_the_loops_names(self, monkeypatch):
         field = compile_field(NA3, PARAMS3)
