@@ -2,16 +2,14 @@
 
 Each symbolic field is compiled once per (system, parameter values) pair:
 the parameters are bound to complex numbers and the polynomials become one
-straight-line Python function, generated with a single ``exec``, that does
-the term-by-term operations of a plain evaluation loop in the same order,
-less those whose only effect on a finite part is the sign of a zero
-(``_kernel`` states what that leaves of the loop's bits).  Each power of q
-or p with exponent 1..100 costs at most one complex multiply on the chain
-that CPython's ``z**k`` runs for such k, shared across the kernel; powers of
-t but t**1, negative powers and exponents above 100 keep ``**``.  There are
-two compile entries, each with a bounded cache keyed by exact parameter
-bits: ``compile_field`` for a system's field, and ``compile_map`` for a
-map's rules.  The generated source holds only names, so each distinct text
+straight-line Python function, generated with a single ``exec``, that
+evaluates each in nested form (``_kernel_lines``): Horner's rule in q, then
+p, then t, negative powers of q in w = 1/q.  It is backward stable with the
+error bound of the term-by-term sum (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 5.1) in fewer operations.  There are two
+compile entries, each with a bounded cache keyed by exact parameter bits:
+``compile_field`` for a system's field, and ``compile_map`` for a map's
+rules.  The generated source holds only names, so each distinct text
 goes through the compiler once: fields whose parameters leave the same terms
 nonzero share the code of their kernels, steps and loops.
 The field is stepped by one explicit Runge-Kutta engine driven by a Butcher
@@ -24,9 +22,9 @@ field is generated the same way, on the first ``integrate`` with the method,
 as one loop that the compiled field keeps: its step is straight-line code
 with the stages unrolled, the field's kernel lines inlined at each stage,
 and a stage loop's operations in the same order, less the products of zero
-and unit weights.  The first stage also sums H at the step's start on the
-same power chain, so each sample's H comes from the step that leaves it and
-only the last sample's from the H kernel.  The loop appends the samples
+and unit weights.  The first stage also nests H at the step's start, so
+each sample's H comes from the step that leaves it and only the last
+sample's from the H kernel.  The loop appends the samples
 itself; for the embedded pair it also holds the error norm, the step
 control and the blow-up estimates below, and at a sample that reaches the
 chart's escape radius it reads the field's chart.  It returns once, where
@@ -40,8 +38,9 @@ image is not finite, as at q = 0 for a map that divides by q.
 
 Hamilton's equations are polynomial, so q = 0 is a regular point that a
 run passes through.  A step fails only where the state leaves the finite
-range, and integration then stops cleanly with ``overflow`` (never
-NaN-propagates).
+range: at a stage that starts beyond OVERFLOW_GUARD or from a p that is
+not finite, or where H at its start is not finite.  Integration then stops
+cleanly with ``overflow`` (never NaN-propagates).
 
 Near a movable singularity t*, q ~ C(t* - t)^-alpha.  For autonomous5 and
 general:n the regularising chart (w, u) = (1/q, p q^(n-1)) carries H to a
@@ -168,11 +167,6 @@ def _bind(poly: LaurentPoly, params: dict[str, complex]) -> list:
     return [(c, eq, ep, et) for (eq, ep, et), c in merged.items() if c != 0]
 
 
-# terms per generated statement: one expression of a few thousand terms
-# exceeds the compiler's recursion limit
-_TERMS_PER_LINE = 200
-
-
 def _generate(signature: str, lines: list[str], args: dict):
     """The function ``def fn{signature}`` with body ``lines``, built with a
     single ``exec``.  The values in ``args`` enter as arguments of a factory
@@ -196,73 +190,37 @@ def _compile(source: str):
     return compile(source, "<hamfam generated>", "exec")
 
 
-# CPython computes z**k for an int 0 < k <= 100 by binary exponentiation
-# (c_powu in Objects/complexobject.c) and in polar form past 100
-_CHAIN_MAX = 100
-
-
 def _power_name(v: str, k: int) -> str:
-    """The local that holds v**k in a kernel: v itself for k = 1."""
-    return (v if k == 1 else f"{v}_{k}" if k & k - 1 == 0
-            else f"{v}{k}" if k > 0 else f"{v}m{-k}")
+    """The local that holds v^k in a kernel: v itself for k = 1, and a
+    power of w = 1/v for k < 0."""
+    return v if k == 1 else f"{v}{k}" if k > 0 else f"{v}m{-k}"
 
 
-def _power_lines(powers, chained=("q", "p"),
-                 scalar=False) -> tuple[list[str], dict]:
-    """Lines that set ``_power_name(v, k)`` to v**k for each (v, k) of
-    ``powers``, in the order the terms first use them, and the values they
-    name.
-
-    A power of an input in ``chained`` (q and p) with 0 < k <= 100 makes the
-    multiplications of CPython's ``z**k``, shared across the kernel, from v
-    where ``z**k`` starts from 1+0j: the squares v_2 = v*v, v_4 = v_2*v_2,
-    ... up to the highest set bit hb of the largest k are computed once, and
-    any other v^k = v^(k - hb) * v^hb.  Where v**k is finite it has these
-    bits but for the sign of a zero part.
-
-    ``**`` raises OverflowError where its result has an infinite part.  The
-    largest power of each input is finite only if every smaller one is, so
-    one test of the sum of the largest powers guards a line that evaluates
-    every power with ``**`` in the terms' order, and raises there what the
-    ``**`` kernel raises.  Unless the inputs are known to be ``scalar``
-    (complex q and p, real t), the test applies only when the largest
-    powers are complex scalars: on arrays the chain follows numpy, which
-    warns and goes on.  Powers of t but t**1 (a float t**k is libm pow),
-    negative powers (``**`` raises ZeroDivisionError at 0) and k > 100 keep
-    ``**``; t**1 is t, raising where a complex t**1 raises unless ``scalar``.
-    """
-    chains, kept = {v: set() for v in chained}, []
+def _power_lines(powers) -> list[str]:
+    """Lines that set ``_power_name(v, k)`` to v^k, k not 0 or 1, for each
+    (v, k) of ``powers``, from v, or from w = 1/v for k < 0: the squares
+    b^2 = b*b, b^4 = b^2*b^2, ... of the base b, and each other
+    b^m = b^(m - hb) * b^hb, with hb the highest set bit of m."""
+    chains = {}
     for v, k in powers:
-        if v in chains and 0 < k <= _CHAIN_MAX:
-            while k:  # v^k needs v^(k - hb), which needs ...
-                chains[v].add(k)
-                k -= 1 << k.bit_length() - 1
-        elif k != 1:
-            kept.append(f"{_power_name(v, k)} = {v}**{k}")
-        elif not scalar:
-            kept.append(f"{v}**1")
-    lines, tops = [], []
-    for v, ks in chains.items():
-        if not ks:
-            continue
-        top = max(ks)
-        for b in range(1, top.bit_length()):
-            square = _power_name(v, 1 << b - 1)
-            lines.append(f"{_power_name(v, 1 << b)} = {square} * {square}")
-        for k in sorted(ks):
-            hb = 1 << k.bit_length() - 1
-            if k > hb:
-                lines.append(f"{_power_name(v, k)} = {_power_name(v, k - hb)}"
-                             f" * {_power_name(v, hb)}")
-        tops.append(_power_name(v, top))
-    if not tops:
-        return kept, {}
-    test = [f"not isfinite({' + '.join(tops)})"]
-    if not scalar:
-        test[:0] = [f"type({top}) is complex" for top in tops]
-    check = [f"if {' and '.join(test)}:",
-             "    " + ", ".join(f"{v}**{k}" for v, k in powers)]
-    return lines + check + kept, {"isfinite": cmath.isfinite}
+        ms, m = chains.setdefault((v, k < 0), set()), abs(k)
+        while m:  # b^m needs b^(m - hb), which needs ...
+            ms.add(m)
+            m -= 1 << m.bit_length() - 1
+    lines = []
+    for (v, inverse), ms in chains.items():
+        sign = -1 if inverse else 1
+        name = lambda m: _power_name(v, sign * m)  # noqa: E731
+        if inverse:
+            lines.append(f"{name(1)} = 1 / {v}")
+        for b in range(1, max(ms).bit_length()):
+            lines.append(f"{name(1 << b)} = {name(1 << b - 1)} * "
+                         f"{name(1 << b - 1)}")
+        for m in sorted(ms):
+            hb = 1 << m.bit_length() - 1
+            if m > hb:
+                lines.append(f"{name(m)} = {name(m - hb)} * {name(hb)}")
+    return lines
 
 
 def _named(coeffs: dict, spans: list) -> list:
@@ -276,45 +234,79 @@ def _named(coeffs: dict, spans: list) -> list:
     return named
 
 
-def _kernel_lines(sums: list, scalar=False) -> tuple[list[str], dict]:
-    """Lines that set each local ``out`` of ``sums`` ([(out, terms, inputs)])
-    to its polynomial, and the values they name.  ``terms`` are the named
-    (coefficient, eq, ep, et) of ``_named``, and ``inputs`` names the q, p
-    and t they read.
+# Horner steps per generated expression: each nests one more pair of
+# parentheses, and the parser refuses 200
+_CHAIN = 40
 
-    Each term is ((c*q**eq)*p**ep)*t**et with zero exponents left out, and a
-    polynomial's terms are summed left to right from the first, or are 0j
-    where there is none.  Each power is computed once, into a local that
-    every term using it reads, by ``_power_lines`` (which ``scalar`` goes
-    to), so sums that read the same q and p share one chain.  The source
-    text holds only local names and the int exponents."""
-    powers, chained, lines = {}, {}, []
+
+def _kernel_lines(sums: list) -> list[str]:
+    """Lines that set each local ``out`` of ``sums`` ([(out, terms, inputs)])
+    to its polynomial in nested form; ``terms`` are the named
+    (coefficient, eq, ep, et) of ``_named``, and ``inputs`` names the q, p
+    and t they read.  A polynomial without terms is 0j.  Otherwise the
+    monomial common to its terms is factored out (per variable, the least
+    exponent where all are >= 0, the greatest where all are < 0), and the
+    rest is nested by Horner's rule over the degrees present in q,
+    x = C_k, x = x*q^(k - j) + C_j, ..., x*q^i, with the negative degrees
+    nested alike in w = 1/q and added after; each C_k is nested alike in p,
+    then t.  Each chain of _CHAIN Horner steps is stored in a local, each
+    power is computed once by ``_power_lines``, and the text holds only
+    names and int exponents."""
+    powers, lines = {}, []
+
+    def power(v, k):
+        if k != 1:
+            powers[v, k] = None
+        return _power_name(v, k)
+
+    def group(text):  # an operand of * or the right operand of +
+        return f"({text})" if " + " in text else text
+
+    def nest(terms, names):
+        if len(terms) == 1:  # its own common monomial, times c
+            (c, exps), = terms
+            return " * ".join([c, *(power(v, k)
+                                    for v, k in zip(names, exps) if k)])
+        common = [min(col) if min(col) >= 0 else max(col) if max(col) < 0
+                  else 0 for col in zip(*(exps for _, exps in terms))]
+        sides = {}, {}  # the terms by |degree| in names[0], >= 0 and < 0
+        for c, (k, *rest) in terms:
+            k -= common[0]
+            sides[k < 0].setdefault(abs(k), []).append(
+                (c, tuple(e - m for e, m in zip(rest, common[1:]))))
+        text = " + ".join(group(horner(names[0], sign, side, names[1:]))
+                          for sign, side in zip((1, -1), sides) if side)
+        factors = [power(v, k) for v, k in zip(names, common) if k]
+        return " * ".join([group(text), *factors]) if factors else text
+
+    def horner(v, sign, side, names):
+        ks = sorted(side, reverse=True)
+        text = nest(side[ks[0]], names)
+        for n, (k, j) in enumerate(zip(ks, ks[1:]), 1):
+            text = (f"{group(text)} * {power(v, sign * (k - j))} + "
+                    f"{group(nest(side[j], names))}")
+            if n % _CHAIN == 0:  # a local closes the parentheses
+                lines.append(f"x{len(lines)} = {text}")
+                text = f"x{len(lines) - 1}"
+        return (f"{group(text)} * {power(v, sign * ks[-1])}" if ks[-1]
+                else text)
+
     for out, terms, inputs in sums:
-        chained.update(dict.fromkeys(inputs[:2]))
-        products = []
-        for c, *exps in terms:
-            factors = [(v, e) for v, e in zip(inputs, exps) if e]
-            powers.update(dict.fromkeys(factors))
-            products.append("*".join([c, *(_power_name(v, e)
-                                           for v, e in factors)]))
-        for i in range(0, max(len(products), 1), _TERMS_PER_LINE):
-            lines.append(f"{out} = " + " + ".join(
-                [out] * bool(i) + products[i:i + _TERMS_PER_LINE] or ["0j"]))
-    power_lines, args = _power_lines(powers, chained, scalar)
-    return power_lines + lines, args
+        text = terms and nest([(c, tuple(e)) for c, *e in terms], inputs)
+        lines.append(f"{out} = {text or '0j'}")
+    return _power_lines(powers) + lines
 
 
 def _kernel(*polys: list):
     """One straight-line function (q, p, t) -> the value of each bound
-    polynomial (a tuple for more than one), from ``_kernel_lines``.  On
-    complex scalars it raises what a kernel that takes each power with
-    ``**`` and sums from 0j raises, and each part that one leaves finite has
-    its bits but for the sign of a zero; numpy arrays follow the chain."""
+    polynomial (a tuple for more than one), nested by ``_kernel_lines``.  It
+    raises only ZeroDivisionError, from 1 / q at q = 0 on a complex scalar
+    (numpy arrays warn and go on)."""
     coeffs = {}
-    lines, args = _kernel_lines([(f"s{k}", _named(coeffs, spans), "qpt")
-                                 for k, spans in enumerate(polys)])
+    lines = _kernel_lines([(f"s{k}", _named(coeffs, spans), "qpt")
+                           for k, spans in enumerate(polys)])
     lines.append("return " + ", ".join(f"s{k}" for k in range(len(polys))))
-    return _generate("(q, p, t)", lines, {**coeffs, **args})
+    return _generate("(q, p, t)", lines, coeffs)
 
 
 class CompiledField:
@@ -412,12 +404,10 @@ def _map_cache(rules: tuple, names: tuple, bits: bytes):
     *coords, param_rules = rules
     mapped = []
     for name, rule in param_rules:
-        terms = _bind(rule, values)
+        terms = _bind(rule, values)  # one term at most, free of q, p and t
         if any(eq or ep or et for _, eq, ep, et in terms):
             raise ValueError(f"the rule of parameter {name!r} reads q, p or t")
-        # summed from the first term, as a kernel sums them
-        cs = [c for c, *_ in terms] or [0j]
-        mapped.append((name, sum(cs[1:], cs[0])))
+        mapped.append((name, terms[0][0] if terms else 0j))
     return tuple(mapped), _kernel(*(_bind(rule, values) for rule in coords))
 
 
@@ -445,13 +435,11 @@ def _stages(tab: _Tableau, field: CompiledField,
 
     Stage i > 0 starts from q + h_i0*k0 + h_i1*k1 + ..., summed left to
     right over the nonzero a_ij (RK4 then matches its textbook form), and
-    raises OverflowError unless |q| <= OVERFLOW_GUARD there (a non-finite q
-    fails that test too) before it evaluates the field, whose kernel lines
-    it holds, at that start and t + dt_i.  Stage 0 starts from q, which the
-    loop tests once, at the state it starts from.  Stage 0 also sums H's
-    terms at (q, p, t) on the field's power chain, after the field, so a
-    step raises what the field kernel at its stages raises, or what
-    ``field.H`` raises at (q, p, t) after stage 0's field.  h*a*k is
+    raises OverflowError unless |q| <= OVERFLOW_GUARD and p is finite there
+    before it evaluates the field, whose kernel lines it holds, at that
+    start and t + dt_i.  Stage 0 starts from q, which the loop tests once,
+    at the state it starts from; after the field it nests H at (q, p, t)
+    and raises OverflowError where H is not finite.  h*a*k is
     (h*a)*k and t + c*h is t + (c*h), as a stage loop computes them.  A
     weighted sum runs left to right from its first term, with none for a
     zero weight and k for a unit one, not 1*k.  Tableau entries enter as
@@ -464,7 +452,8 @@ def _stages(tab: _Tableau, field: CompiledField,
     coeffs = {}
     f_q, f_p, H = (_named(coeffs, spans) for spans in field._spans)
     timed = any(et for *_, et in f_q + f_p)
-    args = {**coeffs, "div": float(tab.div), "GUARD": OVERFLOW_GUARD}
+    args = {**coeffs, "div": float(tab.div), "GUARD": OVERFLOW_GUARD,
+            "isfinite": cmath.isfinite}
     products, lines = [], []
     for i, (row, c) in enumerate(zip(tab.a, tab.c)):
         js = [j for j, a in enumerate(row) if a]
@@ -475,8 +464,9 @@ def _stages(tab: _Tableau, field: CompiledField,
         if js:
             lines += [f"{v}i = {v}" + "".join(f" + h{i}_{j} * k{v}{j}"
                                               for j in js) for v in "qp"]
-            lines += ["if not abs(qi) <= GUARD:",
-                      "    raise OverflowError('|q| beyond the guard')"]
+            lines += ["if not (abs(qi) <= GUARD and isfinite(pi)):",
+                      "    raise OverflowError('a stage starts beyond the "
+                      "guard')"]
         if timed:
             args[f"node{i}"] = float(c)
             products.append(f"dt{i} = node{i} * {size}")
@@ -485,9 +475,10 @@ def _stages(tab: _Tableau, field: CompiledField,
                 (f"kp{i}", f_p, (qi, pi, "ti"))]
         if i == 0:
             sums.append(("H", H, (qi, pi, "t")))
-        body, power_args = _kernel_lines(sums, scalar=True)
-        lines += body
-        args.update(power_args)
+        lines += _kernel_lines(sums)
+        if i == 0:
+            lines += ["if not isfinite(H):",
+                      "    raise OverflowError('H is not finite')"]
 
     def weighted(prefix, weights, k):
         args.update((f"{prefix}{j}", complex(w))
@@ -684,10 +675,12 @@ def _chart_reading(field: CompiledField, q: complex, p: complex, t: float,
     where the reading counts, else None.  A reading counts only where the
     step ``into`` the sample is shorter than its real part: a longer step
     may have crossed t*, onto an orbit whose own t* lies just ahead.  Raises
-    OverflowError where H at the sample overflows, as the step from it
+    OverflowError where H at the sample is not finite, as the step from it
     would."""
-    chart = field.chart()
-    ahead = chart and chart.gap(q, p, field.H(q, p, t))
+    chart, H = field.chart(), field.H(q, p, t)
+    if not cmath.isfinite(H):
+        raise OverflowError("H is not finite")
+    ahead = chart and chart.gap(q, p, H)
     if ahead is None or not into < ahead.real:
         return None
     return ahead, chart.exponent
@@ -702,17 +695,19 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     loop (``CompiledField.loop``), whose samples, H values and statistics
     are those of a Python loop over a step of the method.  fixed-rk4 takes
     steps of h, the last one ending exactly at t1; adaptive-rk45 propagates
-    Fehlberg's 5th-order solution and sizes its
-    steps by PI control, remembering each accepted step's error floored at
-    1e-4, so that an error estimate of 0 does not cut the next step.  h and
+    Fehlberg's 5th-order solution and sizes its steps by PI control,
+    remembering each accepted step's error floored at 1e-4, so that an
+    error estimate of 0 does not cut the next step.  h and
     tol must be finite and positive (fixed-rk4 uses tol only to read the
     chart), and q0 and p0 finite.  Samples (t, q, p, H) at every accepted
     step; q = 0 is a regular point.  Stops cleanly (with the reason
     recorded) on ``overflow``, where |q| or |p| is not finite or exceeds
-    OVERFLOW_GUARD or a power overflows, on a located blow-up, or on
-    adaptive step underflow.  A negative power of q or p in the field or H
-    is a ValueError, as is a start at which H overflows.  A step to a later
-    sample at which H overflows is not accepted, like one to a q or p that
+    OVERFLOW_GUARD or H is not finite, on a located blow-up, or on adaptive
+    step underflow.  A negative power of q or p in the field or H is a
+    ValueError, as are a start at which H is not finite and, for
+    fixed-rk4, an h of at most half the spacing of floats at
+    max(|t0|, |t1|), which cannot advance t.  A step to a later sample at
+    which H is not finite is not accepted, like one to a q or p that
     overflows: the run ends at the sample before with ``overflow`` whatever
     it would have ended with, and its statistics are those of a run that
     evaluates H at each accepted sample.  Each sample's H is computed by the
@@ -769,6 +764,10 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     if not (cmath.isfinite(q0) and cmath.isfinite(p0)):
         raise ValueError(f"start state must be finite, got q0 = {q0}, "
                          f"p0 = {p0}")
+    largest = max(abs(t0), abs(t1))
+    if tab is _RK4 and h <= math.ulp(largest) / 2:
+        raise ValueError(f"h = {h} cannot advance t: it is at most half the "
+                         f"spacing of floats at |t| = {largest}")
     field = compile_field(sys, params)
     # each sample's H comes from the step that leaves it, the last one's
     # from field.H after the run
@@ -778,12 +777,13 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     raised = end == "raised"
     termination = "overflow" if raised else end
     t, q, p = times[-1], qs[-1], ps[-1]
-    try:
-        hs.append(field.H(q, p, t))
-    except OverflowError as exc:
-        if len(times) == 1:
-            raise ValueError(f"H cannot be evaluated at the start state "
-                             f"q0 = {q}, p0 = {p}, t0 = {t}: {exc}") from None
+    H = field.H(q, p, t)
+    if cmath.isfinite(H):
+        hs.append(H)
+    elif len(times) == 1:
+        raise ValueError(f"H is not finite at the start state q0 = {q}, "
+                         f"p0 = {p}, t0 = {t}: H = {H}")
+    else:
         # the step to the last sample is not accepted, as one whose q or p
         # overflows is not, so no attempt left that sample
         del times[-1], qs[-1], ps[-1]

@@ -67,7 +67,7 @@ class BirationalMap:
         qpt = tuple(complex(point[v]) for v in "qpt")
         try:
             image = coords(*qpt)
-        except (ZeroDivisionError, OverflowError):  # where ** raises
+        except ZeroDivisionError:  # w = 1/q at q = 0
             image = (cmath.nan,)
         if all(map(cmath.isfinite, image)):
             return image, dict(mapped)

@@ -244,13 +244,33 @@ class TestIntegrate:
             "'general:<n>' with an integer n" in capsys.readouterr().err
 
     def test_start_where_H_overflows(self, capsys):
+        # p^2 q^30 = 2e314 at q0 = 3e10 and p0 = 1
         params = ",".join(["a=1"] + [f"e{i}=1" for i in range(1, 30)])
         assert run(["integrate", "--family", "general:30",
-                    "--params", params, "--q0", "3e10", "--t1", "1e-9",
-                    "--h", "1e-12"]) == 2
+                    "--params", params, "--q0", "3e10", "--p0", "1",
+                    "--t1", "1e-9", "--h", "1e-12"]) == 2
         captured = capsys.readouterr()
-        assert "error: H cannot be evaluated at the start state " \
+        assert "error: H is not finite at the start state " \
             "q0 = (30000000000+0j)" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
+    def test_start_where_H_is_nan(self, method, capsys):
+        # (1e308+1e308j)**5 is NaN in both parts, with no part infinite
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", "--q0", "1e308+1e308i",
+                    "--t1", "0.01", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert "error: H is not finite at the start state " \
+            "q0 = (1e+308+1e+308j)" in captured.err and captured.out == ""
+
+    def test_step_that_cannot_advance_t(self, capsys):
+        # the spacing of floats at 1e6 is 1.16e-10: 1e6 + 1e-11 == 1e6
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", "--t0", "1e6",
+                    "--t1", "1000000.0001", "--h", "1e-11"]) == 2
+        captured = capsys.readouterr()
+        assert "error: h = 1e-11 cannot advance t" in captured.err
+        assert captured.out == ""
 
     def test_immediate_singularity(self, capsys):
         # q = 0 is a regular point: a start at or next to it completes
@@ -380,7 +400,7 @@ class TestSymmetry:
         # q0 = 1e-9 maps p to about 1e45: a finite image
         assert run(["symmetry", "--family", "autonomous5", "--map", "s-auto",
                     "--params", "a=1,e1=1,e2=1", "--q0", "1e-9"]) == 0
-        assert "9.9999999999999993e+44+0i" in capsys.readouterr().out
+        assert "9.999999999999993e+44+0i" in capsys.readouterr().out
 
     def test_shear_has_one_branch(self, capsys):
         assert run(["symmetry", "--family", "autonomous5", "--map", "s-auto",

@@ -8,7 +8,7 @@ import random
 import re
 import struct
 import warnings
-from operator import mul
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from hamfam.chart import Chart
 from hamfam.integrate import (_FEHLBERG45, _RK4, ESCAPE_RADIUS,
                               OVERFLOW_GUARD, NumericParams, Trajectory,
                               _bind, _field_cache, _generate, _kernel,
-                              _map_cache, _power_lines, _power_name,
+                              _map_cache,
                               check_symmetry_on_trajectory, compile_field,
                               compile_map, integrate, measure_order,
                               richardson_order, write_trajectory_csv)
@@ -38,18 +38,20 @@ PARAMS5 = NumericParams("autonomous5", {"a": 1, "e1": 1, "e2": 1}, 5)
 PARAMS3 = NumericParams("nonautonomous3", {"a1": 1, "a2": 1, "a3": 1}, 5)
 # from q0 = 0.01, p0 = 0, q' = q^4 + q^3 - 1 takes q through 0 near t = 0.01
 A5_PASS_THROUGH = {"a": 1, "e1": 1, "e2": -1}
-# H = a*p^100 - q*p: between |p| = 1208 and 1298, p^100 overflows and the
-# field's p^99 does not; with a = 1e-300 the field stays below 1e9 there,
-# and p grows as e^t
-STEEP = HamSystem("steep", A5.table,
-                  A5.var("a") * A5.var("p", 100) - A5.var("q") * A5.var("p"),
-                  A5.params, True, 5)
-STEEP_PARAMS = NumericParams("steep", {"a": 1e-300, "e1": 1, "e2": 1}, 5)
-# H = p*q^2 + a*q^52: q' = q^2 blows up at t* = 1/q0, and between
-# |q| = 8.5e5 and 1.1e6, q^52 overflows and the field's q^51 does not
+# H = a*(t + 1) - q*p: at a = 1e308, H leaves the float range for
+# t > 0.7977, while the field, q' = -q and p' = p, stays small
+CAPPED = HamSystem("capped", A5.table,
+                   A5.var("a") * (A5.var("t") + LaurentPoly.const(A5.table, 1))
+                   - A5.var("q") * A5.var("p"), A5.params, False)
+CAPPED_PARAMS = NumericParams("capped", {"a": 1e308, "e1": 1, "e2": 1})
+# H = p*q^2 + a*t: q' = q^2 blows up at t* = 1/q0, and at
+# a = 8.98872e307, H leaves the float range at t = 1.999943: from q0 = 0.5
+# at tol 1e-9, between the last two samples of the run that the
+# u-estimates end
 BLOWUP = HamSystem("blowup", A5.table,
-                   A5.var("p") * A5.var("q", 2) + A5.var("a") * A5.var("q", 52),
-                   A5.params, True, 5)
+                   A5.var("p") * A5.var("q", 2) + A5.var("a") * A5.var("t"),
+                   A5.params, False)
+BLOWUP_PARAMS = NumericParams("blowup", {"a": 8.98872e307, "e1": 1, "e2": 1})
 # the autonomous5 field without an n, and so without a chart
 A5_UNCHARTED = dataclasses.replace(A5, name="autonomous5-uncharted", n=None)
 # H = p(q^4 + a) with n = 5: H~ = u(1 + a w^4) has no term u^2 w^3, so no
@@ -435,57 +437,61 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("sys, values, q0, p0, t_span, state", [
         (make_general_n(30), {"a": 1, **{f"e{i}": 1 for i in range(1, 30)}},
-         3e10, 0, (0, 1e-9), "q0 = (30000000000+0j), p0 = 0j, t0 = 0"),
-        (STEEP, STEEP_PARAMS.values, 1, 1250, (0.5, 0.6),
-         "q0 = (1+0j), p0 = (1250+0j), t0 = 0.5"),
-        (STEEP, STEEP_PARAMS.values, 1, 1250, (0, 0),
-         "q0 = (1+0j), p0 = (1250+0j), t0 = 0")],
-        ids=["field-too", "H-only", "zero-span"])
+         3e10, 1, (0, 1e-9), "q0 = (30000000000+0j), p0 = (1+0j), t0 = 0"),
+        (CAPPED, CAPPED_PARAMS.values, 1, 1, (0.9, 1.0),
+         "q0 = (1+0j), p0 = (1+0j), t0 = 0.9"),
+        (CAPPED, CAPPED_PARAMS.values, 1, 1, (0.9, 0.9),
+         "q0 = (1+0j), p0 = (1+0j), t0 = 0.9"),
+        # (1e308+1e308j)**5 is NaN in both parts, with no part infinite
+        (A5, PARAMS5.values, 1e308 + 1e308j, 0, (0, 0.01),
+         "q0 = (1e+308+1e+308j), p0 = 0j, t0 = 0")],
+        ids=["field-too", "H-only", "zero-span", "nan-H"])
     def test_start_where_H_overflows(self, sys, values, q0, p0, t_span,
                                      state):
+        params = NumericParams(sys.name, values, sys.n)
         with pytest.raises(ValueError) as raised:
-            integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
-                      t_span, h=1e-3)
-        assert str(raised.value) == (f"H cannot be evaluated at the start "
-                                     f"state {state}: complex exponentiation")
+            integrate(sys, params, q0, p0, t_span, h=1e-3)
+        H = compile_field(sys, params).H(complex(q0), complex(p0), t_span[0])
+        assert not cmath.isfinite(H)
+        assert str(raised.value) == (f"H is not finite at the start state "
+                                     f"{state}: H = {H}")
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
     def test_sample_where_H_overflows_ends_the_run(self, method):
-        traj = integrate(STEEP, STEEP_PARAMS, 1, 1200, (0, 0.01), h=1e-3,
+        traj = integrate(CAPPED, CAPPED_PARAMS, 1, 1, (0.7, 0.9), h=1e-2,
                          method=method)
-        field = compile_field(STEEP, STEEP_PARAMS)
+        field = compile_field(CAPPED, CAPPED_PARAMS)
         assert traj.termination == "overflow"
+        assert traj.times[-1] < 0.7977 < traj.times[-1] + 0.01
         samples = [(complex(q), complex(p), float(t))
                    for q, p, t in zip(traj.q, traj.p, traj.times)]
         for (q, p, t), H in zip(samples, traj.H_values):
             assert bits(complex(H)) == bits(field.H(q, p, t))
-        # the run attempted one more step, to a sample whose H overflows,
-        # which was not accepted
+        # the run attempted one more step, to a sample whose H is not
+        # finite, which was not accepted
         assert traj.steps_attempted == len(traj.times) + traj.steps_rejected
         if method == "fixed-rk4":
             q, p, t = samples[-1]
-            q, p, _ = loop_step(field, _RK4, q, p, t, 1e-3, 1e-9)
-            with pytest.raises(OverflowError):
-                field.H(q, p, t + 1e-3)
-
+            q, p, _ = loop_step(field, _RK4, q, p, t, 1e-2, 1e-9)
+            assert not cmath.isfinite(field.H(q, p, t + 1e-2))
 
     def test_located_blow_up_where_H_overflows(self, monkeypatch):
-        # the attempt on which the locator agrees on t* = 0.2 lands past
-        # |q| = 8.5e5, where H overflows
-        run = lambda: integrate(BLOWUP, STEEP_PARAMS, 5, 0, (0, 1),
-                                method="adaptive-rk45", tol=1.425e-12)
+        # the attempt on which the locator agrees on t* = 2 lands past
+        # t = 1.999943, where H is not finite
+        run = lambda: integrate(BLOWUP, BLOWUP_PARAMS, 0.5, 0, (0, 3),
+                                method="adaptive-rk45", tol=1e-9)
         traj = run()
-        assert_same_run(traj, ref_integrate(BLOWUP, STEEP_PARAMS.values, 5,
-                                            0, (0, 1), 1e-3, 1.425e-12,
+        assert_same_run(traj, ref_integrate(BLOWUP, BLOWUP_PARAMS.values,
+                                            0.5, 0, (0, 3), 1e-3, 1e-9,
                                             "adaptive-rk45"))
-        field = compile_field(BLOWUP, STEEP_PARAMS)
+        field = compile_field(BLOWUP, BLOWUP_PARAMS)
         H = field.H
-        monkeypatch.setattr(field, "H", lambda q, p, t: complex("nan"))
-        located = run()  # the same run, with an H that never raises
+        monkeypatch.setattr(field, "H", lambda q, p, t: 0j)
+        located = run()  # the same run, with an H that is always finite
         assert located.termination == "blow-up"
-        with pytest.raises(OverflowError):
-            H(complex(located.q[-1]), complex(located.p[-1]),
-              float(located.times[-1]))
+        assert not cmath.isfinite(H(complex(located.q[-1]),
+                                    complex(located.p[-1]),
+                                    float(located.times[-1])))
         # the step to that sample is not accepted: the run ends at the
         # sample before with overflow, and the same attempts
         assert traj.termination == "overflow"
@@ -511,6 +517,29 @@ class TestStepAndTolValidation:
     def test_bad_h(self, method, h):
         with pytest.raises(ValueError, match="h must be finite and positive"):
             integrate(A5, PARAMS5, 1, 0, (0, 0.01), h=h, method=method)
+
+    # the spacing of floats at 1e6 is 2**-33 = 1.16e-10, and 1e6 has an even
+    # last bit, so 1e6 + 2**-34 rounds to 1e6; past the next float up, with
+    # an odd last bit, T + 2**-34 rounds up, but 1e6 + 2**-34 still does not
+    @pytest.mark.parametrize("t_span, h", [
+        ((1e6, 1e6 + 1e-4), 1e-11),
+        ((-1e6, 0), 2.0 ** -34),
+        ((1e6, 1e6 + 2.0 ** -33), 2.0 ** -34)],
+        ids=["below-half-spacing", "half-spacing", "odd-last-bit"])
+    def test_fixed_step_that_cannot_advance_t(self, t_span, h):
+        # raised before any step: a run of such steps would append samples
+        # at one time until its last-step rule caught up
+        with pytest.raises(ValueError, match=f"h = {h} cannot advance t"):
+            integrate(A5, PARAMS5, 1, 0, t_span, h=h)
+
+    def test_fixed_step_just_past_half_spacing_advances_t(self):
+        # 1e6 + h rounds up to the next float: each step moves t by 2**-33
+        # until the last-step rule stretches one onto t1
+        h = 2.0 ** -34 * (1 + 2.0 ** -52)
+        traj = integrate(A5, PARAMS5, 1, 0, (1e6, 1e6 + 1e-8), h=h)
+        assert traj.termination == "completed"
+        assert traj.times[-1] == 1e6 + 1e-8 and len(traj.times) > 10
+        assert np.all(np.diff(traj.times) > 0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_bad_tol(self, tol):
@@ -890,89 +919,101 @@ class TestTrajectoryInvariants:
         assert (a == b) is False
 
 
-# -- references: the per-term loop evaluator and the stage loop that the
-# generated kernels and the precomputed tableau rows replaced; both must
-# agree with them bit for bit, signed zeros included -----------------------
+# -- references: the nested evaluator written as a plain loop, and the stage
+# loop that the generated steps replaced; both must agree with them bit for
+# bit, signed zeros and NaN payloads included ---------------------------
 
-def c_powu(z, k, r=None):
-    """z^k for an int 0 < k <= 100 by CPython's binary exponentiation
-    (c_powu in Objects/complexobject.c): for each bit of k from the lowest,
-    r = r*z^(2^i) where the bit is set, the square z^(2^i) squared once per
-    bit.  With r = 1+0j this is ``z**k``, whose complex result with an
-    infinite part raises OverflowError; with r = None, r starts as the
-    lowest set bit's square, as the kernels' chain does, and goes on."""
-    from_one, square = r is not None, z
+def chain(z, k):
+    """z^k for an int k >= 1 by binary exponentiation from z: the squares
+    z^(2^i), and the product of those of k's set bits, lowest first."""
+    r, square = None, z
     while True:
         if k & 1:
             r = square if r is None else r * square
         k >>= 1
         if not k:
-            break
+            return r
         square = square * square
-    if from_one and type(r) is complex \
-            and (math.isinf(r.real) or math.isinf(r.imag)):
-        raise OverflowError("complex exponentiation")
-    return r
 
 
-def chain_power(z, k):
-    """z**k as the kernels compute it: for 0 < k <= 100, ``c_powu``'s chain
-    from the lowest set bit's square, which on a complex scalar raises
-    where ``**`` raises; ``**`` otherwise."""
-    if not 0 < k <= 100:
-        return z ** k
-    if type(z) is complex:
-        z ** k
-    return c_powu(z, k)
+def nested_power(v, k):
+    """v^k as the kernels compute it: from v, or from w = 1/v for k < 0."""
+    return chain(v, k) if k > 0 else chain(1 / v, -k)
+
+
+def nested_value(terms, point):
+    """The nested form of the polynomial with (c, exponents) ``terms`` at
+    ``point``, one value per variable: the monomial common to the terms
+    factored out (the least exponent where all are >= 0, the greatest where
+    all are < 0), the rest by Horner's rule in the first variable over the
+    degrees present, the degrees >= 0 in v and the others in w = 1/v, added
+    after, each coefficient nested alike in the remaining variables."""
+    if not point:
+        (c, ()), = terms
+        return c
+    v, rest = point[0], point[1:]
+    common = []
+    for column in zip(*(exps for _, exps in terms)):
+        low, high = min(column), max(column)
+        common.append(low if low >= 0 else high if high < 0 else 0)
+    sides = ({}, {})
+    for c, (k, *exps) in terms:
+        k -= common[0]
+        sides[k < 0].setdefault(abs(k), []).append(
+            (c, tuple(e - m for e, m in zip(exps, common[1:]))))
+    parts = []
+    for sign, side in zip((1, -1), sides):
+        if not side:
+            continue
+        ks = sorted(side, reverse=True)
+        value = nested_value(side[ks[0]], rest)
+        for k, j in zip(ks, ks[1:]):
+            value = value * nested_power(v, sign * (k - j)) \
+                + nested_value(side[j], rest)
+        if ks[-1]:
+            value = value * nested_power(v, sign * ks[-1])
+        parts.append(value)
+    value = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    for x, k in zip(point, common):
+        if k:
+            value = value * nested_power(x, k)
+    return value
+
+
+def bound_terms(poly, params):
+    """The (c, (eq, ep, et)) terms of ``poly`` with ``params`` bound, zero
+    coefficients left out."""
+    tbl = poly.table
+    iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
+    pidx = {tbl.index(k): complex(v) for k, v in params.items()}
+    merged = {}
+    for exps, coeff in poly.terms.items():
+        c = complex(coeff)
+        for i, e in enumerate(exps):
+            if e and i not in (iq, ip, it):
+                c *= pidx[i] ** e
+        key = (exps[iq], exps[ip], exps[it])
+        merged[key] = merged.get(key, 0j) + c
+    return [(c, key) for key, c in merged.items() if c != 0]
 
 
 class RefCompiledPoly:
-    """A LaurentPoly with parameters bound, reduced to (coeff, eq, ep, et)
-    terms and evaluated term by term as the kernels evaluate them: powers
-    of q and p from ``chain_power`` (on arrays, the multiplications of the
-    kernels' power chain), powers of t from ``**`` but t**1, which is t
-    where ``**`` does not raise, and each term added to the one before.
-    With ``old``, as the loop that the kernels replaced: every power from
-    ``**``, and the terms added to 0j."""
+    """A LaurentPoly with parameters bound, evaluated by ``nested_value``,
+    or 0j where it has no term."""
 
-    def __init__(self, poly, params, old=False):
-        self.old = old
-        tbl = poly.table
-        iq, ip, it = tbl.index("q"), tbl.index("p"), tbl.index("t")
-        pidx = {tbl.index(k): complex(v) for k, v in params.items()}
-        merged = {}
-        for exps, coeff in poly.terms.items():
-            c = complex(coeff)
-            for i, e in enumerate(exps):
-                if e and i not in (iq, ip, it):
-                    c *= pidx[i] ** e
-            key = (exps[iq], exps[ip], exps[it])
-            merged[key] = merged.get(key, 0j) + c
-        self.spans = [(c, eq, ep, et) for (eq, ep, et), c in merged.items()
-                      if c != 0]
+    def __init__(self, poly, params):
+        self.terms = bound_terms(poly, params)
 
     def __call__(self, q, p, t):
-        power = pow if self.old else chain_power
-        total = 0j if self.old else None
-        for c, eq, ep, et in self.spans:
-            v = c
-            if eq:
-                v *= power(q, eq)
-            if ep:
-                v *= power(p, ep)
-            if et:
-                t_power = t ** et
-                v *= t if et == 1 and not self.old else t_power
-            total = v if total is None else total + v
-        return 0j if total is None else total
+        return nested_value(self.terms, (q, p, t)) if self.terms else 0j
 
 
 class RefField:
-    def __init__(self, sys, values, old=False):
+    def __init__(self, sys, values):
         f_q, f_p = hamilton_equations(sys)
-        self.f_q = RefCompiledPoly(f_q, values, old)
-        self.f_p = RefCompiledPoly(f_p, values, old)
-        self.H = RefCompiledPoly(sys.H, values, old)
+        self.f_q = RefCompiledPoly(f_q, values)
+        self.f_p = RefCompiledPoly(f_p, values)
+        self.H = RefCompiledPoly(sys.H, values)
         self.calls = 0
 
     def __call__(self, q, p, t):
@@ -980,11 +1021,11 @@ class RefField:
         return self.f_q(q, p, t), self.f_p(q, p, t)
 
 
-def ref_guard(t, q):
-    """The one stage failure: q not finite or above OVERFLOW_GUARD."""
-    if not cmath.isfinite(q) or abs(q) > OVERFLOW_GUARD:
-        raise OverflowError(f"|q| = {abs(q):.3e} outside the overflow guard "
-                            f"at t = {t}")
+def ref_guard(t, q, p):
+    """The one stage failure: q not finite or above OVERFLOW_GUARD, or p
+    not finite."""
+    if not (abs(q) <= OVERFLOW_GUARD and cmath.isfinite(p)):
+        raise OverflowError(f"|q| = {abs(q):.3e}, p = {p} at t = {t}")
 
 
 def weigh(weights, ks):
@@ -1002,7 +1043,7 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
             if a:
                 qi += h * a * dq
                 pi += h * a * dp
-        ref_guard(t, qi)
+        ref_guard(t, qi, pi)
         dq, dp = field(qi, pi, t + c * h)
         kq.append(dq)
         kp.append(dp)
@@ -1020,11 +1061,13 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
 
 def ref_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
     """``ref_rk_step`` and H at (q, p, t), in the order the generated step
-    evaluates them: the first stage's field, then H, then the later
-    stages."""
-    ref_guard(t, q)
+    evaluates them: the first stage's field, then H, which must be finite,
+    then the later stages."""
+    ref_guard(t, q, p)
     field(q, p, t + tab.c[0] * h)
     H = field.H(q, p, t)
+    if not cmath.isfinite(H):
+        raise OverflowError("H is not finite")
     return (*ref_rk_step(tab, q, p, t, h, field, tol, weigh), H)
 
 
@@ -1132,8 +1175,8 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     driven by ``ref_rk_step`` and ``RefField``, with its own count of the
     run statistics: the field calls of the steps that returned, and the
     smallest step whose sample was recorded.  A step to a q or p that is
-    not finite or beyond OVERFLOW_GUARD, or to a sample at which H
-    overflows, is not taken: the run ends with ``overflow``.  An adaptive
+    not finite or beyond OVERFLOW_GUARD, or to a sample at which H is not
+    finite, is not taken: the run ends with ``overflow``.  An adaptive
     run keeps u = q/q' at each sample whose q' is nonzero; from the last two
     distinct u it estimates alpha = -(t_b - t_a)/(u_b - u_a) and
     t* = t_b + alpha*u_b, and stops once ``locates_blowup``.  Before each
@@ -1201,9 +1244,8 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
                     or abs(q) > OVERFLOW_GUARD or abs(p) > OVERFLOW_GUARD:
                 termination = "overflow"
                 break
-            try:
-                H = field.H(q, p, t)
-            except OverflowError:  # nor is a sample at which H overflows
+            H = field.H(q, p, t)
+            if not cmath.isfinite(H):  # nor is a sample where H is not
                 termination = "overflow"
                 break
             times.append(t)
@@ -1381,16 +1423,15 @@ class TestKernelsMatchLoopReference:
     @pytest.mark.parametrize("tab", [_RK4, _FEHLBERG45],
                              ids=["rk4", "fehlberg45"])
     def test_rk_step_raises_where_H_raises(self, tab):
-        # the step samples H at its start, so it raises where H does even
-        # when every stage of the field is finite
-        ref = RefField(STEEP, STEEP_PARAMS.values)
-        ref_rk_step(tab, 1 + 0j, 1250 + 0j, 0.0, 1e-3, ref, 1e-9)
-        with pytest.raises(OverflowError, match="complex exponentiation"):
-            ref.H(1 + 0j, 1250 + 0j, 0.0)
-        assert_same_step(STEEP, STEEP_PARAMS.values, tab, 1 + 0j, 1250 + 0j,
-                         0.0, 1e-3, 1e-9)
-        assert loop_step(compile_field(STEEP, STEEP_PARAMS), tab, 1 + 0j,
-                         1250 + 0j, 0.0, 1e-3, 1e-9) == "raised"
+        # the step tests H at its start, so it raises where H is not finite
+        # even when every stage of the field is finite
+        ref = RefField(CAPPED, CAPPED_PARAMS.values)
+        ref_rk_step(tab, 1 + 0j, 1 + 0j, 0.9, 1e-3, ref, 1e-9)
+        assert not cmath.isfinite(ref.H(1 + 0j, 1 + 0j, 0.9))
+        assert_same_step(CAPPED, CAPPED_PARAMS.values, tab, 1 + 0j, 1 + 0j,
+                         0.9, 1e-3, 1e-9)
+        assert loop_step(compile_field(CAPPED, CAPPED_PARAMS), tab, 1 + 0j,
+                         1 + 0j, 0.9, 1e-3, 1e-9) == "raised"
 
 
 def assert_same_step(sys, values, tab, q, p, t, h, tol):
@@ -1419,28 +1460,11 @@ def outcome(fn, *args):
     return "value", tuple(map(bits, got if isinstance(got, tuple) else (got,)))
 
 
-def canonical(out):
-    """A scalar ``outcome`` with each zero part read as +0.0 and each
-    infinite or NaN part as inf."""
-    if out[0] != "value":
-        return out
-    parts = lambda b: (x or 0.0 if math.isfinite(x) else math.inf
-                       for x in struct.unpack("<2d", b))
-    return "value", tuple(struct.pack("<2d", *parts(b)) for b in out[1])
-
-
-def pow_and_sum_weigh(weights, ks):
-    """The weighted sum of the step that the generated step replaced:
-    every weight's product, summed from 0."""
-    return sum(map(mul, weights, ks))
-
-
 def quiet_nan(sign, payload):
     return struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF8 << 48
                                            | payload))[0]
 
 
-NAN_5 = quiet_nan(0, 5)
 # parts from the whole float range: signed zeros, subnormals, magnitudes
 # from 1e-320 to 1e301 (so some power of 1..100 overflows at every
 # magnitude above 1e3), infinities and NaNs, with payloads and either sign
@@ -1454,100 +1478,14 @@ wide_parts = st.one_of(
               st.integers(-320, 300)),
     st.floats(allow_nan=True, allow_infinity=True))
 wide = st.builds(complex, wide_parts, wide_parts)
-chain_exponents = st.lists(st.integers(1, 100), max_size=3, unique=True)
-
-
-@pytest.mark.filterwarnings("ignore:parameter e")
-class TestPowerChain:
-    # z and 1*z differ where z has an infinite part and a NaN, or two NaNs
-    # with different payloads
-    @example(complex(-math.inf, NAN_5), 0j, [1], [])
-    @example(complex(NAN_5, -math.nan), complex(math.nan, NAN_5), [3], [1])
-    @settings(max_examples=500, deadline=None)
-    @given(wide, wide, chain_exponents.filter(bool), chain_exponents)
-    def test_generated_powers_match_pow(self, z, w, qks, pks):
-        # the power lines of a kernel, on their own: the bits of the chain
-        # reference, and the exception type and message of **
-        powers = [*(("q", k) for k in qks), *(("p", k) for k in pks)]
-        lines, args = _power_lines(powers)
-        fn = _generate("(q, p, t)", lines + [
-            f"return ({', '.join(_power_name(*power) for power in powers)},)"],
-            args)
-        by_chain = lambda: tuple(chain_power(z, k) for k in qks) \
-            + tuple(chain_power(w, k) for k in pks)
-        assert outcome(fn, z, w, 0.0) == outcome(by_chain)
-
-    @settings(max_examples=500, deadline=None)
-    @given(wide, st.integers(1, 100))
-    def test_loop_reference_matches_pow(self, z, k):
-        assert outcome(c_powu, z, k, 1 + 0j) == outcome(pow, z, k)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), st.floats(-3, 70),
-           st.floats(-3, 170), st.floats(-math.pi, math.pi),
-           st.floats(-math.pi, math.pi), times)
-    def test_field_raises_where_pow_kernel_raises(self, sys, data, lq, lp,
-                                                   aq, ap, t):
-        values = data.draw(param_values(sys))
-        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-        ref = RefField(sys, values, old=True)
-        q, p = cmath.rect(10 ** lq, aq), cmath.rect(10 ** lp, ap)
-        assert canonical(outcome(field, q, p, t)) \
-            == canonical(outcome(ref, q, p, t))
-        assert canonical(outcome(field.H, q, p, t)) \
-            == canonical(outcome(ref.H, q, p, t))
-
-    # f_p of autonomous5 has a p**2 term, which overflows past |p| ~ 1.3e154;
-    # at 1e155*(1 + 1j) both parts of p*p overflow and p**2 comes out NaN
-    # without an infinite part, so ** does not raise
-    @pytest.mark.parametrize("p, raises", [(1e150 + 0j, False),
-                                           (1e155 + 0j, True),
-                                           (1e155j, True),
-                                           (complex(1e155, 1e155), False),
-                                           (complex(0, math.nan), False)])
-    def test_field_overflow_on_large_p(self, p, raises):
-        field = compile_field(A5, PARAMS5)
-        ref = RefField(A5, PARAMS5.values, old=True)
-        got = outcome(field, 1 + 0j, p, 0.0)
-        assert canonical(got) == canonical(outcome(ref, 1 + 0j, p, 0.0))
-        assert (got == (OverflowError, "complex exponentiation")) == raises
-
-    def test_first_failing_power_in_term_order_raises(self):
-        # at q = 0, q**-1 raises ZeroDivisionError, and at p = 1e155, p**2
-        # raises OverflowError: the terms' order decides which, as with **
-        inv, square = (1 + 0j, -1, 0, 0), (1 + 0j, 0, 2, 0)
-        for spans, first in (([inv, square], lambda: 0j ** -1),
-                             ([square, inv], lambda: (1e155 + 0j) ** 2)):
-            assert outcome(_kernel(spans), 0j, 1e155 + 0j, 0.0) \
-                == outcome(first)
-
-    @pytest.mark.parametrize("var, k, point", [
-        ("t", 3, (1 + 0j, 1 + 0j, 0.3)),  # a float t**3 is libm pow
-        ("q", 101, (1.01 + 0.02j, 1 + 0j, 0.0)),  # polar form past 100
-        ("p", 150, (1 + 0j, 0.99 + 0.1j, 0.0)),
-        ("q", -3, (1.01 + 0.02j, 1 + 0j, 0.0)),
-        ("q", -3, (0j, 1 + 0j, 0.0))])  # ** raises ZeroDivisionError
-    def test_other_powers_keep_pow(self, var, k, point):
-        fn = compiled_poly(LaurentPoly.var(A5.table, var, k), {})
-        x = point["qpt".index(var)]
-        assert outcome(fn, *point) == outcome(lambda: (1 + 0j) * x ** k)
-        if k > 0:  # the chain would give other bits here
-            assert outcome(fn, *point) != outcome(
-                lambda: (1 + 0j) * c_powu(x, k))
 
 
 # drawn parameters may be zero
 @pytest.mark.filterwarnings("ignore:parameter e")
-class TestPowAndSumLoop:
-    """The kernels and steps against the loop they replaced, which took each
-    power with ``**`` and summed each polynomial and each weighted sum from
-    0j, with every weight's product.  They raise the same exception, type
-    and message.  A part of a value that the loop leaves finite keeps its
-    bits but for the sign of a zero, and one that it leaves infinite or NaN
-    is infinite or NaN: where z is finite, 1*z, 0j + z and z + 0*k differ
-    from z only in zero signs, and the chain's powers from ``**``, but z
-    and 1*z differ where z is not, as (inf, inf) and (nan, nan) do, and so
-    do p*p and p**2 at p = 1e200 + 1e110j."""
+class TestKernelsOverTheFloatRange:
+    """The kernels and steps against the nested reference at points from the
+    whole float range: the same bits, NaN payloads included, and the same
+    exception, type and message."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([_RK4, _FEHLBERG45]),
@@ -1559,30 +1497,213 @@ class TestPowAndSumLoop:
         # (a q beyond the guard stops the loop before its first stage)
         values = data.draw(param_values(sys))
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-        old = RefField(sys, values, old=True)
-        for got, want in ((field, old), (field.H, old.H)):
-            assert canonical(outcome(got, q, p, t)) \
-                == canonical(outcome(want, q, p, t))
+        ref = RefField(sys, values)
+        for got, want in ((field, ref), (field.H, ref.H)):
+            assert outcome(got, q, p, t) == outcome(want, q, p, t)
         if cmath.isfinite(p):
-            read = lambda v: canonical(("value", (bits(v),)))[1]
             for tol in step_tols(tab, 1e-9):
                 got, want = step_outcomes(
                     loop_step(field, tab, q, p, s, h, tol),
-                    ref_loop_step(tab, q, p, s, h, old, tol,
-                                  pow_and_sum_weigh), read)
+                    ref_loop_step(tab, q, p, s, h, ref, tol), bits)
                 assert got == want
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(), wide, wide,
+    @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(),
+           st.one_of(wide, st.builds(complex, zeros, zeros)), wide,
            st.one_of(wide_parts, wide))
     def test_laurent_rules(self, which, data, q, p, t):
+        # q = 0 raises ZeroDivisionError where a rule reads w = 1/q
         polys = LAURENT_RULES[which]
         values = {name: data.draw(scalars) for name in polys[0].table.names
                   if name not in COORD_VARS}
         for poly in polys:
-            old = RefCompiledPoly(poly, values, old=True)
-            assert canonical(outcome(compiled_poly(poly, values), q, p, t)) \
-                == canonical(outcome(old, q, p, t))
+            assert outcome(compiled_poly(poly, values), q, p, t) \
+                == outcome(RefCompiledPoly(poly, values), q, p, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(), arrays(wide),
+           arrays(wide), st.one_of(wide_parts, arrays(wide)))
+    def test_laurent_rules_on_arrays(self, which, data, q, p, t):
+        # numpy arrays warn at q = 0 and go on, as the reference's
+        # arithmetic does
+        polys = LAURENT_RULES[which]
+        values = {name: data.draw(scalars) for name in polys[0].table.names
+                  if name not in COORD_VARS}
+        q[0] = 0j
+        with np.errstate(all="ignore"):
+            for poly in polys:
+                assert_same(compiled_poly(poly, values)(q, p, t),
+                            RefCompiledPoly(poly, values)(q, p, t))
+
+
+exponents = st.lists(st.integers(1, 100), max_size=3, unique=True)
+
+
+class TestPowerChain:
+    """The powers of a kernel, each computed once from v, or from w = 1/v
+    for a negative exponent, by binary exponentiation."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(wide, wide, exponents.filter(bool), exponents, exponents)
+    def test_generated_powers_match_pow(self, z, w, qks, pks, inverse):
+        # the power lines on their own: the bits of the reference chain,
+        # and, for a positive exponent, the value of CPython's z**k where
+        # it is finite (its chain starts from 1+0j, so zero signs differ)
+        powers = [*(("q", k) for k in qks), *(("p", k) for k in pks),
+                  *(("q", -k) for k in inverse)]
+        lines = integrate_module._power_lines(
+            [power for power in powers if power[1] != 1])
+        names = [integrate_module._power_name(*power) for power in powers]
+        fn = _generate("(q, p, t)", lines + [f"return ({', '.join(names)},)"],
+                       {})
+        point = {"q": z, "p": w}
+        got = outcome(fn, z, w, 0.0)
+        assert got == outcome(
+            lambda: tuple(nested_power(point[v], k) for v, k in powers))
+        if got[0] != "value":  # 1/q at q = 0
+            return
+        for (v, k), value in zip(powers, fn(z, w, 0.0)):
+            if k < 0:
+                continue
+            try:
+                want = point[v] ** k
+            except OverflowError:
+                continue
+            if cmath.isfinite(want):
+                assert value == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(wide, st.integers(1, 100))
+    def test_loop_reference_matches_pow(self, z, k):
+        # the reference chain has the value of z**k wherever that is finite
+        try:
+            want = z ** k
+        except OverflowError:
+            return
+        if cmath.isfinite(want):
+            assert chain(z, k) == want
+
+
+def exact(z):
+    """A complex float as an exact pair of Fractions."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def exact_product(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def exact_power(a, k):
+    """a^k for an int k, exactly: a negative k is a power of 1/a."""
+    if k < 0:
+        norm = a[0] ** 2 + a[1] ** 2
+        a, k = (a[0] / norm, -a[1] / norm), -k
+    r = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        r = exact_product(r, a)
+    return r
+
+
+# unit roundoff, and a bound on the relative error of one complex
+# operation: sqrt(2)*gamma_2 for a product and sqrt(2)*gamma_4 for the
+# textbook quotient (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Lemma 3.5), with room for CPython's scaled quotient
+UNIT = 2.0 ** -53
+NU = 8 * UNIT
+
+
+def assert_within_higham_bound(terms, point, got):
+    """``got`` lies within Higham's bound for Horner's rule (§5.1) of the
+    exact value of the (c, exponents) ``terms`` at ``point``: gamma_{2d} *
+    sum |c| |q|^eq |p|^ep |t|^et, with gamma_k = k*NU/(1 - k*NU).  A term
+    passes at most one product per unit of its degree (the chains of its
+    powers included) and one sum per Horner step below it, at most its
+    degree plus one in each of q, p and t, and one sum of the q and w
+    parts.  Each power of w = 1/q also carries the quotient's error, so a
+    negative degree counts twice: 2d + 4 operations in all, with d the
+    largest such degree."""
+    point = tuple(map(complex, point))
+    total = (Fraction(0), Fraction(0))
+    size, d = 0.0, 0
+    for c, exps in terms:
+        term = exact(complex(c))
+        for x, k in zip(point, exps):
+            term = exact_product(term, exact_power(exact(x), k))
+        total = (total[0] + term[0], total[1] + term[1])
+        size += abs(c) * math.prod(abs(x) ** k for x, k in zip(point, exps))
+        d = max(d, sum(2 * -k if k < 0 else k for k in exps))
+    k = 2 * d + 4
+    error = abs(complex(got) - complex(float(total[0]), float(total[1])))
+    assert error <= k * NU / (1 - k * NU) * size
+
+
+dyadic = st.integers(-64, 64).map(lambda k: k / 32)
+dyadic_complex = st.builds(complex, dyadic, dyadic)
+
+
+@pytest.mark.filterwarnings("ignore:parameter e")
+class TestKernelsWithinHighamBound:
+    """An oracle independent of the nesting: each bound polynomial's exact
+    value in Fractions at drawn dyadic points, which floats hold exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(KERNEL_SYSTEMS), st.data(), dyadic_complex,
+           dyadic_complex, dyadic)
+    def test_field_and_H(self, sys, data, q, p, t):
+        values = data.draw(param_values(sys, dyadic_complex))
+        field = compile_field(sys, NumericParams(sys.name, values, sys.n))
+        f_q, f_p = hamilton_equations(sys)
+        for poly, got in zip((f_q, f_p, sys.H),
+                             (*field(q, p, t), field.H(q, p, t))):
+            assert_within_higham_bound(bound_terms(poly, values), (q, p, t),
+                                       got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(),
+           dyadic_complex.filter(bool), st.integers(-8, 8), dyadic_complex,
+           dyadic_complex)
+    def test_laurent_rules(self, which, data, q, scale, p, t):
+        polys = LAURENT_RULES[which]
+        values = {name: data.draw(dyadic_complex)
+                  for name in polys[0].table.names if name not in COORD_VARS}
+        q *= 2.0 ** scale
+        for poly in polys:
+            assert_within_higham_bound(bound_terms(poly, values), (q, p, t),
+                                       compiled_poly(poly, values)(q, p, t))
+
+    @pytest.mark.parametrize("sys, m", [
+        (A5, autonomous_map(A5)),
+        (make_general_n(12), autonomous_map(make_general_n(12))),
+        (NA3, nonautonomous_map(3))], ids=["autonomous5", "general:12",
+                                           "order8"])
+    def test_map_images_from_small_to_huge_q(self, sys, m):
+        # the images nest their negative powers in w = 1/q, so they are
+        # finite over the whole range; q**-k, which computes q**k first,
+        # failed from |q| = 1e26 on general:12 and 1e62 on the others
+        values = {name: 0.75 - 0.5j for name in sys.params}
+        for k in range(-5, 101):
+            q = cmath.rect(10.0 ** k, 0.3)
+            point = (q, 0.7 - 0.2j, 0.4 + 0j)
+            image, _ = m.apply_numeric(dict(zip("qpt", point)), values)
+            for rule, got in zip((m.q_rule, m.p_rule, m.t_rule), image):
+                assert cmath.isfinite(got)
+                assert_within_higham_bound(bound_terms(rule, values), point,
+                                           got)
+
+
+class TestNestedForm:
+    def test_general12_stage_operations(self):
+        # general:12's field and H nest in 75 complex operations, where the
+        # term-by-term form took 96 and its shared power chain 12 more
+        sys = make_general_n(12)
+        field = compile_field(sys, NumericParams(sys.name,
+                                                 GENERAL12_ONES, 12))
+        names = {}
+        lines = integrate_module._kernel_lines(
+            [(out, integrate_module._named(names, spans), "qpt")
+             for out, spans in zip(("kq", "kp", "H"), field._spans)])
+        assert sum(line.count(" * ") + line.count(" + ")
+                   for line in lines) == 75
 
 
 def assert_same_run(got, want):
@@ -1805,16 +1926,15 @@ class TestBlowupLocator:
         assert_same_run(traj, ref_integrate(drift, A5_ONES, 1, 0, (0, 0.5),
                                             1e-3, 1e-9, "adaptive-rk45"))
 
-    # sha256 of the sample bytes of each run, recorded when the step began
-    # to propagate the 5th-order solution under a floored PI memory: a run
-    # that completes keeps every bit
+    # sha256 of the sample bytes of each run, recorded when the kernels
+    # became nested: a run that completes keeps every bit
     @pytest.mark.parametrize("sys,values,p0,t1,h,tol,samples,digest", [
         (A5, A5_PASS_THROUGH, 0, 0.05, 1e-3, 1e-9, 12,
-         "8d744cd013a1030cbafa445588f68b81154db4db753da520ee42e217cde7a3a1"),
+         "9297c6367d01952dc630cad7f045786450498cf09cc59b5b71cfba3db67b96ba"),
         (A5, A5_ONES, -1.5, 0.3, 1e-4, 1e-12, 114,
-         "6e6214d30e7a4cdafccccd76da3412ade2cf3fcbce1fcc438c5095329dcd838b"),
+         "047ddd20eb513c1e4acdbe2550a2b3403e86158b3ef2be141b7562da62390820"),
         (NA3, PARAMS3.values, -1.5, 0.3, 1e-4, 1e-12, 142,
-         "44b918f00c4070d16e35526d1dd63554da1940da52a30981ad80d98772d1a7ae")],
+         "5c5e4bdcbe6b8153336cd000652100386ec7415496de3c942e7f740171f4a963")],
         ids=["pass-through", "autonomous5-long", "nonautonomous3-long"])
     def test_completed_runs_keep_every_bit(self, sys, values, p0, t1, h, tol,
                                            samples, digest):
@@ -1916,6 +2036,35 @@ class TestEscapeIntoChart:
         assert_same_run(traj, ref_integrate(A5, PARAMS5.values, q0, 0,
                                             (0, 0.2), 1e-3, 1e-9,
                                             "fixed-rk4"))
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
+    def test_probe_where_H_is_not_finite(self, monkeypatch, method):
+        # a probe raises where H at its sample is not finite, and the run
+        # ends at the sample before with overflow, as one whose step lands
+        # where H is not finite does.  No run was found whose H is not
+        # finite at a probe but finite at every sample before, so H is
+        # replaced by one that is NaN everywhere: the generated loop sums
+        # its own H, and field.H is read only by the probe and at the end
+        plain = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
+                          method=method)
+        field = compile_field(A5, PARAMS5)
+        tab = integrate_module._METHODS[method]
+        loop, ends = field.loop(tab), []
+        monkeypatch.setitem(field._loops, tab,
+                            lambda *args: ends.append(loop(*args)) or ends[-1])
+        monkeypatch.setattr(field, "H", lambda q, p, t: complex(math.nan))
+        traj = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
+                         method=method)
+        assert plain.termination == "blow-up"
+        assert [end[0] for end in ends] == ["raised"]
+        assert traj.termination == "overflow" and traj.t_star is None
+        n = len(plain.times) - 1
+        assert len(traj.times) == n
+        for name in ("times", "q", "p", "H_values"):
+            assert bits(getattr(traj, name)) \
+                == bits(getattr(plain, name)[:n]), name
+        for name in ("steps_attempted", "steps_rejected", "field_evals"):
+            assert getattr(traj, name) == getattr(plain, name), name
 
     @pytest.mark.parametrize("sys,values,p0,t1,alpha", [
         (NA3, PARAMS3.values, 0, 0.3, 1 / 2),
@@ -2051,12 +2200,12 @@ class TestFixedStepLoop:
              0.1, 1e-9, "raised", "overflow"),
             ("fixed-rk4", GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1), 0.1,
              1e-9, "overflow", "overflow"),
-            # four probes read nothing; the step from the sample at which H
-            # overflows raises
-            ("fixed-rk4", STEEP, STEEP_PARAMS.values, 1, 1200, (0.0, 0.01),
-             1e-3, 1e-9, "raised", "overflow"),
-            # the probe at |q| = 6.3e9 raises where general:34's q^34
-            # overflows in H
+            # the step from the first sample past t = 0.7977, where H is
+            # not finite, raises
+            ("fixed-rk4", CAPPED, CAPPED_PARAMS.values, 1, 1, (0.7, 0.9),
+             1e-2, 1e-9, "raised", "overflow"),
+            # the probe at |q| = 6.3e9 raises where general:34's H is not
+            # finite
             ("fixed-rk4", GENERAL34, GENERAL34_ONES, 1, 0, (0.0, 1), 3e-3,
              1e-9, "raised", "overflow"),
             ("fixed-rk4", A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-3, 1e-9,
@@ -2077,8 +2226,8 @@ class TestFixedStepLoop:
              1e-9, "raised", "overflow"),
             ("adaptive-rk45", GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1),
              0.1, 1e-9, "overflow", "overflow"),
-            ("adaptive-rk45", STEEP, STEEP_PARAMS.values, 1, 1200,
-             (0.0, 0.01), 1e-3, 1e-9, "raised", "overflow"),
+            ("adaptive-rk45", CAPPED, CAPPED_PARAMS.values, 1, 1, (0.7, 0.9),
+             1e-2, 1e-9, "raised", "overflow"),
             # ends at t1 before the probe at |q| = 44.3 that counts
             ("adaptive-rk45", GENERAL4, GENERAL4_DRAWN, -0.9307, -1.4827,
              (0.0, 0.2595), 1e-3, 1e-6, "completed", "completed"),
