@@ -272,6 +272,20 @@ class TestIntegrate:
         assert "error: h = 1e-11 cannot advance t" in captured.err
         assert captured.out == ""
 
+    def test_adaptive_step_below_the_spacing_of_floats(self, tmp_path,
+                                                       capsys):
+        # adaptive-rk45 raises its steps to the spacing of floats at 1e6,
+        # so every sample moves t
+        csv = tmp_path / "traj.csv"
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", "--t0", "1e6",
+                    "--t1", "1000000.0001", "--h", "1e-11",
+                    "--method", "adaptive-rk45", "--out", str(csv)]) == 0
+        times = [float(row.split(",")[0])
+                 for row in csv.read_text().splitlines()[1:]]
+        assert len(times) > 2 and times[-1] == 1000000.0001
+        assert all(a < b for a, b in zip(times, times[1:]))
+
     def test_immediate_singularity(self, capsys):
         # q = 0 is a regular point: a start at or next to it completes
         for q0 in ("1e-12", "0"):

@@ -451,7 +451,13 @@ class TestIntegrate:
         params = NumericParams(sys.name, values, sys.n)
         with pytest.raises(ValueError) as raised:
             integrate(sys, params, q0, p0, t_span, h=1e-3)
-        H = compile_field(sys, params).H(complex(q0), complex(p0), t_span[0])
+        # a real start of a real field reads H in float arithmetic, and the
+        # message gives it as a complex number
+        field = compile_field(sys, params)
+        q0, p0 = complex(q0), complex(p0)
+        H = complex(field.real_H(q0.real, p0.real, t_span[0])
+                    if field.real and not (q0.imag or p0.imag)
+                    else field.H(q0, p0, t_span[0]))
         assert not cmath.isfinite(H)
         assert str(raised.value) == (f"H is not finite at the start state "
                                      f"{state}: H = {H}")
@@ -486,7 +492,8 @@ class TestIntegrate:
                                             "adaptive-rk45"))
         field = compile_field(BLOWUP, BLOWUP_PARAMS)
         H = field.H
-        monkeypatch.setattr(field, "H", lambda q, p, t: 0j)
+        for name in ("H", "real_H"):
+            monkeypatch.setattr(field, name, lambda q, p, t: 0.0)
         located = run()  # the same run, with an H that is always finite
         assert located.termination == "blow-up"
         assert not cmath.isfinite(H(complex(located.q[-1]),
@@ -540,6 +547,34 @@ class TestStepAndTolValidation:
         assert traj.termination == "completed"
         assert traj.times[-1] == 1e6 + 1e-8 and len(traj.times) > 10
         assert np.all(np.diff(traj.times) > 0)
+
+    # a complex start runs the complex binding, a real one the real binding
+    @pytest.mark.parametrize("q0", [1, 1 + 0.1j], ids=["real", "complex"])
+    def test_adaptive_step_moves_t(self, q0):
+        # h = 1e-11 is below the spacing of floats at 1e6, 2**-33: the first
+        # step is that spacing, and no sample repeats a time
+        t1 = 1e6 + 1e-4
+        traj = integrate(A5, PARAMS5, q0, 0, (1e6, t1), h=1e-11,
+                         method="adaptive-rk45")
+        assert traj.termination == "completed" and traj.times[-1] == t1
+        assert traj.times[1] - traj.times[0] == 2.0 ** -33
+        assert np.all(np.diff(traj.times) > 0)
+        assert_same_run(traj, ref_integrate(A5, PARAMS5.values, q0, 0,
+                                            (1e6, t1), 1e-11, 1e-9,
+                                            "adaptive-rk45"))
+
+    @pytest.mark.parametrize("method, samples", [("fixed-rk4", 2),
+                                                 ("adaptive-rk45", 9)])
+    @pytest.mark.parametrize("q0", [1, 1 + 0.1j], ids=["real", "complex"])
+    def test_span_of_a_few_float_spacings(self, method, samples, q0):
+        # t1 - t0 = 2**-30 is eight spacings of floats at 1e6: fixed-rk4
+        # takes one step onto t1, adaptive-rk45 eight of one spacing each
+        t1 = 1e6 + 2.0 ** -30
+        traj = integrate(A5, PARAMS5, q0, 0, (1e6, t1), method=method)
+        assert traj.termination == "completed" and traj.times[-1] == t1
+        assert len(traj.times) == samples
+        assert_same_run(traj, ref_integrate(A5, PARAMS5.values, q0, 0,
+                                            (1e6, t1), 1e-3, 1e-9, method))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_bad_tol(self, tol):
@@ -744,13 +779,14 @@ class TestStepCache:
                             lambda signature, *rest: generated.append(
                                 signature) or generate(signature, *rest))
         compile_field(NA3, PARAMS3)
-        assert generated == ["(q, p, t)"] * 2  # the field and H, no step
+        # the field, H and H bound to floats, no step
+        assert generated == ["(q, p, t)"] * 3
         loop = "(times, qs, ps, hs, h, t1, tol)"
         for method, signatures in (("fixed-rk4", [loop]),
                                    ("adaptive-rk45", [loop, loop])):
             runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3,
                               method=method) for _ in range(2)]
-            assert generated[2:] == signatures
+            assert generated[3:] == signatures
             assert_same_run(*runs)
 
     def test_fields_with_the_same_terms_share_compiled_code(self):
@@ -761,12 +797,14 @@ class TestStepCache:
                 method=method)
             _field_cache.cache_clear()
             compiled.cache_clear()
-            run(1)  # compiles the field, H and the method's loop
+            # compiles the field, H and the method's loop; H bound to
+            # floats reuses the code of H
+            run(1)
             before = compiled.cache_info()
             shared = run(2)
             after = compiled.cache_info()
             assert (after.hits - before.hits, after.misses) \
-                == (3, before.misses), method
+                == (4, before.misses), method
             _field_cache.cache_clear()
             compiled.cache_clear()
             assert_same_run(shared, run(2))
@@ -776,13 +814,16 @@ class TestStepCache:
         (1, (0, 0), "fixed-rk4"), (100, (0, 1), "fixed-rk4")],
         ids=["fixed", "adaptive", "zero-span", "overflow"])
     def test_one_H_call_per_run(self, monkeypatch, q0, t_span, method):
+        # each start is real: the real binding's H reads the last sample
         field = compile_field(A5, PARAMS5)
         calls = []
-        H = field.H
-        monkeypatch.setattr(field, "H", lambda *args: calls.append(args)
-                            or H(*args))
+        for name in ("H", "real_H"):
+            H = getattr(field, name)
+            monkeypatch.setattr(field, name, lambda *args, H=H, name=name:
+                                calls.append((name, args)) or H(*args))
         traj = integrate(A5, PARAMS5, q0, 0.3, t_span, method=method)
-        assert calls == [(traj.q[-1], traj.p[-1], traj.times[-1])]
+        assert calls == [("real_H", (traj.q[-1], traj.p[-1],
+                                     traj.times[-1]))]
 
 
 APPLY_CASES = {"shear-autonomous5": (A5, autonomous_map(A5)),
@@ -999,21 +1040,28 @@ def bound_terms(poly, params):
 
 class RefCompiledPoly:
     """A LaurentPoly with parameters bound, evaluated by ``nested_value``,
-    or 0j where it has no term."""
+    or 0 where it has no term; with ``real``, in float arithmetic, from the
+    real parts of the bound coefficients."""
 
-    def __init__(self, poly, params):
-        self.terms = bound_terms(poly, params)
+    def __init__(self, poly, params, real=False):
+        self.terms = [(c.real if real else c, key)
+                      for c, key in bound_terms(poly, params)]
+        self.zero = 0.0 if real else 0j
 
     def __call__(self, q, p, t):
-        return nested_value(self.terms, (q, p, t)) if self.terms else 0j
+        return nested_value(self.terms, (q, p, t)) if self.terms \
+            else self.zero
 
 
 class RefField:
-    def __init__(self, sys, values):
+    def __init__(self, sys, values, real=False):
         f_q, f_p = hamilton_equations(sys)
-        self.f_q = RefCompiledPoly(f_q, values)
-        self.f_p = RefCompiledPoly(f_p, values)
-        self.H = RefCompiledPoly(sys.H, values)
+        self.f_q = RefCompiledPoly(f_q, values, real)
+        self.f_p = RefCompiledPoly(f_p, values, real)
+        self.H = RefCompiledPoly(sys.H, values, real)
+        # whether every bound coefficient of the field and H is real
+        self.real = not any(c.imag for poly in (self.f_q, self.f_p, self.H)
+                            for c, _ in poly.terms)
         self.calls = 0
 
     def __call__(self, q, p, t):
@@ -1182,40 +1230,50 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
     t* = t_b + alpha*u_b, and stops once ``locates_blowup``.  Before each
     attempt from a sample at which |q| first reached ESCAPE_RADIUS, or
     doubled since the last probe, the run reads t* - t from the field's
-    chart with the sample's H.  The reading counts where the step into the
-    sample is shorter than Re(t* - t).  Once one counts the run makes no
-    more estimates, and it ends at that sample with ``blow-up`` where
-    ``chart_ends``."""
+    chart at the sample as a complex one, with H from the complex field.
+    The reading counts where the step into the sample is shorter than
+    Re(t* - t).  Once one counts the run makes no more estimates, and it
+    ends at that sample with ``blow-up`` where ``chart_ends``.  Where the
+    field and H, q0 and p0 are real, the run steps in float arithmetic."""
     tab = {"fixed-rk4": _RK4, "adaptive-rk45": _FEHLBERG45}[method]
     adaptive = tab.b_err is not None
     t0, t1 = t_span
-    field = RefField(sys, values)
+    field = probed = RefField(sys, values)
     t, q, p = t0, complex(q0), complex(p0)
+    if field.real and not (q.imag or p.imag):
+        field, q, p = RefField(sys, values, real=True), q.real, p.real
     times, qs, ps, hs = [t], [q], [p], [field.H(q, p, t)]
     termination = "completed"
     attempted = rejected = evals = 0
     accepted_steps, us, estimates = [], [], []
-    span = t1 - t0
-    h_min, h_max = 1e-12, max(span / 10, 1e-12)
-    step = min(h, h_max) if span > 0 else 0.0
+    # each step moves t: it is at least one float spacing at |t0| and |t1|
+    h_min = max(1e-12, math.ulp(max(abs(t0), abs(t1))))
+    h_max = max((t1 - t0) / 10, h_min)
+    step = min(max(h, h_min), h_max)
     safety, p_order = 0.9, 5.0
     err_prev = 1.0
     t_ulp = 2.0 ** -52 * max(abs(t0), abs(t1))
     chart = Chart.bind(sys, values)
     escape_at, probing, charted = ESCAPE_RADIUS, False, False
-    while t < t1 - 1e-15 * max(1.0, abs(t1)):
+
+    def ended(termination, **located):
+        return Trajectory(np.array(times), np.array(qs, complex),
+                          np.array(ps, complex), np.array(hs, complex),
+                          termination, steps_attempted=attempted,
+                          steps_rejected=rejected, field_evals=evals,
+                          min_step=min(accepted_steps, default=None),
+                          **located)
+
+    while t < t1:
         if probing:
             probing = False
-            gap = chart and chart.gap(q, p, hs[-1])
+            zq, zp = complex(q), complex(p)
+            gap = chart and chart.gap(zq, zp, probed.H(zq, zp, t))
             if gap is not None and accepted_steps[-1] < gap.real:
                 charted = True
                 if chart_ends(t + gap, t, t1, tol):
-                    return Trajectory(
-                        np.array(times), np.array(qs), np.array(ps),
-                        np.array(hs), "blow-up", steps_attempted=attempted,
-                        steps_rejected=rejected, field_evals=evals,
-                        min_step=min(accepted_steps, default=None),
-                        t_star=(t + gap).real, exponent=chart.exponent)
+                    return ended("blow-up", t_star=(t + gap).real,
+                                 exponent=chart.exponent)
         if adaptive:
             step = min(step, t1 - t)
         else:
@@ -1270,19 +1328,11 @@ def ref_integrate(sys, values, q0, p0, t_span, h, tol, method):
         step = min(max(step * min(5.0, fac), h_min), h_max)
         if new_estimate and locates_blowup(estimates, tol, t1):
             _, alpha, star = estimates[-1]
-            return Trajectory(np.array(times), np.array(qs), np.array(ps),
-                              np.array(hs), "blow-up",
-                              steps_attempted=attempted,
-                              steps_rejected=rejected, field_evals=evals,
-                              min_step=min(accepted_steps, default=None),
-                              t_star=star.real, exponent=alpha.real)
+            return ended("blow-up", t_star=star.real, exponent=alpha.real)
         if step <= h_min and err > 1.0:
             termination = "step-underflow"
             break
-    return Trajectory(np.array(times), np.array(qs), np.array(ps),
-                      np.array(hs), termination, steps_attempted=attempted,
-                      steps_rejected=rejected, field_evals=evals,
-                      min_step=min(accepted_steps, default=None))
+    return ended(termination)
 
 
 def bits(x):
@@ -1721,6 +1771,40 @@ def assert_same_run(got, want):
             assert getattr(got, name).hex() == value.hex(), name
 
 
+def assert_equal_run(got, want):
+    """Samples that compare equal, which leaves the sign of a zero free,
+    and the same label, run statistics, t* and exponent."""
+    for name in ("times", "q", "p", "H_values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("termination", "steps_attempted", "steps_rejected",
+                 "field_evals", "min_step", "t_star", "exponent"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def complex_binding_run(sys, params, *args, **kwargs):
+    """``integrate``'s run in complex arithmetic, as for a field that is not
+    real, whatever its coefficients and start."""
+    field = compile_field(sys, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(field, "real", False)
+        return integrate(sys, params, *args, **kwargs)
+
+
+def record_loops(monkeypatch, field, tab):
+    """The end of each call of the field's loops of ``tab``, and whether the
+    call ran the real binding: each binding the field has is recorded."""
+    ends = []
+    for real in (False, True)[:1 + field.real]:
+        loop = field.loop(tab, real)
+
+        def record(*args, loop=loop, real=real):
+            out = loop(*args)
+            ends.append((out[0], real))
+            return out
+        monkeypatch.setitem(field._loops, (tab, real), record)
+    return ends
+
+
 @pytest.mark.filterwarnings("ignore:parameter e")
 class TestIntegrateMatchesLoopReference:
     # spans are short, so a run that never ends fails fast; starts scaled
@@ -1812,6 +1896,9 @@ def sample_digest(traj):
 
 
 A5_ONES = {"a": 1, "e1": 1, "e2": 1}
+# H = -3p: q' = -3 and p' = 0, a polynomial without terms
+DRIFT = HamSystem("drift", A5.table, LaurentPoly.var(A5.table, "p", coeff=-3),
+                  A5.params, True, 5)
 # p stays near 0, so q' ~ q^4 and q ~ (1 - 3t)^(-1/3) from q0 = 1
 Q4_FLOW = {"a": 1, "e1": 1e-9, "e2": 1e-9}
 GENERAL_ONES = {n: {"a": 1, **{f"e{i}": 1 for i in range(1, n)}}
@@ -1917,13 +2004,10 @@ class TestBlowupLocator:
     def test_zero_of_q_is_no_blowup(self):
         # q' = -3 gives u = q/q' = t - 1/3: the estimates find q's zero at
         # t = 1/3 with alpha = -1, which Re alpha > 0 rules out
-        tbl = A5.table
-        drift = HamSystem("drift", tbl, LaurentPoly.var(tbl, "p", coeff=-3),
-                          A5.params, True, 5)
-        traj = self.run(drift, A5_ONES, 1, 0, (0, 0.5), 1e-3, 1e-9)
+        traj = self.run(DRIFT, A5_ONES, 1, 0, (0, 0.5), 1e-3, 1e-9)
         assert traj.termination == "completed" and traj.t_star is None
         assert traj.q[-1] == pytest.approx(-0.5)
-        assert_same_run(traj, ref_integrate(drift, A5_ONES, 1, 0, (0, 0.5),
+        assert_same_run(traj, ref_integrate(DRIFT, A5_ONES, 1, 0, (0, 0.5),
                                             1e-3, 1e-9, "adaptive-rk45"))
 
     # sha256 of the sample bytes of each run, recorded when the kernels
@@ -2044,19 +2128,19 @@ class TestEscapeIntoChart:
         # where H is not finite does.  No run was found whose H is not
         # finite at a probe but finite at every sample before, so H is
         # replaced by one that is NaN everywhere: the generated loop sums
-        # its own H, and field.H is read only by the probe and at the end
+        # its own H, and the H kernels are read only by the probe (the
+        # complex one) and at the end (the one of the run's binding)
         plain = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
                           method=method)
         field = compile_field(A5, PARAMS5)
-        tab = integrate_module._METHODS[method]
-        loop, ends = field.loop(tab), []
-        monkeypatch.setitem(field._loops, tab,
-                            lambda *args: ends.append(loop(*args)) or ends[-1])
-        monkeypatch.setattr(field, "H", lambda q, p, t: complex(math.nan))
+        ends = record_loops(monkeypatch, field,
+                            integrate_module._METHODS[method])
+        for name in ("H", "real_H"):
+            monkeypatch.setattr(field, name, lambda q, p, t: math.nan)
         traj = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
                          method=method)
         assert plain.termination == "blow-up"
-        assert [end[0] for end in ends] == ["raised"]
+        assert ends == [("raised", True)]
         assert traj.termination == "overflow" and traj.t_star is None
         n = len(plain.times) - 1
         assert len(traj.times) == n
@@ -2133,29 +2217,23 @@ class TestFixedStepLoop:
     ``integrate`` calls once."""
 
     def record(self, monkeypatch, sys, values, tab=_RK4):
-        """The end of each call of the field's loop of ``tab``."""
+        """The end of each call of the field's loops of ``tab``, and
+        whether the call ran the real binding."""
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
-        loop, ends = field.loop(tab), []
+        return record_loops(monkeypatch, field, tab)
 
-        def record(*args):
-            out = loop(*args)
-            ends.append(out[0])
-            return out
-        monkeypatch.setitem(field._loops, tab, record)
-        return ends
-
-    @pytest.mark.parametrize("sys, values, q0, p0, t1, h", [
-        (NA3, PARAMS3.values, 1, -1.5, 0.3, 1e-4),
-        (GENERAL12, GENERAL12_ONES, 0.9j, 0.1, 0.1, 1e-3)],
+    @pytest.mark.parametrize("sys, values, q0, p0, t1, h, real", [
+        (NA3, PARAMS3.values, 1, -1.5, 0.3, 1e-4, True),
+        (GENERAL12, GENERAL12_ONES, 0.9j, 0.1, 0.1, 1e-3, False)],
         ids=["nonautonomous3-long", "general:12-grid"])
     def test_run_enters_the_loop_once(self, monkeypatch, sys, values, q0, p0,
-                                      t1, h):
+                                      t1, h, real):
         # a stage that set one of the loop's own names, as nonautonomous3's
         # ti = t + dt_i would set a loop argument ti, would change the run
         ends = self.record(monkeypatch, sys, values)
         traj = integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
                          (0, t1), h=h)
-        assert ends == ["completed"]
+        assert ends == [("completed", real)]
         assert traj.termination == "completed"
         assert len(traj.times) == round(t1 / h) + 1
 
@@ -2254,12 +2332,17 @@ class TestFixedStepLoop:
                                               end, label):
         ends = self.record(monkeypatch, sys, values,
                            integrate_module._METHODS[method])
-        got = integrate(sys, NumericParams(sys.name, values, sys.n), q0, p0,
-                        t_span, h=h, tol=tol, method=method)
-        assert ends == [end]
+        params = NumericParams(sys.name, values, sys.n)
+        got = integrate(sys, params, q0, p0, t_span, h=h, tol=tol,
+                        method=method)
         assert got.termination == label
         assert_same_run(got, ref_integrate(sys, values, q0, p0, t_span, h,
                                            tol, method))
+        # each start is real: the complex binding leaves the same way
+        assert_equal_run(got, complex_binding_run(sys, params, q0, p0,
+                                                  t_span, h=h, tol=tol,
+                                                  method=method))
+        assert ends == [(end, True), (end, False)]
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
     @pytest.mark.parametrize("t1", [0, 0.05])
@@ -2268,3 +2351,64 @@ class TestFixedStepLoop:
         assert traj.times.dtype == np.float64
         for name in ("q", "p", "H_values"):
             assert getattr(traj, name).dtype == np.complex128, name
+
+
+@pytest.mark.filterwarnings("ignore:parameter e")
+class TestRealBinding:
+    """A real field from a real start runs in float arithmetic: the same
+    generated code, bound to the real parts of its values, makes the run
+    that the complex binding makes, up to the sign of a zero."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([*KERNEL_SYSTEMS, DRIFT]), st.data(), real_states,
+           st.sampled_from((1, 3)),
+           st.sampled_from(["fixed-rk4", "adaptive-rk45"]),
+           st.sampled_from((0, 0.05, 0.2)), st.floats(1e-3, 2e-2),
+           st.sampled_from((1e-9, 1e-6)))
+    def test_matches_complex_binding(self, sys, data, state, scale, method,
+                                     span, h, tol):
+        values = data.draw(param_values(sys, real_scalars))
+        params = NumericParams(sys.name, values, sys.n)
+        q0, p0 = state[0].real * scale, state[1]
+        field = compile_field(sys, params)
+        tab = integrate_module._METHODS[method]
+        with pytest.MonkeyPatch.context() as patch:
+            ends = record_loops(patch, field, tab)
+            got = integrate(sys, params, q0, p0, (0, span), h=h, tol=tol,
+                            method=method)
+        assert [real for _, real in ends] == [True]
+        assert_equal_run(got, complex_binding_run(sys, params, q0, p0,
+                                                  (0, span), h=h, tol=tol,
+                                                  method=method))
+
+    @pytest.mark.parametrize("values, q0, p0, real", [
+        (PARAMS5.values, complex(1, -0.0), -0.0, True),
+        (PARAMS5.values, 1 + 0.1j, 0, False),
+        (PARAMS5.values, 1, 0.1j, False),
+        ({"a": 1, "e1": 1j, "e2": 1}, 1, 0, False)],
+        ids=["real", "complex-q0", "complex-p0", "complex-parameter"])
+    def test_binding_of_each_start(self, monkeypatch, values, q0, p0, real):
+        params = NumericParams("autonomous5", values, 5)
+        field = compile_field(A5, params)
+        assert (field.real_H is None) == (field.real is False) \
+            == (values["e1"] == 1j)
+        ends = record_loops(monkeypatch, field, _RK4)
+        traj = integrate(A5, params, q0, p0, (0, 0.05))
+        assert traj.termination == "completed"
+        assert ends == [("completed", real)]
+
+    def test_real_binding_compiles_nothing(self):
+        # a real run reuses the code that complex runs compiled
+        compiled = integrate_module._compile
+        _field_cache.cache_clear()
+        compiled.cache_clear()
+        methods = integrate_module._METHODS
+        for method in methods:
+            integrate(A5, PARAMS5, 1 + 0.1j, 0, (0, 0.05), method=method)
+        misses = compiled.cache_info().misses
+        for method in methods:
+            integrate(A5, PARAMS5, 1, 0.3, (0, 0.05), method=method)
+        assert compiled.cache_info().misses == misses
+        field = compile_field(A5, PARAMS5)
+        assert set(field._loops) == {(tab, real) for tab in methods.values()
+                                     for real in (False, True)}
