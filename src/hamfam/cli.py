@@ -35,9 +35,12 @@ class UsageError(Exception):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' complex literals (also plain reals and 'bi')."""
+    """Parse 'a+bi' complex literals (also plain reals and 'bi').  Only a
+    trailing 'i' is the imaginary unit, so 'inf', 'infinity' and '1+infi'
+    parse."""
     s = text.strip().replace(" ", "")
-    s = s.replace("i", "j")
+    if s.endswith("i"):
+        s = s[:-1] + "j"
     if s == "j":
         s = "1j"
     elif s.endswith("j") and s[-2] in "+-":

@@ -27,16 +27,15 @@ field is generated the same way, on the first ``integrate`` with the method,
 as one loop that the compiled field keeps: its step is straight-line code
 with the stages unrolled, the field's kernel lines inlined at each stage,
 and a stage loop's operations in the same order, less the products of zero
-and unit weights.  The first stage also nests H at the step's start, so
-each sample's H comes from the step that leaves it and only the last
-sample's from the H kernel.  The loop appends the samples
-itself; for the embedded pair it also holds the error norm, the step
-control and the blow-up estimates below, and at a sample that reaches the
-chart's escape radius it reads the field's chart.  It returns once, where
-the run ends.  So the Hamiltonian is sampled and drift can be monitored:
-for the autonomous families H is a first integral and the drift is a
-direct error measure; for the non-autonomous family dH/dt = q^3 p + a2 q^2
-is nonzero and is checked against finite differences instead.  The
+and unit weights.  The loop nests H at the sample it starts from and at
+each sample it makes, and appends the samples itself; for the embedded
+pair it also holds the error norm, the step control and the blow-up
+estimates below, and at a sample that reaches the chart's escape radius it
+reads the field's chart.  It returns once, where the run ends.  So the
+Hamiltonian is sampled and drift can be monitored: for the autonomous
+families H is a first integral and the drift is a direct error measure;
+for the non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is
+checked against finite differences instead.  The
 compiled map rules serve both the trajectory check and
 ``BirationalMap.apply_numeric``; each raises ValueError only where the
 image is not finite, as at q = 0 for a map that divides by q.
@@ -44,8 +43,9 @@ image is not finite, as at q = 0 for a map that divides by q.
 Hamilton's equations are polynomial, so q = 0 is a regular point that a
 run passes through.  A step fails only where the state leaves the finite
 range: at a stage that starts beyond OVERFLOW_GUARD or from a p that is
-not finite, or where H at its start is not finite.  Integration then stops
-cleanly with ``overflow`` (never NaN-propagates).
+not finite, or at a sample whose q or p leaves the guard or whose H is not
+finite, which is not accepted.  Integration then stops cleanly with
+``overflow`` (never NaN-propagates).
 
 Near a movable singularity t*, q ~ C(t* - t)^-alpha.  For autonomous5 and
 general:n the regularising chart (w, u) = (1/q, p q^(n-1)) carries H to a
@@ -315,17 +315,16 @@ def _kernel_lines(sums: list) -> list[str]:
     return _power_lines(powers) + lines
 
 
-def _kernel(*polys: list, real: bool = False):
+def _kernel(*polys: list):
     """One straight-line function (q, p, t) -> the value of each bound
     polynomial (a tuple for more than one), nested by ``_kernel_lines``.  It
     raises only ZeroDivisionError, from 1 / q at q = 0 on a complex scalar
-    (numpy arrays warn and go on).  With ``real``, its coefficients are
-    bound as floats (``_real``)."""
+    (numpy arrays warn and go on)."""
     coeffs = {}
     lines = _kernel_lines([(f"s{k}", _named(coeffs, spans), "qpt")
                            for k, spans in enumerate(polys)])
     lines.append("return " + ", ".join(f"s{k}" for k in range(len(polys))))
-    return _generate("(q, p, t)", lines, {**coeffs, "zero": 0j}, real)
+    return _generate("(q, p, t)", lines, {**coeffs, "zero": 0j})
 
 
 class CompiledField:
@@ -335,12 +334,11 @@ class CompiledField:
     over the field (``loop``), which ``integrate`` calls once per run.
 
     ``real`` says whether every coefficient of the field and H is real.
-    Such a field also binds the same generated code to floats: ``real_H``
-    (None for a field that is not real) and ``loop(tab, real=True)``, which
-    run real inputs in float arithmetic."""
+    Such a field also binds its loops to floats, ``loop(tab, real=True)``,
+    which runs real inputs in float arithmetic."""
 
-    __slots__ = ("_kernel", "H", "real", "real_H", "_spans", "_loops",
-                 "_source", "_chart")
+    __slots__ = ("_kernel", "H", "real", "_spans", "_loops", "_source",
+                 "_chart")
 
     def __init__(self, sys: HamSystem, values: dict[str, complex]):
         f_q, f_p = hamilton_equations(sys)
@@ -350,8 +348,6 @@ class CompiledField:
         self.H = _kernel(self._spans[2])
         self.real = not any(c.imag for spans in self._spans
                             for c, *_ in spans)
-        self.real_H = _kernel(self._spans[2], real=True) if self.real \
-            else None
         self._loops = {}
         self._source = sys, values
         self._chart = _UNBOUND
@@ -361,29 +357,30 @@ class CompiledField:
 
     def loop(self, tab: _Tableau, real: bool = False):
         """loop(times, qs, ps, hs, h, t1, tol) -> (end, returned, rejected,
-        min_step, min_before, t_star, alpha): a run of ``tab`` from the
-        last sample of the lists to t1, generated on the first call for
-        ``tab`` and the binding, as ``integrate``'s docstring states it.
-        With ``real``, for a real field only, the loop's values are bound
-        to floats: the same code, compiled once, runs lists of floats.
+        min_step, t_star, alpha): a run of ``tab`` from the last sample of
+        the lists to t1, generated on the first call for ``tab`` and the
+        binding, as ``integrate``'s docstring states it.  With ``real``, for
+        a real field only, the loop's values are bound to floats: the same
+        code, compiled once, runs lists of floats.
 
-        It appends each sample's t, q and p, and H at the sample before.  It
-        counts the steps that returned and those rejected, and keeps the
-        smallest accepted step (min_step, and min_before before the last
-        one).  fixed-rk4 counts every sample of the lists after the first
-        as a step of the run, in that count and in its last-step rule
-        t1 - t <= h + len(times)*t_ulp, with t_ulp = 2**-52 times the larger
-        of |t1| and |t| at the first sample; adaptive-rk45 counts the
-        attempts of the call, and keeps each step but the one onto t1 at
-        least max(1e-12, ulp(max(|t|, |t1|))) long, with t where it
-        starts, so that every step moves t.  At a sample whose |q| reaches the chart's
-        escape radius, or doubles since the last reading, it reads the
-        field's chart (``_chart_reading``), which gives None or
-        (t* - t, alpha) where its reading counts.  It ends with
-        'completed', 'overflow' (a step to |q| or |p| beyond OVERFLOW_GUARD,
-        not taken), 'raised' (a start with |q| > OVERFLOW_GUARD, or a stage
-        or chart reading that raises OverflowError), 'blow-up' (with Re t*
-        and alpha, else None) or 'step-underflow'."""
+        It appends H at the lists' last sample, whose H ``hs`` lacks, then
+        each sample's t, q, p and H, so that it returns with as many H as
+        times.  It counts the steps that returned and those rejected, and
+        keeps the smallest accepted step.  fixed-rk4 counts every sample of
+        the lists after the first as a step of the run, in that count and in
+        its last-step rule t1 - t <= h + len(times)*t_ulp, with
+        t_ulp = 2**-52 times the larger of |t1| and |t| at the first sample;
+        adaptive-rk45 counts the attempts of the call, and keeps each step
+        but the one onto t1 at least max(1e-12, ulp(max(|t|, |t1|))) long,
+        with t where it starts, so that every step moves t.  At a sample
+        whose |q| reaches the chart's escape radius, or doubles since the
+        last reading, it reads the field's chart (``_chart_reading``), which
+        gives None or (t* - t, alpha) where its reading counts.  It ends
+        with 'completed', 'overflow' (a step to |q| or |p| beyond
+        OVERFLOW_GUARD, or to an H that is not finite, not taken), 'raised'
+        (a start with |q| > OVERFLOW_GUARD or an H that is not finite, or a
+        stage or chart reading that raises OverflowError), 'blow-up' (with
+        Re t* and alpha, else None) or 'step-underflow'."""
         loop = self._loops.get((tab, real))
         if loop is None:
             loop = self._loops[tab, real] = _generate(
@@ -457,27 +454,27 @@ class _Tableau:
 
 
 def _stages(tab: _Tableau, field: CompiledField,
-            size: str) -> tuple[list[str], list[str], dict]:
+            size: str) -> tuple[list[str], list[str], list[str], dict]:
     """The lines of one explicit RK step of ``tab`` over ``field`` from
-    (q, p, t), of the length that the local ``size`` holds, and the values
-    they name: (products, stages, args).  The products set
-    h{i}_{j} = size*a_ij, dt{i} = c_i*size and w = size/div from the step
-    length alone, so a run of equal steps computes them once.  The stages
-    set the field at each stage, kq{i} and kp{i}, H at (q, p, t), and the
-    update qn, pn; with an embedded pair, also its solution qe, pe.
+    (q, p, t), of the length that the local ``size`` holds, the lines that
+    set H at (q, p, t), and the values they name: (products, stages, H,
+    args).  The products set h{i}_{j} = size*a_ij, dt{i} = c_i*size and
+    w = size/div from the step length alone, so a run of equal steps
+    computes them once.  The stages set the field at each stage, kq{i} and
+    kp{i}, and the update qn, pn; with an embedded pair, also its solution
+    qe, pe.
 
     Stage i > 0 starts from q + h_i0*k0 + h_i1*k1 + ..., summed left to
     right over the nonzero a_ij (RK4 then matches its textbook form), and
     raises OverflowError unless |q| <= OVERFLOW_GUARD and p is finite there
     before it evaluates the field, whose kernel lines it holds, at that
     start and t + dt_i.  Stage 0 starts from q, which the loop tests once,
-    at the state it starts from; after the field it nests H at (q, p, t)
-    and raises OverflowError where H is not finite.  h*a*k is
-    (h*a)*k and t + c*h is t + (c*h), as a stage loop computes them.  A
-    weighted sum runs left to right from its first term, with none for a
-    zero weight and k for a unit one, not 1*k.  Tableau entries enter as
-    floats and weights as complex numbers, the values to which CPython
-    converts them in each product (floats in the real binding)."""
+    at the state it starts from.  h*a*k is (h*a)*k and t + c*h is
+    t + (c*h), as a stage loop computes them.  A weighted sum runs left to
+    right from its first term, with none for a zero weight and k for a unit
+    one, not 1*k.  Tableau entries enter as floats and weights as complex
+    numbers, the values to which CPython converts them in each product
+    (floats in the real binding)."""
     if any(eq < 0 or ep < 0 for spans in field._spans
            for _, eq, ep, _ in spans):
         raise ValueError("a negative power of q or p in the field or H: "
@@ -504,14 +501,8 @@ def _stages(tab: _Tableau, field: CompiledField,
             args[f"node{i}"] = float(c)
             products.append(f"dt{i} = node{i} * {size}")
             lines.append(f"ti = t + dt{i}")
-        sums = [(f"kq{i}", f_q, (qi, pi, "ti")),
-                (f"kp{i}", f_p, (qi, pi, "ti"))]
-        if i == 0:
-            sums.append(("H", H, (qi, pi, "t")))
-        lines += _kernel_lines(sums)
-        if i == 0:
-            lines += ["if not isfinite(H):",
-                      "    raise OverflowError('H is not finite')"]
+        lines += _kernel_lines([(f"kq{i}", f_q, (qi, pi, "ti")),
+                                (f"kp{i}", f_p, (qi, pi, "ti"))])
 
     def weighted(prefix, weights, k):
         args.update((f"{prefix}{j}", complex(w))
@@ -524,7 +515,7 @@ def _stages(tab: _Tableau, field: CompiledField,
     if tab.b_err is not None:
         lines += [f"qe = q + w * ({weighted('e', tab.b_err, 'kq')})",
                   f"pe = p + w * ({weighted('e', tab.b_err, 'kp')})"]
-    return products, lines, args
+    return products, lines, _kernel_lines([("H", H, "qpt")]), args
 
 
 # the names of the loop's own arguments and locals, which its stages must
@@ -533,11 +524,10 @@ def _stages(tab: _Tableau, field: CompiledField,
 _LOOP_ARGS = ("times", "qs", "ps", "hs", "h", "t1", "tol")
 _LOOP_NAMES = (*_LOOP_ARGS, "add_t", "add_q", "add_p", "add_h", "t", "q",
                "p", "n", "s", "size", "t_ulp", "returned", "rejected",
-               "min_step", "min_before", "escape_at", "into", "charted",
-               "reading", "star", "alpha", "floor", "h_max", "err_prev",
-               "t_u", "u", "u_prev", "agreed", "near", "eq", "ep", "err",
-               "scale", "star_prev", "fac", "RADIUS", "ends", "probe", "sqrt",
-               "ulp", "inf", "nan")
+               "min_step", "escape_at", "into", "charted", "reading", "star",
+               "alpha", "floor", "h_max", "err_prev", "t_u", "u", "u_prev",
+               "agreed", "near", "eq", "ep", "err", "scale", "star_prev",
+               "fac", "RADIUS", "ends", "probe", "sqrt", "ulp", "inf", "nan")
 
 
 def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
@@ -548,13 +538,15 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
     products once for h, and again where the last step is shortened; an
     embedded pair computes them at each attempt, and adds the error norm,
     the PI controller and the u-estimates, in the order of ``integrate``'s
-    docstring.  The test of |q| <= OVERFLOW_GUARD that stage 0 lacks runs
-    once, for the state the loop starts from: each later step starts from a
-    sample whose |q| passed that test.  Once the last fixed step's rule
-    holds, it holds at every step after: the rounding left in t by a step
-    onto t1 is below two t_ulp."""
-    products, stages, args = _stages(tab, field, "s")
-    assigned = {line.partition(" = ")[0] for line in products + stages}
+    docstring.  H is nested at the state the loop starts from, and at each
+    sample that a step makes, before it is appended.  The test of
+    |q| <= OVERFLOW_GUARD that stage 0 lacks runs once, for the state the
+    loop starts from: each later step starts from a sample whose |q| passed
+    that test.  Once the last fixed step's rule holds, it holds at every
+    step after: the rounding left in t by a step onto t1 is below two
+    t_ulp."""
+    products, stages, H, args = _stages(tab, field, "s")
+    assigned = {line.partition(" = ")[0] for line in products + stages + H}
     clash = (assigned | set(args)) & set(_LOOP_NAMES)
     assert not clash, f"the stages assign the loop's names {sorted(clash)}"
     args.update(RADIUS=ESCAPE_RADIUS, ends=_ends,
@@ -567,19 +559,20 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
         # to but one that overflows
         count = ("returned" if adaptive
                  else "n" if end == "overflow" else "n - 1")
-        return (f"return '{end}', {count}, rejected, min_step, min_before, "
-                f"{located}")
+        return f"return '{end}', {count}, rejected, min_step, {located}"
     accept = ["size = abs(qn)",
               "if not (size <= GUARD and abs(pn) <= GUARD):",
               "    " + out("overflow"),
-              "add_h(H)",
               "t += s",
               "q, p = qn, pn",
+              *H,
+              "if not isfinite(H):",
+              "    " + out("overflow"),
               "add_t(t)",
               "add_q(q)",
               "add_p(p)",
+              "add_h(H)",
               *["n += 1"] * (not adaptive),
-              "min_before = min_step",
               "if s < min_step:",
               "    min_step = s",
               "if size >= escape_at:",
@@ -650,13 +643,17 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
             # bound on the rounding each summed step leaves in t
             "t_ulp = 2.0 ** -52 * max(abs(times[0]), abs(t1))",
             "returned = rejected = 0",
-            "min_step = min_before = inf",
+            "min_step = inf",
             # the |q| the next chart probe waits for, the step into the
             # sample in hand where it reached it (else 0), and whether a
             # reading has counted
             "escape_at, into, charted = RADIUS, 0.0, False",
             "star = alpha = nan",
             *start,
+            *H,
+            "add_h(H)",
+            "if not isfinite(H):",
+            "    " + out("raised"),
             "try:",
             "    if t < t1 and not abs(q) <= GUARD:",
             "        " + out("raised"),
@@ -710,7 +707,7 @@ def _chart_reading(field: CompiledField, q: complex, p: complex, t: float,
     may have crossed t*, onto an orbit whose own t* lies just ahead.  A
     sample of a run in float arithmetic is read as a complex one, with H
     from the complex kernel.  Raises OverflowError where H at the sample is
-    not finite, as the step from it would."""
+    not finite, which a sample the loop accepted does not have."""
     q, p = complex(q), complex(p)
     chart, H = field.chart(), field.H(q, p, t)
     if not cmath.isfinite(H):
@@ -752,11 +749,7 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     fixed-rk4, an h of at most half the spacing of floats at
     max(|t0|, |t1|), which cannot advance t.  A step to a later sample at
     which H is not finite is not accepted, like one to a q or p that
-    overflows: the run ends at the sample before with ``overflow`` whatever
-    it would have ended with, and its statistics are those of a run that
-    evaluates H at each accepted sample.  Each sample's H is computed by the
-    step that leaves it, so such a step is found only when the run has
-    ended.
+    overflows: the run ends at the sample before with ``overflow``.
 
     A field with a regularising chart (``chart.Chart``: autonomous5 and
     general:n, n >= 3, with a != 0) is read where an accepted sample first
@@ -817,30 +810,18 @@ def integrate(sys: HamSystem, params: NumericParams, q0: complex, p0: complex,
     real = field.real and not (q0.imag or p0.imag)
     if real:
         q0, p0 = q0.real, p0.real
-    # each sample's H comes from the step that leaves it, the last one's
-    # from the H kernel of the binding after the run
     times, qs, ps, hs = [t0], [q0], [p0], []
-    end, returned, rejected, min_step, min_before, t_star, alpha = \
+    end, returned, rejected, min_step, t_star, alpha = \
         field.loop(tab, real)(times, qs, ps, hs, h, t1, tol)
-    raised = end == "raised"
-    termination = "overflow" if raised else end
-    t, q, p = times[-1], qs[-1], ps[-1]
-    H = (field.real_H if real else field.H)(q, p, t)
-    if cmath.isfinite(H):
-        hs.append(H)
-    elif len(times) == 1:
+    if not cmath.isfinite(hs[0]):
         raise ValueError(f"H is not finite at the start state "
-                         f"q0 = {complex(q)}, p0 = {complex(p)}, t0 = {t}: "
-                         f"H = {complex(H)}")
-    else:
-        # the step to the last sample is not accepted, as one whose q or p
-        # overflows is not, so no attempt left that sample
-        del times[-1], qs[-1], ps[-1]
-        termination, raised, min_step = "overflow", False, min_before
-        t_star = alpha = None
+                         f"q0 = {complex(q0)}, p0 = {complex(p0)}, t0 = {t0}: "
+                         f"H = {complex(hs[0])}")
+    raised = end == "raised"
     return Trajectory(np.array(times, np.float64),
                       np.array(qs, np.complex128), np.array(ps, np.complex128),
-                      np.array(hs, np.complex128), termination,
+                      np.array(hs, np.complex128),
+                      "overflow" if raised else end,
                       steps_attempted=returned + raised,
                       steps_rejected=rejected,
                       field_evals=len(tab.c) * returned,

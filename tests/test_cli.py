@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,13 @@ class TestParsers:
         ("i", 1j),
         ("-i", -1j),
         ("2+i", 2 + 1j),
+        # only a trailing i is the imaginary unit: inf keeps its i
+        ("inf", complex(math.inf, 0)),
+        ("-inf", complex(-math.inf, 0)),
+        ("Infinity", complex(math.inf, 0)),
+        ("1+infi", complex(1, math.inf)),
+        ("-infi", complex(0, -math.inf)),
+        ("0.8+0.1j", 0.8 + 0.1j),
     ])
     def test_complex_literals(self, text, value):
         assert parse_complex(text) == value
@@ -299,6 +307,17 @@ class TestIntegrate:
     def test_non_finite_start_is_usage_error(self, flag, capsys):
         assert run(["integrate", "--family", "autonomous5",
                     "--params", "a=1,e1=1,e2=1", flag, "nan",
+                    "--t1", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert "error: start state must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--q0", "--p0"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1+infi"])
+    def test_infinite_start_is_usage_error(self, flag, value, capsys):
+        # an infinite start parses, and integrate refuses it
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", f"{flag}={value}",
                     "--t1", "0.01"]) == 2
         captured = capsys.readouterr()
         assert "error: start state must be finite" in captured.err

@@ -453,11 +453,11 @@ class TestIntegrate:
             integrate(sys, params, q0, p0, t_span, h=1e-3)
         # a real start of a real field reads H in float arithmetic, and the
         # message gives it as a complex number
-        field = compile_field(sys, params)
         q0, p0 = complex(q0), complex(p0)
-        H = complex(field.real_H(q0.real, p0.real, t_span[0])
-                    if field.real and not (q0.imag or p0.imag)
-                    else field.H(q0, p0, t_span[0]))
+        real = compile_field(sys, params).real and not (q0.imag or p0.imag)
+        H = RefField(sys, values, real).H
+        H = complex(H(q0.real, p0.real, t_span[0]) if real
+                    else H(q0, p0, t_span[0]))
         assert not cmath.isfinite(H)
         assert str(raised.value) == (f"H is not finite at the start state "
                                      f"{state}: H = {H}")
@@ -478,23 +478,33 @@ class TestIntegrate:
         assert traj.steps_attempted == len(traj.times) + traj.steps_rejected
         if method == "fixed-rk4":
             q, p, t = samples[-1]
-            q, p, _ = loop_step(field, _RK4, q, p, t, 1e-2, 1e-9)
+            assert loop_step(field, _RK4, q, p, t, 1e-2, 1e-9) == "overflow"
+            q, p, *_ = ref_rk_step(_RK4, q, p, t, 1e-2,
+                                   RefField(CAPPED, CAPPED_PARAMS.values))
             assert not cmath.isfinite(field.H(q, p, t + 1e-2))
 
     def test_located_blow_up_where_H_overflows(self, monkeypatch):
         # the attempt on which the locator agrees on t* = 2 lands past
         # t = 1.999943, where H is not finite
-        run = lambda: integrate(BLOWUP, BLOWUP_PARAMS, 0.5, 0, (0, 3),
-                                method="adaptive-rk45", tol=1e-9)
-        traj = run()
-        assert_same_run(traj, ref_integrate(BLOWUP, BLOWUP_PARAMS.values,
-                                            0.5, 0, (0, 3), 1e-3, 1e-9,
-                                            "adaptive-rk45"))
-        field = compile_field(BLOWUP, BLOWUP_PARAMS)
-        H = field.H
-        for name in ("H", "real_H"):
-            monkeypatch.setattr(field, name, lambda q, p, t: 0.0)
+        traj = integrate(BLOWUP, BLOWUP_PARAMS, 0.5, 0, (0, 3),
+                         method="adaptive-rk45", tol=1e-9)
+        run = lambda: ref_integrate(BLOWUP, BLOWUP_PARAMS.values, 0.5, 0,
+                                    (0, 3), 1e-3, 1e-9, "adaptive-rk45")
+        assert_same_run(traj, run())
+
+        class FiniteH(RefField):
+            """The reference field with H = 0 where H is not finite."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.exact_H, self.H = self.H, self.finite_H
+
+            def finite_H(self, *point):
+                H = self.exact_H(*point)
+                return H if cmath.isfinite(H) else 0.0
+        monkeypatch.setitem(globals(), "RefField", FiniteH)
         located = run()  # the same run, with an H that is always finite
+        H = compile_field(BLOWUP, BLOWUP_PARAMS).H
         assert located.termination == "blow-up"
         assert not cmath.isfinite(H(complex(located.q[-1]),
                                     complex(located.p[-1]),
@@ -779,14 +789,14 @@ class TestStepCache:
                             lambda signature, *rest: generated.append(
                                 signature) or generate(signature, *rest))
         compile_field(NA3, PARAMS3)
-        # the field, H and H bound to floats, no step
-        assert generated == ["(q, p, t)"] * 3
+        # the field and H, no step
+        assert generated == ["(q, p, t)"] * 2
         loop = "(times, qs, ps, hs, h, t1, tol)"
         for method, signatures in (("fixed-rk4", [loop]),
                                    ("adaptive-rk45", [loop, loop])):
             runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3,
                               method=method) for _ in range(2)]
-            assert generated[3:] == signatures
+            assert generated[2:] == signatures
             assert_same_run(*runs)
 
     def test_fields_with_the_same_terms_share_compiled_code(self):
@@ -797,14 +807,13 @@ class TestStepCache:
                 method=method)
             _field_cache.cache_clear()
             compiled.cache_clear()
-            # compiles the field, H and the method's loop; H bound to
-            # floats reuses the code of H
+            # compiles the field, H and the method's loop
             run(1)
             before = compiled.cache_info()
             shared = run(2)
             after = compiled.cache_info()
             assert (after.hits - before.hits, after.misses) \
-                == (4, before.misses), method
+                == (3, before.misses), method
             _field_cache.cache_clear()
             compiled.cache_clear()
             assert_same_run(shared, run(2))
@@ -813,17 +822,19 @@ class TestStepCache:
         (1, (0, 0.05), "fixed-rk4"), (1, (0, 0.05), "adaptive-rk45"),
         (1, (0, 0), "fixed-rk4"), (100, (0, 1), "fixed-rk4")],
         ids=["fixed", "adaptive", "zero-span", "overflow"])
-    def test_one_H_call_per_run(self, monkeypatch, q0, t_span, method):
-        # each start is real: the real binding's H reads the last sample
+    def test_no_H_call_without_a_probe(self, monkeypatch, q0, t_span,
+                                       method):
+        # the loop nests H at each sample itself: only a chart probe calls
+        # the field's H, and none of these runs reaches |q| = ESCAPE_RADIUS.
+        # Each start is real, and runs under both bindings
         field = compile_field(A5, PARAMS5)
         calls = []
-        for name in ("H", "real_H"):
-            H = getattr(field, name)
-            monkeypatch.setattr(field, name, lambda *args, H=H, name=name:
-                                calls.append((name, args)) or H(*args))
-        traj = integrate(A5, PARAMS5, q0, 0.3, t_span, method=method)
-        assert calls == [("real_H", (traj.q[-1], traj.p[-1],
-                                     traj.times[-1]))]
+        H = field.H
+        monkeypatch.setattr(field, "H", lambda *args: calls.append(args)
+                            or H(*args))
+        for run in (integrate, complex_binding_run):
+            traj = run(A5, PARAMS5, q0, 0.3, t_span, method=method)
+            assert len(traj.H_values) == len(traj.times) and calls == []
 
 
 APPLY_CASES = {"shear-autonomous5": (A5, autonomous_map(A5)),
@@ -1107,18 +1118,6 @@ def ref_rk_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
     return qn, pn, math.sqrt((eq ** 2 + ep ** 2) / 2), kq[0]
 
 
-def ref_step(tab, q, p, t, h, field, tol=0.0, weigh=weigh):
-    """``ref_rk_step`` and H at (q, p, t), in the order the generated step
-    evaluates them: the first stage's field, then H, which must be finite,
-    then the later stages."""
-    ref_guard(t, q, p)
-    field(q, p, t + tab.c[0] * h)
-    H = field.H(q, p, t)
-    if not cmath.isfinite(H):
-        raise OverflowError("H is not finite")
-    return (*ref_rk_step(tab, q, p, t, h, field, tol, weigh), H)
-
-
 class Sampled(Exception):
     """Raised by ``StopAtSample``: the loop has taken its first sample."""
 
@@ -1147,10 +1146,10 @@ def step_tols(tab, tol):
 def loop_step(field, tab, q, p, t, h, tol):
     """One attempt of ``tab`` from (q, p, t) of length h, made by the
     field's loop on a span of 100 h, stopped at its first sample: (qn, pn,
-    H at (q, p, t)) where the attempt is accepted, 'raised' where the start
-    or a stage fails, 'overflow' where qn or pn leaves the guard, and
-    ('rejected', H) where the embedded pair rejects it, with H the value
-    that a later attempt from (q, p, t) appends, or None where none does."""
+    H at (q, p, t)) where the attempt is accepted, 'raised' where H at
+    (q, p, t) is not finite or the start or a stage fails, 'overflow' where
+    qn or pn leaves the guard or H at the new sample is not finite, and
+    ('rejected', H at (q, p, t)) where the embedded pair rejects it."""
     times, qs, ps, hs = [t], [q], StopAtSample([p]), []
     try:
         end, _, rejected, *_ = field.loop(tab)(times, qs, ps, hs, h,
@@ -1159,33 +1158,34 @@ def loop_step(field, tab, q, p, t, h, tol):
         if times[1] == t + h:
             return qs[1], ps[1], hs[0]
         return "rejected", hs[0]
-    return ("rejected", None) if rejected else end
+    return ("rejected", hs[0]) if rejected else end
 
 
 def ref_loop_step(tab, q, p, t, h, field, tol, weigh=weigh):
-    """``loop_step``'s outcome from ``ref_step``."""
+    """``loop_step``'s outcome from ``ref_rk_step`` and ``field.H``."""
+    H = field.H(q, p, t)
+    if not cmath.isfinite(H):
+        return "raised"
     try:
-        qn, pn, err, _, H = ref_step(tab, q, p, t, h, field, tol, weigh)
+        qn, pn, err, _ = ref_rk_step(tab, q, p, t, h, field, tol, weigh)
     except OverflowError:
         return "raised"
     if not err <= 1.0:
         return "rejected", H
-    if not (abs(qn) <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD):
+    if not (abs(qn) <= OVERFLOW_GUARD and abs(pn) <= OVERFLOW_GUARD
+            and cmath.isfinite(field.H(qn, pn, t + h))):
         return "overflow"
     return qn, pn, H
 
 
 def step_outcomes(got, want, read):
     """The outcomes of ``loop_step`` and ``ref_loop_step``, each with its
-    values read by ``read``: a rejected attempt's H only where a later
-    attempt of the loop appended it."""
-    seen = not (isinstance(got, tuple) and got[1] is None)
-
+    values read by ``read``."""
     def key(out):
         if isinstance(out, str):
             return out
         if isinstance(out[0], str):
-            return out[0], read(out[1]) if seen else None
+            return out[0], read(out[1])
         return tuple(map(read, out))
     return key(got), key(want)
 
@@ -1473,8 +1473,8 @@ class TestKernelsMatchLoopReference:
     @pytest.mark.parametrize("tab", [_RK4, _FEHLBERG45],
                              ids=["rk4", "fehlberg45"])
     def test_rk_step_raises_where_H_raises(self, tab):
-        # the step tests H at its start, so it raises where H is not finite
-        # even when every stage of the field is finite
+        # the loop tests H at the state it starts from, so it raises where H
+        # is not finite even when every stage of the field is finite
         ref = RefField(CAPPED, CAPPED_PARAMS.values)
         ref_rk_step(tab, 1 + 0j, 1 + 0j, 0.9, 1e-3, ref, 1e-9)
         assert not cmath.isfinite(ref.H(1 + 0j, 1 + 0j, 0.9))
@@ -1790,9 +1790,11 @@ def complex_binding_run(sys, params, *args, **kwargs):
         return integrate(sys, params, *args, **kwargs)
 
 
-def record_loops(monkeypatch, field, tab):
+def record_loops(monkeypatch, field, tab, samples=None):
     """The end of each call of the field's loops of ``tab``, and whether the
-    call ran the real binding: each binding the field has is recorded."""
+    call ran the real binding: each binding the field has is recorded.
+    Copies of each call's lists (times, qs, ps, hs) as it returns are added
+    to ``samples``, if given."""
     ends = []
     for real in (False, True)[:1 + field.real]:
         loop = field.loop(tab, real)
@@ -1800,6 +1802,8 @@ def record_loops(monkeypatch, field, tab):
         def record(*args, loop=loop, real=real):
             out = loop(*args)
             ends.append((out[0], real))
+            if samples is not None:
+                samples.append((real, *map(list, args[:4])))
             return out
         monkeypatch.setitem(field._loops, (tab, real), record)
     return ends
@@ -2124,30 +2128,26 @@ class TestEscapeIntoChart:
     @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
     def test_probe_where_H_is_not_finite(self, monkeypatch, method):
         # a probe raises where H at its sample is not finite, and the run
-        # ends at the sample before with overflow, as one whose step lands
-        # where H is not finite does.  No run was found whose H is not
-        # finite at a probe but finite at every sample before, so H is
-        # replaced by one that is NaN everywhere: the generated loop sums
-        # its own H, and the H kernels are read only by the probe (the
-        # complex one) and at the end (the one of the run's binding)
+        # ends there with overflow, as one whose stage raises does: the
+        # probe counts as an attempt.  The loop accepts no sample whose own
+        # H is not finite, so the field's H, which only the probe reads, is
+        # replaced by one that is NaN everywhere
         plain = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
                           method=method)
         field = compile_field(A5, PARAMS5)
         ends = record_loops(monkeypatch, field,
                             integrate_module._METHODS[method])
-        for name in ("H", "real_H"):
-            monkeypatch.setattr(field, name, lambda q, p, t: math.nan)
+        monkeypatch.setattr(field, "H", lambda q, p, t: math.nan)
         traj = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
                          method=method)
         assert plain.termination == "blow-up"
         assert ends == [("raised", True)]
         assert traj.termination == "overflow" and traj.t_star is None
-        n = len(plain.times) - 1
-        assert len(traj.times) == n
         for name in ("times", "q", "p", "H_values"):
-            assert bits(getattr(traj, name)) \
-                == bits(getattr(plain, name)[:n]), name
-        for name in ("steps_attempted", "steps_rejected", "field_evals"):
+            assert bits(getattr(traj, name)) == bits(getattr(plain, name)), \
+                name
+        assert traj.steps_attempted == plain.steps_attempted + 1
+        for name in ("steps_rejected", "field_evals"):
             assert getattr(traj, name) == getattr(plain, name), name
 
     @pytest.mark.parametrize("sys,values,p0,t1,alpha", [
@@ -2278,14 +2278,14 @@ class TestFixedStepLoop:
              0.1, 1e-9, "raised", "overflow"),
             ("fixed-rk4", GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1), 0.1,
              1e-9, "overflow", "overflow"),
-            # the step from the first sample past t = 0.7977, where H is
-            # not finite, raises
+            # the step to the first sample past t = 0.7977, where H is not
+            # finite, is not taken
             ("fixed-rk4", CAPPED, CAPPED_PARAMS.values, 1, 1, (0.7, 0.9),
-             1e-2, 1e-9, "raised", "overflow"),
-            # the probe at |q| = 6.3e9 raises where general:34's H is not
-            # finite
+             1e-2, 1e-9, "overflow", "overflow"),
+            # nor is the step to |q| = 6.3e9, where general:34's H is not
+            # finite, which a probe would read
             ("fixed-rk4", GENERAL34, GENERAL34_ONES, 1, 0, (0.0, 1), 3e-3,
-             1e-9, "raised", "overflow"),
+             1e-9, "overflow", "overflow"),
             ("fixed-rk4", A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-3, 1e-9,
              "raised", "overflow"),
             ("fixed-rk4", A5, PARAMS5.values, 1, 0, (0.0, 0.2), 1e-4, 1e-9,
@@ -2305,7 +2305,7 @@ class TestFixedStepLoop:
             ("adaptive-rk45", GROWING_P, PARAMS5.values, 1, 5e11, (0.0, 1),
              0.1, 1e-9, "overflow", "overflow"),
             ("adaptive-rk45", CAPPED, CAPPED_PARAMS.values, 1, 1, (0.7, 0.9),
-             1e-2, 1e-9, "raised", "overflow"),
+             1e-2, 1e-9, "overflow", "overflow"),
             # ends at t1 before the probe at |q| = 44.3 that counts
             ("adaptive-rk45", GENERAL4, GENERAL4_DRAWN, -0.9307, -1.4827,
              (0.0, 0.2595), 1e-3, 1e-6, "completed", "completed"),
@@ -2330,9 +2330,11 @@ class TestFixedStepLoop:
     def test_each_exit_matches_loop_reference(self, monkeypatch, method, sys,
                                               values, q0, p0, t_span, h, tol,
                                               end, label):
-        ends = self.record(monkeypatch, sys, values,
-                           integrate_module._METHODS[method])
         params = NumericParams(sys.name, values, sys.n)
+        field = compile_field(sys, params)
+        samples = []
+        ends = record_loops(monkeypatch, field,
+                            integrate_module._METHODS[method], samples)
         got = integrate(sys, params, q0, p0, t_span, h=h, tol=tol,
                         method=method)
         assert got.termination == label
@@ -2343,6 +2345,13 @@ class TestFixedStepLoop:
                                                   t_span, h=h, tol=tol,
                                                   method=method))
         assert ends == [(end, True), (end, False)]
+        # each binding returns with an H per sample, the complex one with
+        # the bits of the field's H there
+        for real, times, qs, ps, hs in samples:
+            assert len(hs) == len(times)
+            for t, q, p, got in zip(times, qs, ps, hs):
+                want = field.H(complex(q), complex(p), t)
+                assert (got == want) if real else (bits(got) == bits(want))
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
     @pytest.mark.parametrize("t1", [0, 0.05])
@@ -2390,8 +2399,7 @@ class TestRealBinding:
     def test_binding_of_each_start(self, monkeypatch, values, q0, p0, real):
         params = NumericParams("autonomous5", values, 5)
         field = compile_field(A5, params)
-        assert (field.real_H is None) == (field.real is False) \
-            == (values["e1"] == 1j)
+        assert field.real is (values["e1"] != 1j)
         ends = record_loops(monkeypatch, field, _RK4)
         traj = integrate(A5, params, q0, p0, (0, 0.05))
         assert traj.termination == "completed"
