@@ -214,6 +214,29 @@ def _emit(payload: dict, path: str | None, **metadata):
 
 # -- argument plumbing -----------------------------------------------------------
 
+# the flags that take one number: argparse reads a negative number after a
+# flag as a value only where it looks like -1 or -0.5, so each such flag
+# takes the next token that starts with '-' and parses as a number
+_NUMBER_FLAGS = ("--q0", "--p0", "--t0", "--t1", "--h", "--tol")
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each number flag that a negative number such as -1e-3,
+    -inf or -1+0.5i follows joined with it as '--flag=value'."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_FLAGS and arg.startswith("-"):
+            try:
+                parse_complex(arg)
+            except UsageError:  # a flag, so the number is missing
+                pass
+            else:
+                out[-1] += f"={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def _config_path(argv: list[str]) -> str | None:
     """The path given as '--config path' or '--config=path', else None."""
     for i, arg in enumerate(argv):
@@ -243,10 +266,10 @@ def _config_args(path: str, argv: list[str],
     extra = []
     for key, value in flat.items():
         flag = f"--{key.replace('_', '-')}"
-        if flag in argv:
+        if any(arg == flag or arg.startswith(f"{flag}=") for arg in argv):
             continue
         if flag not in switches:
-            extra += [flag, value]
+            extra.append(f"{flag}={value}")  # a value may start with '-'
             continue
         state = cp.BOOLEAN_STATES.get(value.lower())
         if state is None:
@@ -308,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_numbers(list(sys.argv[1:] if argv is None
+                                       else argv))
     parser = build_parser()
     try:
         # config file supplies defaults; explicit command-line flags win

@@ -27,18 +27,18 @@ field is generated the same way, on the first ``integrate`` with the method,
 as one loop that the compiled field keeps: its step is straight-line code
 with the stages unrolled, the field's kernel lines inlined at each stage,
 and a stage loop's operations in the same order, less the products of zero
-and unit weights.  The loop nests H at the sample it starts from and at
-each sample it makes, and appends the samples itself; for the embedded
-pair it also holds the error norm, the step control and the blow-up
-estimates below, and at a sample that reaches the chart's escape radius it
-reads the field's chart.  It returns once, where the run ends.  So the
-Hamiltonian is sampled and drift can be monitored: for the autonomous
-families H is a first integral and the drift is a direct error measure;
-for the non-autonomous family dH/dt = q^3 p + a2 q^2 is nonzero and is
-checked against finite differences instead.  The
-compiled map rules serve both the trajectory check and
-``BirationalMap.apply_numeric``; each raises ValueError only where the
-image is not finite, as at q = 0 for a map that divides by q.
+and unit weights.  The loop evaluates each sample once, in one block
+that nests H and the field there, the first stage of every step from it,
+and appends the samples itself; for the embedded pair it also holds the
+error norm, the step control and the blow-up estimates below, and at a
+sample that reaches the chart's escape radius it reads the field's chart.
+It returns once, where the run ends.  So the Hamiltonian is sampled and
+drift can be monitored: for the autonomous families H is a first integral
+and the drift is a direct error measure; for the non-autonomous family
+dH/dt = q^3 p + a2 q^2 is nonzero and is checked against finite
+differences instead.  The compiled map rules serve both the trajectory
+check and ``BirationalMap.apply_numeric``; each raises ValueError only
+where the image is not finite, as at q = 0 for a map that divides by q.
 
 Hamilton's equations are polynomial, so q = 0 is a regular point that a
 run passes through.  A step fails only where the state leaves the finite
@@ -53,8 +53,8 @@ polynomial H~ = u^2 w^(n-2) + u A~(w) that is regular at w = 0, where q is
 infinite (``hamiltonian.regularising_chart``).  H is conserved, so one
 sample gives t* in closed form, as a quadrature in w, and alpha is exactly
 1/(n-2).  Where no chart applies (nonautonomous3, or a = 0), u = q/q'
-equals (t* - t)/alpha; the adaptive run reads u at each sample from its
-step's first stage, at no extra field evaluation, and two samples estimate
+equals (t* - t)/alpha; the adaptive run reads u at each sample from the
+field there, at no extra field evaluation, and two samples estimate
 alpha = -dt/du and t* = t + alpha*u, which is a Newton step on u = 0
 (Corliss & Chang, ACM TOMS 8, 1982).  ``integrate``'s docstring states
 when a run reads the chart or makes the estimates, and when it ends with
@@ -112,13 +112,13 @@ class NumericParams:
 class Trajectory:
     """Time grid with complex (q, p) samples and conservation diagnostics.
 
-    The run statistics (steps attempted and rejected, field evaluations of
-    the attempts that returned, the smallest accepted step, None if no step
-    was accepted) describe how the samples were made.  A run that ends in
-    ``blow-up`` carries the located singularity time ``t_star`` and the
-    exponent alpha of q ~ C(t* - t)^-alpha; other runs carry None.
-    Trajectories compare by identity: compare their arrays to compare their
-    samples."""
+    The run statistics (steps attempted and rejected, the stages of the
+    attempts that returned, though a retry reuses its sample's first stage,
+    the smallest accepted step, None if no step was accepted) describe how
+    the samples were made.  A run that ends in ``blow-up`` carries the
+    located singularity time ``t_star`` and the exponent alpha of
+    q ~ C(t* - t)^-alpha; other runs carry None.  Trajectories compare by
+    identity: compare their arrays to compare their samples."""
 
     times: np.ndarray
     q: np.ndarray
@@ -329,23 +329,21 @@ def _kernel(*polys: list):
 
 class CompiledField:
     """Numeric vector field (q, p, t) -> (dq/dt, dp/dt) for one parameter
-    set: one kernel for both components, ``H`` for the Hamiltonian, and,
-    generated on first use, the loop that makes a whole run of a tableau
-    over the field (``loop``), which ``integrate`` calls once per run.
+    set: one kernel for both components, and, generated on first use, the
+    loop that makes a whole run of a tableau over the field (``loop``),
+    which ``integrate`` calls once per run.
 
     ``real`` says whether every coefficient of the field and H is real.
     Such a field also binds its loops to floats, ``loop(tab, real=True)``,
     which runs real inputs in float arithmetic."""
 
-    __slots__ = ("_kernel", "H", "real", "_spans", "_loops", "_source",
-                 "_chart")
+    __slots__ = ("_kernel", "real", "_spans", "_loops", "_source", "_chart")
 
     def __init__(self, sys: HamSystem, values: dict[str, complex]):
         f_q, f_p = hamilton_equations(sys)
         self._spans = (_bind(f_q, values), _bind(f_p, values),
                        _bind(sys.H, values))
         self._kernel = _kernel(*self._spans[:2])
-        self.H = _kernel(self._spans[2])
         self.real = not any(c.imag for spans in self._spans
                             for c, *_ in spans)
         self._loops = {}
@@ -374,12 +372,12 @@ class CompiledField:
         but the one onto t1 at least max(1e-12, ulp(max(|t|, |t1|))) long,
         with t where it starts, so that every step moves t.  At a sample
         whose |q| reaches the chart's escape radius, or doubles since the
-        last reading, it reads the field's chart (``_chart_reading``), which
-        gives None or (t* - t, alpha) where its reading counts.  It ends
-        with 'completed', 'overflow' (a step to |q| or |p| beyond
-        OVERFLOW_GUARD, or to an H that is not finite, not taken), 'raised'
-        (a start with |q| > OVERFLOW_GUARD or an H that is not finite, or a
-        stage or chart reading that raises OverflowError), 'blow-up' (with
+        last reading, it reads the field's chart at the sample and its H
+        (``_chart_reading``), which gives None or (t* - t, alpha) where its
+        reading counts.  It ends with 'completed', 'overflow' (a step to |q|
+        or |p| beyond OVERFLOW_GUARD, or to an H that is not finite, not
+        taken), 'raised' (a start with |q| > OVERFLOW_GUARD or an H that is
+        not finite, or a stage that raises OverflowError), 'blow-up' (with
         Re t* and alpha, else None) or 'step-underflow'."""
         loop = self._loops.get((tab, real))
         if loop is None:
@@ -456,25 +454,25 @@ class _Tableau:
 def _stages(tab: _Tableau, field: CompiledField,
             size: str) -> tuple[list[str], list[str], list[str], dict]:
     """The lines of one explicit RK step of ``tab`` over ``field`` from
-    (q, p, t), of the length that the local ``size`` holds, the lines that
-    set H at (q, p, t), and the values they name: (products, stages, H,
-    args).  The products set h{i}_{j} = size*a_ij, dt{i} = c_i*size and
-    w = size/div from the step length alone, so a run of equal steps
-    computes them once.  The stages set the field at each stage, kq{i} and
-    kp{i}, and the update qn, pn; with an embedded pair, also its solution
-    qe, pe.
+    (q, p, t), of the length that the local ``size`` holds, the sample
+    block, and the values they name: (products, stages, sample, args).  The
+    sample block nests, sharing their powers, the field at (q, p, t), kq0
+    and kp0, which is stage 0 of every step from there, and H.  The
+    products set h{i}_{j} = size*a_ij, dt{i} = c_i*size and w = size/div
+    from the step length alone, so a run of equal steps computes them once.
+    The stages set the field at each later stage, kq{i} and kp{i}, and the
+    update qn, pn; with an embedded pair, also its solution qe, pe.
 
     Stage i > 0 starts from q + h_i0*k0 + h_i1*k1 + ..., summed left to
     right over the nonzero a_ij (RK4 then matches its textbook form), and
     raises OverflowError unless |q| <= OVERFLOW_GUARD and p is finite there
     before it evaluates the field, whose kernel lines it holds, at that
-    start and t + dt_i.  Stage 0 starts from q, which the loop tests once,
-    at the state it starts from.  h*a*k is (h*a)*k and t + c*h is
-    t + (c*h), as a stage loop computes them.  A weighted sum runs left to
-    right from its first term, with none for a zero weight and k for a unit
-    one, not 1*k.  Tableau entries enter as floats and weights as complex
-    numbers, the values to which CPython converts them in each product
-    (floats in the real binding)."""
+    start and t + dt_i.  h*a*k is (h*a)*k and t + c*h is t + (c*h), as a
+    stage loop computes them.  A weighted sum runs left to right from its
+    first term, with none for a zero weight and k for a unit one, not 1*k.
+    Tableau entries enter as floats and weights as complex numbers, the
+    values to which CPython converts them in each product (floats in the
+    real binding)."""
     if any(eq < 0 or ep < 0 for spans in field._spans
            for _, eq, ep, _ in spans):
         raise ValueError("a negative power of q or p in the field or H: "
@@ -485,24 +483,22 @@ def _stages(tab: _Tableau, field: CompiledField,
     args = {**coeffs, "zero": 0j, "div": float(tab.div),
             "GUARD": OVERFLOW_GUARD, "isfinite": cmath.isfinite}
     products, lines = [], []
-    for i, (row, c) in enumerate(zip(tab.a, tab.c)):
+    for i, (row, c) in enumerate(zip(tab.a[1:], tab.c[1:]), 1):
         js = [j for j, a in enumerate(row) if a]
-        qi, pi = ("qi", "pi") if js else ("q", "p")
         for j in js:
             args[f"a{i}_{j}"] = float(row[j])
             products.append(f"h{i}_{j} = {size} * a{i}_{j}")
-        if js:
-            lines += [f"{v}i = {v}" + "".join(f" + h{i}_{j} * k{v}{j}"
-                                              for j in js) for v in "qp"]
-            lines += ["if not (abs(qi) <= GUARD and isfinite(pi)):",
-                      "    raise OverflowError('a stage starts beyond the "
-                      "guard')"]
+        lines += [f"{v}i = {v}" + "".join(f" + h{i}_{j} * k{v}{j}"
+                                          for j in js) for v in "qp"]
+        lines += ["if not (abs(qi) <= GUARD and isfinite(pi)):",
+                  "    raise OverflowError('a stage starts beyond the "
+                  "guard')"]
         if timed:
             args[f"node{i}"] = float(c)
             products.append(f"dt{i} = node{i} * {size}")
             lines.append(f"ti = t + dt{i}")
-        lines += _kernel_lines([(f"kq{i}", f_q, (qi, pi, "ti")),
-                                (f"kp{i}", f_p, (qi, pi, "ti"))])
+        lines += _kernel_lines([(f"kq{i}", f_q, ("qi", "pi", "ti")),
+                                (f"kp{i}", f_p, ("qi", "pi", "ti"))])
 
     def weighted(prefix, weights, k):
         args.update((f"{prefix}{j}", complex(w))
@@ -515,7 +511,9 @@ def _stages(tab: _Tableau, field: CompiledField,
     if tab.b_err is not None:
         lines += [f"qe = q + w * ({weighted('e', tab.b_err, 'kq')})",
                   f"pe = p + w * ({weighted('e', tab.b_err, 'kp')})"]
-    return products, lines, _kernel_lines([("H", H, "qpt")]), args
+    sample = _kernel_lines([("kq0", f_q, "qpt"), ("kp0", f_p, "qpt"),
+                            ("H", H, "qpt")])
+    return products, lines, sample, args
 
 
 # the names of the loop's own arguments and locals, which its stages must
@@ -538,15 +536,17 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
     products once for h, and again where the last step is shortened; an
     embedded pair computes them at each attempt, and adds the error norm,
     the PI controller and the u-estimates, in the order of ``integrate``'s
-    docstring.  H is nested at the state the loop starts from, and at each
-    sample that a step makes, before it is appended.  The test of
-    |q| <= OVERFLOW_GUARD that stage 0 lacks runs once, for the state the
-    loop starts from: each later step starts from a sample whose |q| passed
-    that test.  Once the last fixed step's rule holds, it holds at every
-    step after: the rounding left in t by a step onto t1 is below two
-    t_ulp."""
-    products, stages, H, args = _stages(tab, field, "s")
-    assigned = {line.partition(" = ")[0] for line in products + stages + H}
+    docstring.  The sample block runs at the state the loop starts from,
+    and at each sample that a step makes, before it is appended; every
+    attempt from the sample, the u-estimates and the chart probe read it.
+    The test of |q| <= OVERFLOW_GUARD that stage 0 lacks runs once, for the
+    state the loop starts from: each later step starts from a sample whose
+    |q| passed that test.  Once the last fixed step's rule holds, it holds
+    at every step after: the rounding left in t by a step onto t1 is below
+    two t_ulp."""
+    products, stages, sample, args = _stages(tab, field, "s")
+    assigned = {line.partition(" = ")[0]
+                for line in products + stages + sample}
     clash = (assigned | set(args)) & set(_LOOP_NAMES)
     assert not clash, f"the stages assign the loop's names {sorted(clash)}"
     args.update(RADIUS=ESCAPE_RADIUS, ends=_ends,
@@ -565,7 +565,7 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
               "    " + out("overflow"),
               "t += s",
               "q, p = qn, pn",
-              *H,
+              *sample,
               "if not isfinite(H):",
               "    " + out("overflow"),
               "add_t(t)",
@@ -650,7 +650,7 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
             "escape_at, into, charted = RADIUS, 0.0, False",
             "star = alpha = nan",
             *start,
-            *H,
+            *sample,
             "add_h(H)",
             "if not isfinite(H):",
             "    " + out("raised"),
@@ -659,7 +659,7 @@ def _loop_source(tab: _Tableau, field: CompiledField) -> tuple[list, dict]:
             "        " + out("raised"),
             "    while t < t1:",
             "        if into:",
-            "            reading = probe(q, p, t, into)",
+            "            reading = probe(q, p, H, into)",
             "            into = 0.0",
             "            if reading is not None:",
             "                charted = True",
@@ -699,20 +699,17 @@ def _ends(star: complex, t: float, t1: float, tol: float) -> bool:
             and star.real <= t1 - tol * max(1.0, abs(star.real)))
 
 
-def _chart_reading(field: CompiledField, q: complex, p: complex, t: float,
-                   into: float) -> tuple[complex, float] | None:
-    """t* - t and alpha read from the field's chart at the sample (q, p, t)
-    where the reading counts, else None.  A reading counts only where the
-    step ``into`` the sample is shorter than its real part: a longer step
-    may have crossed t*, onto an orbit whose own t* lies just ahead.  A
-    sample of a run in float arithmetic is read as a complex one, with H
-    from the complex kernel.  Raises OverflowError where H at the sample is
-    not finite, which a sample the loop accepted does not have."""
-    q, p = complex(q), complex(p)
-    chart, H = field.chart(), field.H(q, p, t)
-    if not cmath.isfinite(H):
-        raise OverflowError("H is not finite")
-    ahead = chart and chart.gap(q, p, H)
+def _chart_reading(field: CompiledField, q: complex, p: complex,
+                   H: complex, into: float) -> tuple[complex, float] | None:
+    """t* - t and alpha read from the field's chart at the sample (q, p),
+    whose finite H the loop gives, where the reading counts, else None.  A
+    reading counts only where the step ``into`` the sample is shorter than
+    its real part: a longer step may have crossed t*, onto an orbit whose
+    own t* lies just ahead.  A sample of a run in float arithmetic is read
+    as a complex one; the chart keeps its square roots off their branch
+    cut, so the sign of a zero imaginary part changes no reading."""
+    chart = field.chart()
+    ahead = chart and chart.gap(complex(q), complex(p), complex(H))
     if ahead is None or not into < ahead.real:
         return None
     return ahead, chart.exponent

@@ -7,6 +7,7 @@ import random
 import mpmath
 import pytest
 
+from conftest import compiled_poly
 from hamfam.hamiltonian import (make_autonomous5, make_general_n,
                                 make_nonautonomous3, regularising_chart)
 from hamfam.integrate import (ESCAPE_RADIUS, NumericParams, compile_field,
@@ -186,7 +187,8 @@ class TestChartTStar:
             field = compile_field(sys, NumericParams(sys.name, values,
                                                      sys.n))
             q, p = complex(q), complex(p)
-            gap = field.chart().gap(q, p, field.H(q, p, 0.0))
+            H = compiled_poly(sys.H, values)(q, p, 0.0)
+            gap = field.chart().gap(q, p, H)
             if gap is None:
                 continue
             if (field(q, p, 0.0)[0] * q).real < 0:

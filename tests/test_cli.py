@@ -323,6 +323,55 @@ class TestIntegrate:
         assert "error: start state must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--q0", "-1e-3"], ["--q0", "-1+0.5i"], ["--p0", "-1e-3"],
+        ["--q0", "-0.5"], ["--t0", "-1e-3"],
+        ["--t0", "-2e-3", "--t1", "-1e-3"]],
+        ids=["q0-exponent", "q0-complex", "p0-exponent", "q0-decimal",
+             "t0", "t1"])
+    def test_negative_number_as_its_own_argument(self, argv, tmp_path):
+        # each number flag takes a negative number in the next token, as
+        # in '--flag=value': the run and its start are the same
+        csvs = []
+        for form in (argv, [f"{flag}={value}" for flag, value
+                            in zip(argv[::2], argv[1::2])]):
+            csvs.append(tmp_path / f"{len(csvs)}.csv")
+            assert run(["integrate", "--family", "autonomous5",
+                        "--params", "a=1,e1=1,e2=1", "--t1", "0.001",
+                        *form, "--out", str(csvs[-1])]) == 0
+        rows = [csv.read_text().splitlines() for csv in csvs]
+        assert rows[0] == rows[1]
+        t, re_q, im_q, re_p, im_p = map(float, rows[0][1].split(",")[:5])
+        start = {"--t0": t, "--q0": complex(re_q, im_q),
+                 "--p0": complex(re_p, im_p)}
+        assert start[argv[0]] == parse_complex(argv[1])
+        if argv[2:]:
+            assert float(rows[0][-1].split(",")[0]) == float(argv[3])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--q0", "-inf", "start state must be finite"),
+        ("--p0", "-inf", "start state must be finite"),
+        ("--h", "-1e-3", "h must be finite and positive, got -0.001"),
+        ("--tol", "-1e-9", "tol must be finite and positive, got -1e-09")],
+        ids=["q0", "p0", "h", "tol"])
+    def test_negative_number_reaches_the_run(self, flag, value, message,
+                                             capsys):
+        assert run(["integrate", "--family", "autonomous5",
+                    "--params", "a=1,e1=1,e2=1", flag, value,
+                    "--t1", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err and captured.out == ""
+
+    def test_missing_number_is_usage_error(self, capsys):
+        # a flag after a number flag is no negative number: the value is
+        # missing, as before
+        with pytest.raises(SystemExit) as raised:
+            run(["integrate", "--family", "autonomous5",
+                 "--params", "a=1,e1=1,e2=1", "--q0", "--p0", "1"])
+        assert raised.value.code == 2
+        assert "argument --q0: expected one argument" \
+            in capsys.readouterr().err
+
     def test_zero_step_is_usage_error(self):
         # as a subprocess with a timeout, so a step that never advances
         # fails the test instead of hanging it
@@ -466,6 +515,36 @@ class TestConfig:
                   "--summary-out", str(summary)])
         assert rc == 0
         assert json.loads(summary.read_text())["termination"] == "completed"
+
+    def test_config_negative_numbers(self, tmp_path):
+        # a value that starts with '-' is spliced as '--flag=value'
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[integrate]\n"
+                       "family = autonomous5\n"
+                       "params = a=1,e1=1,e2=1\n"
+                       "q0 = -1e-3\n"
+                       "p0 = -1+0.5i\n"
+                       "t0 = -1e-3\n"
+                       "t1 = 0\n")
+        csv = tmp_path / "t.csv"
+        assert run(["integrate", "--config", str(cfg), "--out",
+                    str(csv)]) == 0
+        first = csv.read_text().splitlines()[1].split(",")
+        assert list(map(float, first[:5])) == [-1e-3, -1e-3, 0, -1, 0.5]
+
+    def test_cli_negative_number_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[integrate]\n"
+                       "family = autonomous5\n"
+                       "params = a=1,e1=1,e2=1\n"
+                       "q0 = not a number\n"
+                       "t1 = 0.001\n")
+        csv = tmp_path / "t.csv"
+        for q0 in (["--q0", "-1e-3"], ["--q0=-1e-3"]):
+            assert run(["integrate", "--config", str(cfg), *q0, "--out",
+                        str(csv)]) == 0
+            assert float(csv.read_text().splitlines()[1].split(",")[1]) \
+                == -1e-3
 
     def test_cli_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -214,7 +214,7 @@ class TestStepRK4:
         assert traj.termination == "completed" and traj.steps_attempted == 0
         assert (complex(traj.q[0]), complex(traj.p[0])) == state
         assert bits(traj.H_values) == bits(np.array([
-            compile_field(A5, PARAMS5).H(*state, 0.0)]))
+            compiled_poly(A5.H, PARAMS5.values)(*state, 0.0)]))
 
     def test_constant_field_is_exact(self):
         # degenerate H = c*p gives qdot = c, pdot = 0; RK4 is exact
@@ -229,7 +229,7 @@ class TestStepRK4:
             assert not traj.p.any()
             # H at the start
             assert bits(complex(traj.H_values[0])) \
-                == bits(compile_field(sys, PARAMS5).H(1 + 0j, 0j, 0))
+                == bits(compiled_poly(sys.H, PARAMS5.values)(1 + 0j, 0j, 0))
 
     def test_against_reference_solve(self):
         h = 1e-3
@@ -262,6 +262,7 @@ class TestStepRK4:
 
     def test_matches_textbook_step_bit_for_bit(self, rng):
         field = compile_field(A5, PARAMS5)
+        H = compiled_poly(A5.H, PARAMS5.values)
         for _ in range(100):
             q = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
             p = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -273,7 +274,7 @@ class TestStepRK4:
             expected = (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
                         p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
             assert loop_step(field, _RK4, q, p, t, h, 1e-9) \
-                == (*expected, field.H(q, p, t))
+                == (*expected, H(q, p, t))
 
 
 class TestTableaus:
@@ -467,12 +468,13 @@ class TestIntegrate:
         traj = integrate(CAPPED, CAPPED_PARAMS, 1, 1, (0.7, 0.9), h=1e-2,
                          method=method)
         field = compile_field(CAPPED, CAPPED_PARAMS)
+        H = compiled_poly(CAPPED.H, CAPPED_PARAMS.values)
         assert traj.termination == "overflow"
         assert traj.times[-1] < 0.7977 < traj.times[-1] + 0.01
         samples = [(complex(q), complex(p), float(t))
                    for q, p, t in zip(traj.q, traj.p, traj.times)]
-        for (q, p, t), H in zip(samples, traj.H_values):
-            assert bits(complex(H)) == bits(field.H(q, p, t))
+        for (q, p, t), got in zip(samples, traj.H_values):
+            assert bits(complex(got)) == bits(H(q, p, t))
         # the run attempted one more step, to a sample whose H is not
         # finite, which was not accepted
         assert traj.steps_attempted == len(traj.times) + traj.steps_rejected
@@ -481,7 +483,7 @@ class TestIntegrate:
             assert loop_step(field, _RK4, q, p, t, 1e-2, 1e-9) == "overflow"
             q, p, *_ = ref_rk_step(_RK4, q, p, t, 1e-2,
                                    RefField(CAPPED, CAPPED_PARAMS.values))
-            assert not cmath.isfinite(field.H(q, p, t + 1e-2))
+            assert not cmath.isfinite(H(q, p, t + 1e-2))
 
     def test_located_blow_up_where_H_overflows(self, monkeypatch):
         # the attempt on which the locator agrees on t* = 2 lands past
@@ -504,7 +506,7 @@ class TestIntegrate:
                 return H if cmath.isfinite(H) else 0.0
         monkeypatch.setitem(globals(), "RefField", FiniteH)
         located = run()  # the same run, with an H that is always finite
-        H = compile_field(BLOWUP, BLOWUP_PARAMS).H
+        H = compiled_poly(BLOWUP.H, BLOWUP_PARAMS.values)
         assert located.termination == "blow-up"
         assert not cmath.isfinite(H(complex(located.q[-1]),
                                     complex(located.p[-1]),
@@ -789,14 +791,14 @@ class TestStepCache:
                             lambda signature, *rest: generated.append(
                                 signature) or generate(signature, *rest))
         compile_field(NA3, PARAMS3)
-        # the field and H, no step
-        assert generated == ["(q, p, t)"] * 2
+        # the field, no step and no kernel of H
+        assert generated == ["(q, p, t)"]
         loop = "(times, qs, ps, hs, h, t1, tol)"
         for method, signatures in (("fixed-rk4", [loop]),
                                    ("adaptive-rk45", [loop, loop])):
             runs = [integrate(NA3, PARAMS3, 1, -1.5, (0, 0.05), h=1e-3,
                               method=method) for _ in range(2)]
-            assert generated[2:] == signatures
+            assert generated[1:] == signatures
             assert_same_run(*runs)
 
     def test_fields_with_the_same_terms_share_compiled_code(self):
@@ -807,34 +809,16 @@ class TestStepCache:
                 method=method)
             _field_cache.cache_clear()
             compiled.cache_clear()
-            # compiles the field, H and the method's loop
+            # compiles the field and the method's loop
             run(1)
             before = compiled.cache_info()
             shared = run(2)
             after = compiled.cache_info()
             assert (after.hits - before.hits, after.misses) \
-                == (3, before.misses), method
+                == (2, before.misses), method
             _field_cache.cache_clear()
             compiled.cache_clear()
             assert_same_run(shared, run(2))
-
-    @pytest.mark.parametrize("q0, t_span, method", [
-        (1, (0, 0.05), "fixed-rk4"), (1, (0, 0.05), "adaptive-rk45"),
-        (1, (0, 0), "fixed-rk4"), (100, (0, 1), "fixed-rk4")],
-        ids=["fixed", "adaptive", "zero-span", "overflow"])
-    def test_no_H_call_without_a_probe(self, monkeypatch, q0, t_span,
-                                       method):
-        # the loop nests H at each sample itself: only a chart probe calls
-        # the field's H, and none of these runs reaches |q| = ESCAPE_RADIUS.
-        # Each start is real, and runs under both bindings
-        field = compile_field(A5, PARAMS5)
-        calls = []
-        H = field.H
-        monkeypatch.setattr(field, "H", lambda *args: calls.append(args)
-                            or H(*args))
-        for run in (integrate, complex_binding_run):
-            traj = run(A5, PARAMS5, q0, 0.3, t_span, method=method)
-            assert len(traj.H_values) == len(traj.times) and calls == []
 
 
 APPLY_CASES = {"shear-autonomous5": (A5, autonomous_map(A5)),
@@ -1402,7 +1386,6 @@ class TestKernelsMatchLoopReference:
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
         q, p = state
         assert_same(field(q, p, t), ref(q, p, t))
-        assert_same(field.H(q, p, t), ref.H(q, p, t))
         assert_same(compiled_poly(sys.H, values)(q, p, t), ref.H(q, p, t))
 
     @settings(max_examples=60, deadline=None)
@@ -1413,7 +1396,7 @@ class TestKernelsMatchLoopReference:
         ref = RefField(sys, values)
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
         assert_same(field(q, p, t), ref(q, p, t))
-        assert_same(field.H(q, p, t), ref.H(q, p, t))
+        assert_same(compiled_poly(sys.H, values)(q, p, t), ref.H(q, p, t))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(LAURENT_RULES)), st.data(),
@@ -1488,7 +1471,7 @@ def assert_same_step(sys, values, tab, q, p, t, h, tol):
     """One attempt of ``tab`` in the field's loop ends as ``ref_step``'s
     does, raised, rejected or leaving the guard, or has its bits, at tol
     and, for an embedded pair, at ANY_TOL; the H it sums has the bits of
-    ``field.H`` at (q, p, t)."""
+    the compiled H at (q, p, t)."""
     field = compile_field(sys, NumericParams(sys.name, values, sys.n))
     ref = RefField(sys, values)
     for each in step_tols(tab, tol):
@@ -1497,7 +1480,7 @@ def assert_same_step(sys, values, tab, q, p, t, h, tol):
         got_key, want_key = step_outcomes(got, want, bits)
         assert got_key == want_key
         if not isinstance(got, str) and got[-1] is not None:
-            assert_same(got[-1], field.H(q, p, t))
+            assert_same(got[-1], compiled_poly(sys.H, values)(q, p, t))
 
 
 def outcome(fn, *args):
@@ -1548,7 +1531,8 @@ class TestKernelsOverTheFloatRange:
         values = data.draw(param_values(sys))
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
         ref = RefField(sys, values)
-        for got, want in ((field, ref), (field.H, ref.H)):
+        for got, want in ((field, ref),
+                          (compiled_poly(sys.H, values), ref.H)):
             assert outcome(got, q, p, t) == outcome(want, q, p, t)
         if cmath.isfinite(p):
             for tol in step_tols(tab, 1e-9):
@@ -1704,7 +1688,8 @@ class TestKernelsWithinHighamBound:
         field = compile_field(sys, NumericParams(sys.name, values, sys.n))
         f_q, f_p = hamilton_equations(sys)
         for poly, got in zip((f_q, f_p, sys.H),
-                             (*field(q, p, t), field.H(q, p, t))):
+                             (*field(q, p, t),
+                              compiled_poly(sys.H, values)(q, p, t))):
             assert_within_higham_bound(bound_terms(poly, values), (q, p, t),
                                        got)
 
@@ -1741,19 +1726,37 @@ class TestKernelsWithinHighamBound:
                                            got)
 
 
+def operations(lines):
+    """The complex operations of generated lines."""
+    return sum(line.count(" * ") + line.count(" + ") for line in lines)
+
+
 class TestNestedForm:
     def test_general12_stage_operations(self):
         # general:12's field and H nest in 75 complex operations, where the
-        # term-by-term form took 96 and its shared power chain 12 more
-        sys = make_general_n(12)
-        field = compile_field(sys, NumericParams(sys.name,
-                                                 GENERAL12_ONES, 12))
-        names = {}
-        lines = integrate_module._kernel_lines(
-            [(out, integrate_module._named(names, spans), "qpt")
-             for out, spans in zip(("kq", "kp", "H"), field._spans)])
-        assert sum(line.count(" * ") + line.count(" + ")
-                   for line in lines) == 75
+        # term-by-term form took 96 and its shared power chain 12 more.
+        # The loop's sample block nests them so, and autonomous5's in 24:
+        # its field and H nested apart take 26, as each computes q^2 and q^3
+        for sys, values, ops, apart in (
+                (make_general_n(12), GENERAL12_ONES, 75, 75),
+                (A5, PARAMS5.values, 24, 26)):
+            field = compile_field(sys, NumericParams(sys.name, values,
+                                                     sys.n))
+            names = {}
+            sums = [(out, integrate_module._named(names, spans), "qpt")
+                    for out, spans in zip(("kq", "kp", "H"), field._spans)]
+            kernel_lines = integrate_module._kernel_lines
+            assert operations(kernel_lines(sums)) == ops
+            assert operations(kernel_lines(sums[:2])) \
+                + operations(kernel_lines(sums[2:])) == apart
+            for tab in (_RK4, _FEHLBERG45):
+                _, _, sample, _ = integrate_module._stages(tab, field, "s")
+                assert operations(sample) == ops
+                # the field at a sample is nested only in the sample block,
+                # at the loop's start and at each sample it accepts
+                body, _ = integrate_module._loop_source(tab, field)
+                assert sum(line.lstrip().startswith("kq0 = ")
+                           for line in body) == 2
 
 
 def assert_same_run(got, want):
@@ -2040,16 +2043,45 @@ class TestEscapeIntoChart:
     with ``blow-up`` where the chart places t* on the path inside the
     span."""
 
-    def probes(self, monkeypatch):
-        """|q| at each sample the chart reads, and each reading."""
+    def probes(self, monkeypatch, received=None):
+        """|q| at each sample the chart reads, and each reading.  Each
+        (q, p, H) that the chart receives is added to ``received``, if
+        given."""
         seen = []
         gap = Chart.gap
 
         def record(chart, q, p, H):
+            if received is not None:
+                received.append((q, p, H))
             seen.append((abs(q), gap(chart, q, p, H)))
             return seen[-1][1]
         monkeypatch.setattr(Chart, "gap", record)
         return seen
+
+    @pytest.mark.parametrize("method, h", [("fixed-rk4", 1e-4),
+                                           ("adaptive-rk45", 1e-3)])
+    def test_probe_reads_the_sample_H(self, method, h):
+        # the chart reads the H that the loop sampled: the complex binding
+        # hands on its bits, and the real one its value, with imaginary
+        # part +0.0.  From this start the complex kernel's H has imaginary
+        # part -0.0 at the probe, so a probe that evaluated H itself would
+        # hand on the other zero
+        params = NumericParams("autonomous5", {"a": -1, "e1": 1, "e2": 1}, 5)
+        H = compiled_poly(A5.H, params.values)
+        for run in (integrate, complex_binding_run):
+            received = []
+            with pytest.MonkeyPatch.context() as patch:
+                self.probes(patch, received)
+                traj = run(A5, params, -1, -0.5, (0, 1), h=h, method=method)
+            assert traj.termination == "blow-up" and received
+            for q, p, got in received:
+                i = next(i for i, sample in enumerate(traj.q)
+                         if bits(complex(sample)) == bits(q))
+                assert bits(complex(traj.p[i])) == bits(p)
+                assert bits(got) == bits(complex(traj.H_values[i]))
+                if run is integrate:
+                    assert got == H(q, p, float(traj.times[i]))
+                    assert math.copysign(1.0, got.imag) == 1.0
 
     def test_probe_once_per_doubling(self, monkeypatch):
         # q0 = exp(1e-7 i) passes t* = 1/3 - 1e-7 i with |q| near 150: the
@@ -2124,31 +2156,6 @@ class TestEscapeIntoChart:
         assert_same_run(traj, ref_integrate(A5, PARAMS5.values, q0, 0,
                                             (0, 0.2), 1e-3, 1e-9,
                                             "fixed-rk4"))
-
-    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
-    def test_probe_where_H_is_not_finite(self, monkeypatch, method):
-        # a probe raises where H at its sample is not finite, and the run
-        # ends there with overflow, as one whose stage raises does: the
-        # probe counts as an attempt.  The loop accepts no sample whose own
-        # H is not finite, so the field's H, which only the probe reads, is
-        # replaced by one that is NaN everywhere
-        plain = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
-                          method=method)
-        field = compile_field(A5, PARAMS5)
-        ends = record_loops(monkeypatch, field,
-                            integrate_module._METHODS[method])
-        monkeypatch.setattr(field, "H", lambda q, p, t: math.nan)
-        traj = integrate(A5, PARAMS5, 1, 0, (0, 0.2), h=1e-4, tol=1e-12,
-                         method=method)
-        assert plain.termination == "blow-up"
-        assert ends == [("raised", True)]
-        assert traj.termination == "overflow" and traj.t_star is None
-        for name in ("times", "q", "p", "H_values"):
-            assert bits(getattr(traj, name)) == bits(getattr(plain, name)), \
-                name
-        assert traj.steps_attempted == plain.steps_attempted + 1
-        for name in ("steps_rejected", "field_evals"):
-            assert getattr(traj, name) == getattr(plain, name), name
 
     @pytest.mark.parametrize("sys,values,p0,t1,alpha", [
         (NA3, PARAMS3.values, 0, 0.3, 1 / 2),
@@ -2346,11 +2353,12 @@ class TestFixedStepLoop:
                                                   method=method))
         assert ends == [(end, True), (end, False)]
         # each binding returns with an H per sample, the complex one with
-        # the bits of the field's H there
+        # the bits of the compiled H there
+        H = compiled_poly(sys.H, values)
         for real, times, qs, ps, hs in samples:
             assert len(hs) == len(times)
             for t, q, p, got in zip(times, qs, ps, hs):
-                want = field.H(complex(q), complex(p), t)
+                want = H(complex(q), complex(p), t)
                 assert (got == want) if real else (bits(got) == bits(want))
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45"])
